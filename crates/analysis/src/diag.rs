@@ -40,11 +40,6 @@ pub enum DiagCode {
     /// `AD0105`: a multiplication by an all-zero constant makes an
     /// entire differentiable branch dead.
     DeadBranch,
-    /// `AD0110`: production code calls a serial reference kernel
-    /// (`matmul_serial`, `conv2d_serial`) instead of the sharded
-    /// parallel entry points. The serial kernels exist only as
-    /// equivalence oracles for the tensor crate's own tests.
-    SerialKernelBypass,
     /// `AD0111`: long-lived serving code (`aero-serve`, the core
     /// pipeline crate) calls a panicking tensor kernel directly instead
     /// of its `try_*` variant. A shape mismatch there must surface as a
@@ -58,12 +53,6 @@ pub enum DiagCode {
     /// hard-wiring an implementation bypasses both the policy and the
     /// sharding layer.
     BackendBypass,
-    /// `AD0113`: production code calls the deprecated positional
-    /// `encode_condition(item, caption_g, g_prime)` shim instead of
-    /// building a typed `TaskSpec` and calling `encode_task`. The shim
-    /// exists for one release to let external callers migrate; inside
-    /// the workspace every caller must be on the task API.
-    DeprecatedConditionApi,
     /// `AD0200`: two lock acquisitions form a cycle in the workspace's
     /// lock-order graph — function A holds lock X while taking Y, and
     /// some path (possibly through calls) holds Y while taking X. Two
@@ -102,10 +91,8 @@ impl DiagCode {
             DiagCode::UnclampedLn => "AD0103",
             DiagCode::NanProneOp => "AD0104",
             DiagCode::DeadBranch => "AD0105",
-            DiagCode::SerialKernelBypass => "AD0110",
             DiagCode::PanickingKernelCall => "AD0111",
             DiagCode::BackendBypass => "AD0112",
-            DiagCode::DeprecatedConditionApi => "AD0113",
             DiagCode::LockOrderCycle => "AD0200",
             DiagCode::AtomicOrderingAudit => "AD0201",
             DiagCode::NondeterministicPath => "AD0202",
@@ -127,13 +114,9 @@ impl DiagCode {
             DiagCode::UnclampedLn => "ln of unclamped input",
             DiagCode::NanProneOp => "NaN-prone arithmetic",
             DiagCode::DeadBranch => "dead differentiable branch",
-            DiagCode::SerialKernelBypass => "serial reference kernel used in production code",
             DiagCode::PanickingKernelCall => "panicking tensor kernel called on a serving path",
             DiagCode::BackendBypass => {
                 "concrete compute backend hard-wired outside the tensor crate"
-            }
-            DiagCode::DeprecatedConditionApi => {
-                "deprecated encode_condition shim called instead of the task API"
             }
             DiagCode::LockOrderCycle => "lock acquisition order forms a cycle",
             DiagCode::AtomicOrderingAudit => "unaudited relaxed atomic ordering",
@@ -155,10 +138,8 @@ impl DiagCode {
             | DiagCode::DivisibilityViolation
             | DiagCode::InvalidConfig
             | DiagCode::DetachedParameter
-            | DiagCode::SerialKernelBypass
             | DiagCode::PanickingKernelCall
             | DiagCode::BackendBypass
-            | DiagCode::DeprecatedConditionApi
             | DiagCode::LockOrderCycle
             | DiagCode::PanicInWorker => Severity::Error,
             DiagCode::DetachedSubgraph
@@ -316,10 +297,8 @@ mod tests {
             DiagCode::UnclampedLn,
             DiagCode::NanProneOp,
             DiagCode::DeadBranch,
-            DiagCode::SerialKernelBypass,
             DiagCode::PanickingKernelCall,
             DiagCode::BackendBypass,
-            DiagCode::DeprecatedConditionApi,
             DiagCode::LockOrderCycle,
             DiagCode::AtomicOrderingAudit,
             DiagCode::NondeterministicPath,

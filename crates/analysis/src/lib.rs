@@ -52,7 +52,6 @@ pub use models::{
 };
 pub use shape_infer::ShapeCtx;
 pub use source_lint::{
-    lint_atomic_orderings, lint_backend_callsites, lint_deprecated_condition_api,
-    lint_kernel_callsites, lint_nondeterminism, lint_panicking_callsites, lint_source_all,
-    lint_worker_panics,
+    lint_atomic_orderings, lint_backend_callsites, lint_nondeterminism, lint_panicking_callsites,
+    lint_source_all, lint_worker_panics,
 };

@@ -3,13 +3,8 @@
 //! Every pass here matches against the [`crate::token`] stream, so
 //! patterns mentioned inside comments, string literals, or raw strings
 //! can never produce findings — the failure mode of the line-regex scan
-//! this module replaced. Seven passes share one file walk:
+//! this module replaced. Five passes share one file walk:
 //!
-//! - **Serial reference-kernel bypasses** ([`AD0110`]).
-//!   `aero_tensor::ops` keeps `matmul_serial` / `conv2d_serial` around
-//!   as the bit-exact oracles the parallel-equivalence tests compare
-//!   against. Production code must never call them: it would silently
-//!   forfeit the sharded kernel layer on the hot path.
 //! - **Compute-backend bypasses** ([`AD0112`]). Kernel dispatch routes
 //!   through the active `ComputeBackend`; code outside the tensor
 //!   crate must never name a concrete backend (`ReferenceBackend`,
@@ -23,10 +18,6 @@
 //!   `TensorError`; long-lived serving code (`aero-serve` and the core
 //!   pipeline crate) must use those so a malformed request surfaces as
 //!   a typed reply instead of killing a worker thread.
-//! - **Deprecated condition-API callers** ([`AD0113`]). The positional
-//!   `encode_condition(item, caption_g, g_prime)` shim only exists so
-//!   external callers can migrate to `TaskSpec` + `encode_task`;
-//!   workspace code calling it (outside the defining file) is flagged.
 //! - **Atomic ordering audit** ([`AD0201`]). `Ordering::Relaxed` in a
 //!   read-modify-write call, or relaxed stores publishing several
 //!   fields from one function, must carry a
@@ -43,12 +34,10 @@
 //!   worker thread instead of producing a typed reply.
 //!
 //! The lock-order cycle pass ([`AD0200`]) builds on the same walker but
-//! lives in [`crate::lockorder`]; [`lint_source_all`] runs all eight.
+//! lives in [`crate::lockorder`]; [`lint_source_all`] runs all six.
 //!
-//! [`AD0110`]: crate::DiagCode::SerialKernelBypass
 //! [`AD0111`]: crate::DiagCode::PanickingKernelCall
 //! [`AD0112`]: crate::DiagCode::BackendBypass
-//! [`AD0113`]: crate::DiagCode::DeprecatedConditionApi
 //! [`AD0200`]: crate::DiagCode::LockOrderCycle
 //! [`AD0201`]: crate::DiagCode::AtomicOrderingAudit
 //! [`AD0202`]: crate::DiagCode::NondeterministicPath
@@ -59,10 +48,6 @@ use crate::token::{self, FnItem, Token, TokenKind};
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
-
-/// Names of the serial reference kernels that only the tensor crate's
-/// own tests may call.
-const SERIAL_KERNELS: [&str; 2] = ["matmul_serial", "conv2d_serial"];
 
 /// Identifiers that hard-wire a concrete compute backend: the backend
 /// types themselves, plus the per-slab kernels of the `ComputeBackend`
@@ -206,36 +191,6 @@ fn code(file: &SourceFile) -> Vec<usize> {
     token::code_indices(&file.tokens)
 }
 
-/// Scans the workspace rooted at `root` for production call sites of the
-/// serial reference kernels, reporting each as `AD0110`.
-///
-/// The tensor crate itself (where the oracles live), `tests/`/`benches/`
-/// trees, `shims/`, and `target/` are exempt; mentions inside comments
-/// and string literals are invisible to the token scan.
-#[must_use]
-pub fn lint_kernel_callsites(root: &Path) -> Report {
-    let mut report = Report::new();
-    for file in &load_workspace(root) {
-        if file.crate_name == "tensor" {
-            continue;
-        }
-        for t in &file.tokens {
-            if t.kind == TokenKind::Ident && SERIAL_KERNELS.contains(&t.text(&file.src)) {
-                let kernel = t.text(&file.src);
-                report.push(
-                    DiagCode::SerialKernelBypass,
-                    file.site(t.line),
-                    format!(
-                        "`{kernel}` is a test-only reference oracle; \
-                         call the parallel entry point instead"
-                    ),
-                );
-            }
-        }
-    }
-    report
-}
-
 /// Scans the workspace rooted at `root` for code outside the tensor
 /// crate that names a concrete compute backend or calls a per-slab
 /// backend kernel directly, reporting each as `AD0112`.
@@ -271,8 +226,7 @@ pub fn lint_backend_callsites(root: &Path) -> Report {
 }
 
 /// Panicking tensor ops that have a `try_*` twin; the scan looks for
-/// `.name(` as adjacent code tokens, so `try_matmul` and
-/// `matmul_serial` never match.
+/// `.name(` as adjacent code tokens, so `try_matmul` never matches.
 const PANICKING_KERNELS: [&str; 10] = [
     "matmul",
     "bmm",
@@ -312,41 +266,6 @@ pub fn lint_panicking_callsites(root: &Path) -> Report {
                         "`{name}` panics on shape mismatch; serving paths must call \
                          `try_{name}` and turn the error into a typed reply"
                     ),
-                );
-            }
-        }
-    }
-    report
-}
-
-/// Scans the workspace for call sites of the deprecated positional
-/// `encode_condition(item, caption_g, g_prime)` shim, reporting each as
-/// `AD0113`. The shim survives one release so external callers can
-/// migrate to `TaskSpec` + `encode_task`; workspace code must already be
-/// on the task API. The defining file (`crates/core/src/pipeline.rs`,
-/// which hosts the shim's own forwarding body) plus the usual exempt
-/// trees are skipped, and the scan looks for `.encode_condition(` as
-/// adjacent code tokens so docs and strings never match.
-#[must_use]
-pub fn lint_deprecated_condition_api(root: &Path) -> Report {
-    let mut report = Report::new();
-    for file in &load_workspace(root) {
-        if file.crate_name == "core" && file.file_name() == "pipeline.rs" {
-            continue;
-        }
-        let code = code(file);
-        for w in code.windows(3) {
-            let [a, b, c] = [w[0], w[1], w[2]];
-            if file.text(a) == "."
-                && file.tokens[b].kind == TokenKind::Ident
-                && file.text(b) == "encode_condition"
-                && file.text(c) == "("
-            {
-                report.push(
-                    DiagCode::DeprecatedConditionApi,
-                    file.site(file.tokens[b].line),
-                    "`encode_condition` is a deprecated migration shim; build a `TaskSpec` \
-                     (e.g. `TaskSpec::text`) and call `encode_task` instead",
                 );
             }
         }
@@ -687,16 +606,14 @@ pub(crate) fn match_paren(file: &SourceFile, code: &[usize], open: usize) -> Opt
     None
 }
 
-/// Runs every source-level pass — AD0110, AD0111, AD0112, AD0113,
-/// AD0200 (lock order), AD0201, AD0202, AD0203 — over the workspace
-/// rooted at `root` and merges the findings into one report.
+/// Runs every source-level pass — AD0111, AD0112, AD0200 (lock order),
+/// AD0201, AD0202, AD0203 — over the workspace rooted at `root` and
+/// merges the findings into one report.
 #[must_use]
 pub fn lint_source_all(root: &Path) -> Report {
     let mut report = Report::new();
-    report.merge(lint_kernel_callsites(root));
     report.merge(lint_backend_callsites(root));
     report.merge(lint_panicking_callsites(root));
-    report.merge(lint_deprecated_condition_api(root));
     report.merge(crate::lockorder::lint_lock_order(root));
     report.merge(lint_atomic_orderings(root));
     report.merge(lint_nondeterminism(root));
@@ -714,46 +631,18 @@ mod tests {
     }
 
     #[test]
-    fn flags_serial_kernel_calls_outside_the_tensor_crate() {
-        let root = std::env::temp_dir().join("aero_source_lint_fixture");
-        let _ = fs::remove_dir_all(&root);
-        write(
-            &root.join("crates/vision/src/vae.rs"),
-            "fn f(a: &Tensor, b: &Tensor) -> Tensor {\n    a.matmul_serial(b)\n}\n",
-        );
-        write(
-            &root.join("crates/tensor/src/ops.rs"),
-            "pub fn matmul_serial() {}\npub fn conv2d_serial() {}\n",
-        );
-        write(
-            &root.join("crates/nn/src/layers.rs"),
-            "// matmul_serial is only mentioned in this comment\nfn ok() {}\n",
-        );
-        write(
-            &root.join("crates/nn/tests/equiv.rs"),
-            "fn oracle(a: &Tensor, b: &Tensor) -> Tensor { a.matmul_serial(b) }\n",
-        );
-        let report = lint_kernel_callsites(&root);
-        assert_eq!(report.error_count(), 1, "{}", report.render());
-        assert!(report.has_code(DiagCode::SerialKernelBypass));
-        let site = &report.diagnostics()[0].site;
-        assert!(site.contains("vae.rs:2"), "unexpected site {site}");
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
     fn string_literals_no_longer_trip_the_kernel_scan() {
-        // The regression the tokenizer port fixes: the kernel name inside
+        // The regression the tokenizer port fixes: a forbidden name inside
         // a string or raw string used to be flagged by the line scan.
         let root = std::env::temp_dir().join("aero_source_lint_strings");
         let _ = fs::remove_dir_all(&root);
         write(
             &root.join("crates/vision/src/names.rs"),
-            "const ORACLE: &str = \"matmul_serial\";\n\
-             const DOC: &str = r#\"call conv2d_serial for the oracle\"#;\n\
-             fn describe(x: &Tensor) { let _ = x; /* matmul_serial */ }\n",
+            "const ORACLE: &str = \"ReferenceBackend\";\n\
+             const DOC: &str = r#\"call ReferenceBackend for the oracle\"#;\n\
+             fn describe(x: &Tensor) { let _ = x; /* ReferenceBackend */ }\n",
         );
-        let report = lint_kernel_callsites(&root);
+        let report = lint_backend_callsites(&root);
         assert!(report.is_clean(), "{}", report.render());
         assert_eq!(report.diagnostics().len(), 0);
         let _ = fs::remove_dir_all(&root);
@@ -794,12 +683,10 @@ mod tests {
 
     #[test]
     fn missing_root_is_clean() {
-        let report = lint_kernel_callsites(Path::new("/nonexistent/aero_source_lint_nowhere"));
+        let report = lint_backend_callsites(Path::new("/nonexistent/aero_source_lint_nowhere"));
         assert!(report.is_clean());
         assert_eq!(report.diagnostics().len(), 0);
         let report = lint_panicking_callsites(Path::new("/nonexistent/aero_source_lint_nowhere"));
-        assert!(report.is_clean());
-        let report = lint_backend_callsites(Path::new("/nonexistent/aero_source_lint_nowhere"));
         assert!(report.is_clean());
         let report = lint_source_all(Path::new("/nonexistent/aero_source_lint_nowhere"));
         assert!(report.is_clean());
@@ -832,56 +719,6 @@ mod tests {
         let site = &report.diagnostics()[0].site;
         assert!(site.contains("worker.rs:2"), "unexpected site {site}");
         let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn flags_deprecated_condition_shim_callers_outside_the_defining_file() {
-        let root = std::env::temp_dir().join("aero_deprecated_cond_fixture");
-        let _ = fs::remove_dir_all(&root);
-        // The defining file hosts the shim's own forwarding body: exempt.
-        write(
-            &root.join("crates/core/src/pipeline.rs"),
-            "pub fn encode_condition(&self) -> Tensor {\n    \
-             self.encode_task(&TaskSpec::text(item, g, gp))\n}\n",
-        );
-        // A production caller anywhere else is flagged once per call.
-        write(
-            &root.join("crates/serve/src/runtime.rs"),
-            "fn prep(p: &Pipeline) -> Tensor {\n    p.encode_condition(&item, &g, &gp)\n}\n\
-             // .encode_condition( in a comment never matches\n\
-             const DOC: &str = \".encode_condition(\";\n",
-        );
-        // Test modules exercise the shim deliberately; the tokenizer
-        // truncates them away.
-        write(
-            &root.join("crates/core/src/other.rs"),
-            "fn ok() {}\n#[cfg(test)]\nmod tests {\n    \
-             fn t(p: &Pipeline) { p.encode_condition(&i, &a, &b); }\n}\n",
-        );
-        let report = lint_deprecated_condition_api(&root);
-        assert_eq!(report.error_count(), 1, "{}", report.render());
-        assert!(report.has_code(DiagCode::DeprecatedConditionApi));
-        let site = &report.diagnostics()[0].site;
-        assert!(site.contains("runtime.rs:2"), "unexpected site {site}");
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn this_workspace_is_off_the_deprecated_condition_shim() {
-        // AD0113 on the real tree: every workspace caller migrated to
-        // `TaskSpec` + `encode_task`; only the shim's definition remains.
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let report = lint_deprecated_condition_api(&root);
-        assert!(report.is_clean(), "{}", report.render());
-    }
-
-    #[test]
-    fn this_workspace_has_no_bypasses() {
-        // The real tree must stay clean: production code goes through
-        // the sharded kernels only.
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let report = lint_kernel_callsites(&root);
-        assert!(report.is_clean(), "{}", report.render());
     }
 
     #[test]

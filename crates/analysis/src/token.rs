@@ -499,7 +499,7 @@ mod tests {
 
     #[test]
     fn comments_and_strings_are_not_code() {
-        let src = "let x = \"matmul_serial()\"; // matmul_serial()\n/* .lock() */ y.lock()";
+        let src = "let x = \"matmul_slab()\"; // matmul_slab()\n/* .lock() */ y.lock()";
         assert_covers(src);
         let toks = tokenize(src);
         let idents: Vec<String> = toks
@@ -508,9 +508,9 @@ mod tests {
             .map(|t| t.text(src).to_string())
             .collect();
         assert!(idents.contains(&"lock".to_string()));
-        // The serial-kernel name appears only inside literal/comment
+        // The backend-kernel name appears only inside literal/comment
         // spans, never as an identifier the lints would match.
-        assert!(!idents.iter().any(|t| t.contains("matmul_serial")));
+        assert!(!idents.iter().any(|t| t.contains("matmul_slab")));
     }
 
     #[test]

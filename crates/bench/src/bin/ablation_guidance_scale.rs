@@ -26,7 +26,7 @@ fn main() {
         let generated: Vec<aero_scene::Image> = protocol
             .eval
             .iter()
-            .map(|item| pipeline.generate_with_sampler(item, &sampler, &mut rng))
+            .map(|item| pipeline.generate_with(item, None, Some(&sampler), &mut rng))
             .collect();
         let m = protocol.score(&generated);
         table.push(MetricRow::new(format!("guidance {g:.1}"), vec![m.fid, m.psnr, m.kid]));

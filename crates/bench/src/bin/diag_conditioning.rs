@@ -65,16 +65,18 @@ fn main() {
         let item = &protocol.eval.items[i];
         let other = &protocol.eval.items[(i + 1) % n];
         let own_caption = pipeline.caption_for(item, &mut StdRng::seed_from_u64(7));
-        let own = pipeline.generate_with_description(
+        let own = pipeline.generate_with(
             item,
-            &own_caption,
+            Some(&own_caption),
+            None,
             &mut StdRng::seed_from_u64(100 + i as u64),
         );
         // cross: other item's condition content, same start noise
         let cross_caption = pipeline.caption_for(other, &mut StdRng::seed_from_u64(7));
-        let cross = pipeline.generate_with_description(
+        let cross = pipeline.generate_with(
             other,
-            &cross_caption,
+            Some(&cross_caption),
+            None,
             &mut StdRng::seed_from_u64(100 + i as u64),
         );
         let reference = item.rendered.image.to_tensor();

@@ -12,7 +12,7 @@ use aero_text::coverage::keypoint_coverage;
 use aero_text::llm::{LlmProvider, SimulatedLlm};
 use aero_text::prompt::PromptTemplate;
 use aerodiffusion::viewpoint::{night_synthesis, viewpoint_transition};
-use aerodiffusion::{AblationVariant, AeroDiffusionPipeline, SubstrateBundle};
+use aerodiffusion::{AblationVariant, AeroDiffusionPipeline, FitOptions, SubstrateBundle};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::Path;
@@ -212,13 +212,9 @@ pub fn run_table2(scale: ExperimentScale, seed: u64) -> Table2Result {
 
     let mut rows = Vec::new();
     for provider in LlmProvider::ALL {
-        let pipeline = AeroDiffusionPipeline::fit_with_options(
-            &protocol.train,
-            cfg,
-            provider,
-            AblationVariant::Full,
-            seed,
-        );
+        let options = FitOptions { provider, ..FitOptions::default() };
+        let (pipeline, _) = AeroDiffusionPipeline::fit_with(&protocol.train, cfg, seed, &options)
+            .expect("uncheckpointed training performs no fallible i/o");
         let mut rng = StdRng::seed_from_u64(seed ^ 0xC0DE);
         let generated = pipeline.generate_eval(&protocol.eval, &mut rng);
 
@@ -344,13 +340,9 @@ pub fn run_table4(scale: ExperimentScale, seed: u64) -> Table4Result {
     let cfg = scale.pipeline_config();
     let mut rows = Vec::new();
     for variant in AblationVariant::ALL {
-        let pipeline = AeroDiffusionPipeline::fit_with_options(
-            &protocol.train,
-            cfg,
-            LlmProvider::KeypointAware,
-            variant,
-            seed,
-        );
+        let options = FitOptions { variant, ..FitOptions::default() };
+        let (pipeline, _) = AeroDiffusionPipeline::fit_with(&protocol.train, cfg, seed, &options)
+            .expect("uncheckpointed training performs no fallible i/o");
         let mut rng = StdRng::seed_from_u64(seed ^ 0xAB1A);
         let generated = pipeline.generate_eval(&protocol.eval, &mut rng);
         rows.push((variant.label().to_string(), protocol.score(&generated)));

@@ -38,14 +38,14 @@ pub use ablation::{AblationSpec, AblationVariant};
 pub use condition::ConditionNetwork;
 pub use config::PipelineConfig;
 pub use lint::{
-    lint_backend_callsites, lint_checkpoint, lint_config, lint_deprecated_condition_api,
-    lint_kernel_callsites, lint_panicking_callsites, lint_source_all, Baseline, BaselineDiff,
+    lint_backend_callsites, lint_checkpoint, lint_config, lint_panicking_callsites,
+    lint_source_all, Baseline, BaselineDiff,
 };
 pub use persist::{
     parse_provider_tag, parse_variant_tag, provider_tag, variant_tag, PersistError, PipelineMeta,
     PIPELINE_FORMAT_VERSION,
 };
-pub use pipeline::{AeroDiffusionPipeline, FitReport};
+pub use pipeline::{AeroDiffusionPipeline, FitOptions, FitReport, SampleRow};
 pub use region::RegionAugmenter;
 pub use snapshot::{PipelineSnapshot, MODULE_NAMES};
 pub use substrate::SubstrateBundle;

@@ -13,8 +13,7 @@ use crate::config::PipelineConfig;
 use aero_analysis::{PipelineShapeDesc, Report, ShapeCtx};
 
 pub use aero_analysis::{
-    lint_backend_callsites, lint_deprecated_condition_api, lint_kernel_callsites,
-    lint_panicking_callsites, lint_source_all, Baseline, BaselineDiff,
+    lint_backend_callsites, lint_panicking_callsites, lint_source_all, Baseline, BaselineDiff,
 };
 use aero_diffusion::UnetConfig;
 use aero_vision::vae::LATENT_CHANNELS;

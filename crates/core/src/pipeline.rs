@@ -3,6 +3,7 @@
 use crate::ablation::AblationVariant;
 use crate::condition::{ConditionInputs, ConditionNetwork};
 use crate::config::PipelineConfig;
+use crate::snapshot::MODULE_NAMES;
 use crate::substrate::{caption_dataset, SubstrateBundle};
 use crate::task::{ConditionSource, TaskSpec};
 use aero_diffusion::{
@@ -10,7 +11,7 @@ use aero_diffusion::{
     SampleOptions, Sampler, StepSink, TrainCursor,
 };
 use aero_nn::optim::Adam;
-use aero_nn::Module;
+use aero_nn::{Module, Var};
 use aero_obs::span;
 use aero_scene::{AerialDataset, Annotation, DatasetItem, Image, ObjectClass};
 use aero_tensor::Tensor;
@@ -21,8 +22,40 @@ use aero_vision::vae::LATENT_CHANNELS;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// What a checkpointed [`AeroDiffusionPipeline::fit_with_checkpoints`]
-/// run did: how far it got and how it got there.
+/// What a training run may vary beyond its dataset, configuration and
+/// seed. The default is the paper's setting: keypoint-aware captions, the
+/// full model, no checkpoints, no step bound.
+#[derive(Debug, Clone)]
+pub struct FitOptions {
+    /// Caption provider (Table II).
+    pub provider: LlmProvider,
+    /// Ablation variant (Table IV).
+    pub variant: AblationVariant,
+    /// Crash-safe checkpoints of the joint diffusion stage. A run killed
+    /// at an arbitrary step and re-invoked with the same arguments
+    /// continues from the newest valid checkpoint on a bit-identical
+    /// trajectory (optimizer moments, RNG state and the in-epoch batch
+    /// order are all restored); corrupt checkpoints are skipped, not
+    /// trusted.
+    pub checkpoint: Option<CheckpointConfig>,
+    /// Bound on joint-training steps (simulates a mid-run kill in tests
+    /// and bounds CI smoke runs).
+    pub max_steps: Option<u64>,
+}
+
+impl Default for FitOptions {
+    fn default() -> Self {
+        FitOptions {
+            provider: LlmProvider::KeypointAware,
+            variant: AblationVariant::Full,
+            checkpoint: None,
+            max_steps: None,
+        }
+    }
+}
+
+/// What an [`AeroDiffusionPipeline::fit_with`] run did: how far it got
+/// and how it got there.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FitReport {
     /// Joint-training optimizer steps completed (including steps from a
@@ -38,6 +71,27 @@ pub struct FitReport {
     pub last_loss: Option<f32>,
 }
 
+/// One row of an [`AeroDiffusionPipeline::sample_batch`] call.
+pub struct SampleRow<'a, R: ?Sized> {
+    /// The row's `[1, cond_dim]` condition (see
+    /// [`AeroDiffusionPipeline::encode_task`]).
+    pub cond: &'a Tensor,
+    /// The row's own noise stream.
+    pub rng: &'a mut R,
+    /// The row's inpainting pin parts (see
+    /// [`AeroDiffusionPipeline::pin_parts`]).
+    pub pin: Option<(Tensor, Tensor)>,
+}
+
+/// Stacks `[1, …]` rows along the batch axis; a lone row moves through
+/// without a copy.
+fn stack_rows(mut rows: Vec<Tensor>) -> Tensor {
+    if rows.len() == 1 {
+        return rows.pop().expect("one row");
+    }
+    Tensor::concat(&rows.iter().collect::<Vec<_>>(), 0)
+}
+
 /// A fully trained AeroDiffusion system.
 #[derive(Debug)]
 pub struct AeroDiffusionPipeline {
@@ -51,64 +105,53 @@ pub struct AeroDiffusionPipeline {
 }
 
 impl AeroDiffusionPipeline {
-    /// Trains the full pipeline on a dataset with the paper's default
-    /// keypoint-aware captioning.
-    pub fn fit(dataset: &AerialDataset, config: PipelineConfig, seed: u64) -> Self {
-        Self::fit_with_options(
-            dataset,
-            config,
-            LlmProvider::KeypointAware,
-            AblationVariant::Full,
-            seed,
-        )
+    /// The untrained skeleton around a substrate bundle: the condition
+    /// network, then the UNet, both initialised from `rng` in that order.
+    pub(crate) fn assemble(
+        config: PipelineConfig,
+        bundle: SubstrateBundle,
+        provider: LlmProvider,
+        variant: AblationVariant,
+        rng: &mut StdRng,
+    ) -> Self {
+        let condition = ConditionNetwork::with_components(
+            bundle.tokenizer.vocab().len(),
+            &config,
+            variant.uses_blip(),
+            variant.uses_object_detection(),
+            rng,
+        );
+        let unet = CondUnet::new(crate::lint::unet_config(&config), rng);
+        let trainer = DiffusionTrainer::new(config.diffusion);
+        AeroDiffusionPipeline { config, bundle, condition, unet, trainer, provider, variant }
     }
 
-    /// Trains with an explicit caption provider (Table II) and ablation
-    /// variant (Table IV).
+    /// Every weight-carrying module's parameters, in [`MODULE_NAMES`]
+    /// order.
+    pub(crate) fn modules(&self) -> [Vec<Var>; 5] {
+        [
+            self.bundle.clip.params(),
+            self.bundle.vae.params(),
+            self.bundle.detector.params(),
+            self.condition.params(),
+            self.unet.params(),
+        ]
+    }
+
+    /// Trains the full pipeline on a dataset with the paper's default
+    /// keypoint-aware captioning.
     ///
     /// # Panics
     ///
     /// Panics on an empty dataset.
-    pub fn fit_with_options(
-        dataset: &AerialDataset,
-        config: PipelineConfig,
-        provider: LlmProvider,
-        variant: AblationVariant,
-        seed: u64,
-    ) -> Self {
-        assert!(!dataset.is_empty(), "cannot fit on an empty dataset");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let prompt = variant.prompt();
-        let captions = caption_dataset(dataset, provider, &prompt, seed);
-        let bundle = SubstrateBundle::train(dataset, &captions, &config, seed);
-
-        let vocab = bundle.tokenizer.vocab().len();
-        let condition = ConditionNetwork::with_components(
-            vocab,
-            &config,
-            variant.uses_blip(),
-            variant.uses_object_detection(),
-            &mut rng,
-        );
-        let unet = CondUnet::new(crate::lint::unet_config(&config), &mut rng);
-        let trainer = DiffusionTrainer::new(config.diffusion);
-
-        let mut pipeline =
-            AeroDiffusionPipeline { config, bundle, condition, unet, trainer, provider, variant };
-        pipeline.train_joint(dataset, &captions, &mut rng);
-        pipeline
+    pub fn fit(dataset: &AerialDataset, config: PipelineConfig, seed: u64) -> Self {
+        Self::fit_with(dataset, config, seed, &FitOptions::default())
+            .expect("uncheckpointed training performs no fallible i/o")
+            .0
     }
 
-    /// Trains like [`AeroDiffusionPipeline::fit_with_options`] but with
-    /// crash-safe checkpoints of the joint diffusion stage: the run can be
-    /// killed at an arbitrary step and re-invoked with the same arguments,
-    /// and it continues from the newest valid checkpoint on a
-    /// bit-identical trajectory (optimizer moments, RNG state, and the
-    /// in-epoch batch order are all restored). Corrupt checkpoints are
-    /// skipped, not trusted.
-    ///
-    /// `max_steps` bounds the joint-training steps (used to simulate a
-    /// mid-run kill in tests and to bound CI smoke runs).
+    /// Trains with explicit [`FitOptions`]: caption provider, ablation
+    /// variant, checkpoints and a step bound.
     ///
     /// # Errors
     ///
@@ -117,63 +160,37 @@ impl AeroDiffusionPipeline {
     /// # Panics
     ///
     /// Panics on an empty dataset.
-    pub fn fit_with_checkpoints(
+    pub fn fit_with(
         dataset: &AerialDataset,
         config: PipelineConfig,
-        provider: LlmProvider,
-        variant: AblationVariant,
         seed: u64,
-        checkpoint: &CheckpointConfig,
-        max_steps: Option<u64>,
+        options: &FitOptions,
     ) -> Result<(Self, FitReport), crate::persist::PersistError> {
         assert!(!dataset.is_empty(), "cannot fit on an empty dataset");
         let mut rng = StdRng::seed_from_u64(seed);
-        let prompt = variant.prompt();
-        let captions = caption_dataset(dataset, provider, &prompt, seed);
+        let prompt = options.variant.prompt();
+        let captions = caption_dataset(dataset, options.provider, &prompt, seed);
         let bundle = SubstrateBundle::train(dataset, &captions, &config, seed);
-
-        let vocab = bundle.tokenizer.vocab().len();
-        let condition = ConditionNetwork::with_components(
-            vocab,
-            &config,
-            variant.uses_blip(),
-            variant.uses_object_detection(),
-            &mut rng,
-        );
-        let unet = CondUnet::new(crate::lint::unet_config(&config), &mut rng);
-        let trainer = DiffusionTrainer::new(config.diffusion);
-
         let mut pipeline =
-            AeroDiffusionPipeline { config, bundle, condition, unet, trainer, provider, variant };
-        let report = pipeline.train_joint_checkpointed(
-            dataset,
-            &captions,
-            &mut rng,
-            Some(checkpoint),
-            max_steps,
-        )?;
+            Self::assemble(config, bundle, options.provider, options.variant, &mut rng);
+        let report = pipeline.train_joint(dataset, &captions, &mut rng, options)?;
         Ok((pipeline, report))
     }
 
     /// The joint diffusion + condition-network training stage (Eq. 6:
     /// "both the parameters θ of the denoising network and those involved
     /// in generating the condition vector C are jointly updated").
-    fn train_joint(&mut self, dataset: &AerialDataset, captions: &[String], rng: &mut StdRng) {
-        self.train_joint_checkpointed(dataset, captions, rng, None, None)
-            .expect("uncheckpointed joint training performs no fallible i/o");
-    }
-
-    /// [`Self::train_joint`] with optional checkpointing: resumes from the
-    /// newest valid checkpoint in `checkpoint.dir` when one exists, and
-    /// saves every `checkpoint.every` steps plus once at completion.
-    fn train_joint_checkpointed(
+    /// Resumes from the newest valid checkpoint when `options` names a
+    /// checkpoint directory, and then saves every `checkpoint.every`
+    /// steps plus once at completion.
+    fn train_joint(
         &mut self,
         dataset: &AerialDataset,
         captions: &[String],
         rng: &mut StdRng,
-        checkpoint: Option<&CheckpointConfig>,
-        max_steps: Option<u64>,
+        options: &FitOptions,
     ) -> Result<FitReport, crate::persist::PersistError> {
+        let (checkpoint, max_steps) = (options.checkpoint.as_ref(), options.max_steps);
         // Precompute frozen quantities: latents, tokens, ROIs.
         let latents: Vec<Tensor> = dataset
             .iter()
@@ -370,53 +387,30 @@ impl AeroDiffusionPipeline {
     /// Generates an image conditioned on a reference item, using the
     /// item's own description as the target `G'` (the Table I protocol).
     pub fn generate<R: Rng + ?Sized>(&self, item: &DatasetItem, rng: &mut R) -> Image {
-        let caption = self.caption_for(item, rng);
-        self.generate_with_description(item, &caption, rng)
+        self.generate_with(item, None, None, rng)
     }
 
-    /// Generates an image conditioned on a reference item and an explicit
-    /// target description `G'` (viewpoint transition / night synthesis).
-    pub fn generate_with_description<R: Rng + ?Sized>(
+    /// Generates an image conditioned on a reference item: encode →
+    /// sample → decode. `g_prime` is the target description `G'`
+    /// (viewpoint transition / night synthesis); `None` draws the item's
+    /// own description. `sampler` overrides the configured DDIM sampler
+    /// (guidance/step sweeps). `rng` draws `G'` (when not given), then
+    /// the source caption `G`, then the initial latent.
+    pub fn generate_with<R: Rng + ?Sized>(
         &self,
         item: &DatasetItem,
-        g_prime: &str,
+        g_prime: Option<&str>,
+        sampler: Option<&DdimSampler>,
         rng: &mut R,
     ) -> Image {
-        let sampler = DdimSampler::new(
-            self.config.diffusion.ddim_steps,
-            self.config.diffusion.guidance_scale,
-        );
-        self.generate_with_description_and_sampler(item, g_prime, &sampler, rng)
-    }
-
-    /// Generates with an explicit DDIM sampler (guidance/step sweeps).
-    pub fn generate_with_sampler<R: Rng + ?Sized>(
-        &self,
-        item: &DatasetItem,
-        sampler: &DdimSampler,
-        rng: &mut R,
-    ) -> Image {
-        let caption = self.caption_for(item, rng);
-        self.generate_with_description_and_sampler(item, &caption, sampler, rng)
-    }
-
-    /// The fully explicit generation entry point: encode → sample →
-    /// decode, each stage also callable on its own (the serving runtime
-    /// drives them separately so it can cache conditions and coalesce
-    /// sampler calls).
-    pub fn generate_with_description_and_sampler<R: Rng + ?Sized>(
-        &self,
-        item: &DatasetItem,
-        g_prime: &str,
-        sampler: &DdimSampler,
-        rng: &mut R,
-    ) -> Image {
+        let g_prime = g_prime.map_or_else(|| self.caption_for(item, rng), str::to_string);
         let caption_g = self.caption_for(item, rng);
-        let cond = self.encode_task(&TaskSpec::text(item, &caption_g, g_prime));
-        let [c, h, w] = self.latent_shape();
-        let z_init = Tensor::randn(&[1, c, h, w], rng);
-        let z = self.sample_latents(sampler, z_init, &cond);
-        self.decode_latent(&z.reshape(&[c, h, w]))
+        let cond = self.encode_task(&TaskSpec::text(item, &caption_g, &g_prime));
+        let sampler = sampler.copied().unwrap_or_else(|| {
+            DdimSampler::new(self.config.diffusion.ddim_steps, self.config.diffusion.guidance_scale)
+        });
+        let row = SampleRow { cond: &cond, rng, pin: None };
+        self.decode_latent(&self.sample_batch(&sampler, vec![row], None, StepSink::none()))
     }
 
     /// The per-sample latent geometry `[channels, side, side]`.
@@ -497,14 +491,6 @@ impl AeroDiffusionPipeline {
         self.condition.build_batch(&self.bundle.clip, &inputs).to_tensor()
     }
 
-    /// The pre-task positional encode stage.
-    #[deprecated(
-        note = "build a `TaskSpec` (e.g. `TaskSpec::text`) and call `encode_task` instead"
-    )]
-    pub fn encode_condition(&self, item: &DatasetItem, caption_g: &str, g_prime: &str) -> Tensor {
-        self.encode_task(&TaskSpec::text(item, caption_g, g_prime))
-    }
-
     /// The `[1, c, h, w]` diffusion-space latent of one native-resolution
     /// image (the inpainting reference the sampler pins to).
     ///
@@ -545,18 +531,15 @@ impl AeroDiffusionPipeline {
         Tensor::from_vec(mask, &[1, c, h, w])
     }
 
-    /// The inpainting pin for a task, drawing the pin noise from `rng`.
-    /// Non-inpainting tasks need no pin. Callers must draw the initial
-    /// latent noise from the same `rng` *before* calling this, so that a
-    /// batched run and a batch-1 run consume the stream identically.
-    pub fn task_pin<R: Rng + ?Sized>(&self, task: &TaskSpec, rng: &mut R) -> Option<LatentPin> {
+    /// The inpainting pin parts of a task: the `(mask, reference)`
+    /// pair, both `[1, c, h, w]` — the keypoint boxes' writable cells and
+    /// the source's latent. `None` for every other task kind. Pure in the
+    /// task; the pin noise is drawn later, from the row's rng, by
+    /// [`Self::sample_batch`].
+    pub fn pin_parts(&self, task: &TaskSpec) -> Option<(Tensor, Tensor)> {
         match task {
             TaskSpec::Inpaint { source, regions, .. } => {
-                let [c, h, w] = self.latent_shape();
-                let mask = self.latent_mask(regions);
-                let reference = self.encode_image_latent(source);
-                let noise = Tensor::randn(&[1, c, h, w], rng);
-                Some(LatentPin::new(mask, reference, noise))
+                Some((self.latent_mask(regions), self.encode_image_latent(source)))
             }
             _ => None,
         }
@@ -564,33 +547,20 @@ impl AeroDiffusionPipeline {
 
     /// Runs one task end to end — encode, sample (with the inpainting
     /// pin when the task calls for one), decode — deterministically in
-    /// `(task, sampler, seed)`. The per-task RNG draws the initial
-    /// latent first and the pin noise second; the serving batcher uses
-    /// the same order per job, which is what makes a coalesced
-    /// heterogeneous batch row-identical to batch-1 runs.
+    /// `(task, sampler, seed)`. The serving batcher samples the same row
+    /// through the same [`Self::sample_batch`], which is what makes a
+    /// coalesced heterogeneous batch row-identical to batch-1 runs.
     pub fn run_task(
         &self,
         task: &TaskSpec,
         sampler: &DdimSampler,
         seed: u64,
-        mut sink: StepSink<'_>,
+        sink: StepSink<'_>,
     ) -> Image {
         let cond = self.encode_task(task);
-        let [c, h, w] = self.latent_shape();
         let mut rng = StdRng::seed_from_u64(seed);
-        let z_init = Tensor::randn(&[1, c, h, w], &mut rng);
-        let pin = self.task_pin(task, &mut rng);
-        // Reborrow the sink so its lifetime shrinks to this call: the
-        // locally owned `cond`/`pin` must outlive the options struct.
-        let z = self.sample_latents_controlled(
-            sampler,
-            z_init,
-            &cond,
-            pin.as_ref(),
-            None,
-            sink.stage(),
-        );
-        self.decode_latent(&z.reshape(&[c, h, w]))
+        let row = SampleRow { cond: &cond, rng: &mut rng, pin: self.pin_parts(task) };
+        self.decode_latent(&self.sample_batch(sampler, vec![row], None, sink))
     }
 
     /// Two-stage super-resolution cascade (RSDiff-style): a
@@ -617,39 +587,63 @@ impl AeroDiffusionPipeline {
         self.run_task(&task, sampler, seed.wrapping_add(1), sink.stage())
     }
 
-    /// Sample stage: the deterministic DDIM reverse process from explicit
-    /// initial noise `z_init` of shape `[n, c, h, w]` with conditions
-    /// `[n, cond_dim]`. Row `i` of the output depends only on row `i` of
-    /// the inputs, so callers may batch freely without changing results.
-    pub fn sample_latents(&self, sampler: &DdimSampler, z_init: Tensor, cond: &Tensor) -> Tensor {
-        self.sample_latents_controlled(sampler, z_init, cond, None, None, StepSink::none())
-    }
-
-    /// [`sample_latents`](Self::sample_latents) with serving-layer
-    /// control: an optional inpainting pin applied around every DDIM
-    /// step, an optional cancel flag checked between steps (the partial
-    /// latent of the last completed step is returned once it trips), and
-    /// a [`StepSink`] observer for streamed previews. All are
-    /// pass-through to [`SampleOptions`]; the cancel flag and sink never
-    /// perturb the sampled tensor.
-    pub fn sample_latents_controlled<'a>(
+    /// Sample stage: one deterministic DDIM run over a batch of rows,
+    /// returning the `[n, c, h, w]` latents. Each row draws its initial
+    /// latent and then (when it pins) its pin noise from its own rng, so
+    /// a row samples the same bytes in any batch as alone. Rows without
+    /// pin parts get a neutral pin row (an all-writable mask), which the
+    /// sampler leaves bitwise untouched; when no row pins, the run has no
+    /// pin at all. `cancel` is checked between steps (the partial latent
+    /// of the last completed step comes back once it trips) and `sink`
+    /// observes every step; neither perturbs the sampled tensor.
+    pub fn sample_batch<R: Rng + ?Sized>(
         &self,
         sampler: &DdimSampler,
-        z_init: Tensor,
-        cond: &'a Tensor,
-        pin: Option<&'a LatentPin>,
-        cancel: Option<&'a dyn CancelSignal>,
-        sink: StepSink<'a>,
+        rows: Vec<SampleRow<'_, R>>,
+        cancel: Option<&dyn CancelSignal>,
+        mut sink: StepSink<'_>,
     ) -> Tensor {
         let _span = span!("pipeline.sample_latents");
-        let mut opts = SampleOptions::from_latent(z_init).with_cond(cond);
+        let [c, h, w] = self.latent_shape();
+        let shape = [1, c, h, w];
+        let any_pin = rows.iter().any(|row| row.pin.is_some());
+        let (mut conds, mut z_init) = (Vec::new(), Vec::new());
+        let (mut masks, mut refs, mut noise) = (Vec::new(), Vec::new(), Vec::new());
+        for row in rows {
+            conds.push(row.cond);
+            z_init.push(Tensor::randn(&shape, row.rng));
+            if any_pin {
+                let (mask, reference, pin_noise) = match row.pin {
+                    Some((mask, reference)) => (mask, reference, Tensor::randn(&shape, row.rng)),
+                    None => (
+                        Tensor::full(&shape, 1.0),
+                        Tensor::full(&shape, 0.0),
+                        Tensor::full(&shape, 0.0),
+                    ),
+                };
+                masks.push(mask);
+                refs.push(reference);
+                noise.push(pin_noise);
+            }
+        }
+        let pin =
+            any_pin.then(|| LatentPin::new(stack_rows(masks), stack_rows(refs), stack_rows(noise)));
+        let stacked;
+        let cond = if let [cond] = conds[..] {
+            cond
+        } else {
+            stacked = Tensor::concat(&conds, 0);
+            &stacked
+        };
+        let mut opts = SampleOptions::from_latent(stack_rows(z_init)).with_cond(cond);
         opts.cancel = cancel;
-        opts.on_step = sink.into_on_step();
-        opts.pin = pin;
+        opts.on_step = sink.stage().into_on_step();
+        opts.pin = pin.as_ref();
         Sampler::Ddim(*sampler).run(&self.unet, self.trainer.schedule(), opts)
     }
 
-    /// Decode stage: one latent `[c, h, w]` through the VAE to an image.
+    /// Decode stage: one latent `[c, h, w]` (or `[1, c, h, w]`) through
+    /// the VAE to an image.
     pub fn decode_latent(&self, z: &Tensor) -> Image {
         let _span = span!("pipeline.decode_latent");
         let [c, h, w] = self.latent_shape();
@@ -738,11 +732,9 @@ impl AeroDiffusionPipeline {
             &dir.join("config.txt"),
             persist::config_fingerprint(&self.config).as_bytes(),
         )?;
-        persist::save_module(&self.bundle.clip.params(), &dir.join("clip.aero"))?;
-        persist::save_module(&self.bundle.vae.params(), &dir.join("vae.aero"))?;
-        persist::save_module(&self.bundle.detector.params(), &dir.join("detector.aero"))?;
-        persist::save_module(&self.condition.params(), &dir.join("condition.aero"))?;
-        persist::save_module(&self.unet.params(), &dir.join("unet.aero"))?;
+        for (name, params) in MODULE_NAMES.iter().zip(self.modules()) {
+            persist::save_module(&params, &dir.join(format!("{name}.aero")))?;
+        }
         // Written last: the manifest only ever describes a complete save.
         persist::write_manifest(dir)?;
         Ok(())
@@ -774,32 +766,14 @@ impl AeroDiffusionPipeline {
         }
         let meta = persist::read_meta(&dir.join("meta.txt"))?;
         let tokenizer = persist::read_tokenizer(dir, meta.max_len)?;
-        let mut bundle = SubstrateBundle::new_untrained(tokenizer, &config, 0);
+        let bundle = SubstrateBundle::new_untrained(tokenizer, &config, 0);
         let mut rng = StdRng::seed_from_u64(0);
-        let vocab = bundle.tokenizer.vocab().len();
-        let condition = ConditionNetwork::with_components(
-            vocab,
-            &config,
-            meta.variant.uses_blip(),
-            meta.variant.uses_object_detection(),
-            &mut rng,
-        );
-        let unet = CondUnet::new(crate::lint::unet_config(&config), &mut rng);
-        persist::load_module(&bundle.clip.params(), &dir.join("clip.aero"))?;
-        persist::load_module(&bundle.vae.params(), &dir.join("vae.aero"))?;
-        persist::load_module(&bundle.detector.params(), &dir.join("detector.aero"))?;
-        persist::load_module(&condition.params(), &dir.join("condition.aero"))?;
-        persist::load_module(&unet.params(), &dir.join("unet.aero"))?;
-        bundle.vae.set_latent_scale(meta.latent_scale);
-        Ok(AeroDiffusionPipeline {
-            config,
-            bundle,
-            condition,
-            unet,
-            trainer: DiffusionTrainer::new(config.diffusion),
-            provider: meta.provider,
-            variant: meta.variant,
-        })
+        let mut pipeline = Self::assemble(config, bundle, meta.provider, meta.variant, &mut rng);
+        for (name, params) in MODULE_NAMES.iter().zip(pipeline.modules()) {
+            persist::load_module(&params, &dir.join(format!("{name}.aero")))?;
+        }
+        pipeline.bundle.vae.set_latent_scale(meta.latent_scale);
+        Ok(pipeline)
     }
 
     /// The prompt template in use.
@@ -826,6 +800,11 @@ mod tests {
         })
     }
 
+    /// Paper-default options with checkpoints and a step bound.
+    fn checkpointed(checkpoint: &CheckpointConfig, max_steps: Option<u64>) -> FitOptions {
+        FitOptions { checkpoint: Some(checkpoint.clone()), max_steps, ..FitOptions::default() }
+    }
+
     #[test]
     fn fit_and_generate_smoke() {
         let ds = tiny_dataset(5);
@@ -844,14 +823,16 @@ mod tests {
         let ds = tiny_dataset(5);
         let pipeline = AeroDiffusionPipeline::fit(&ds, PipelineConfig::smoke(), 5);
         let item = &ds.items[0];
-        let a = pipeline.generate_with_description(
+        let a = pipeline.generate_with(
             item,
-            "a daytime aerial image of a busy highway",
+            Some("a daytime aerial image of a busy highway"),
+            None,
             &mut StdRng::seed_from_u64(9),
         );
-        let b = pipeline.generate_with_description(
+        let b = pipeline.generate_with(
             item,
-            "a nighttime aerial image of a tranquil park",
+            Some("a nighttime aerial image of a tranquil park"),
+            None,
             &mut StdRng::seed_from_u64(9),
         );
         let diff = a.to_tensor().sub(&b.to_tensor()).abs().max();
@@ -900,42 +881,20 @@ mod tests {
         };
 
         let reference_ckpt = fresh("reference");
-        let (reference, ref_report) = AeroDiffusionPipeline::fit_with_checkpoints(
-            &ds,
-            config,
-            LlmProvider::KeypointAware,
-            AblationVariant::Full,
-            13,
-            &reference_ckpt,
-            None,
-        )
-        .unwrap();
+        let (reference, ref_report) =
+            AeroDiffusionPipeline::fit_with(&ds, config, 13, &checkpointed(&reference_ckpt, None))
+                .unwrap();
         assert!(ref_report.completed);
         assert!(ref_report.steps > 3, "need enough steps to kill mid-run");
 
         let ckpt = fresh("killed");
-        let (_, killed) = AeroDiffusionPipeline::fit_with_checkpoints(
-            &ds,
-            config,
-            LlmProvider::KeypointAware,
-            AblationVariant::Full,
-            13,
-            &ckpt,
-            Some(3),
-        )
-        .unwrap();
+        let (_, killed) =
+            AeroDiffusionPipeline::fit_with(&ds, config, 13, &checkpointed(&ckpt, Some(3)))
+                .unwrap();
         assert!(!killed.completed);
 
-        let (resumed, report) = AeroDiffusionPipeline::fit_with_checkpoints(
-            &ds,
-            config,
-            LlmProvider::KeypointAware,
-            AblationVariant::Full,
-            13,
-            &ckpt,
-            None,
-        )
-        .unwrap();
+        let (resumed, report) =
+            AeroDiffusionPipeline::fit_with(&ds, config, 13, &checkpointed(&ckpt, None)).unwrap();
         assert_eq!(report.resumed_from, Some(2), "newest checkpoint before the kill");
         assert!(report.completed);
         assert_eq!(report.steps, ref_report.steps);
@@ -970,14 +929,11 @@ mod tests {
         };
 
         let (reference, ref_report) = with_threads(1, || {
-            AeroDiffusionPipeline::fit_with_checkpoints(
+            AeroDiffusionPipeline::fit_with(
                 &ds,
                 config,
-                LlmProvider::KeypointAware,
-                AblationVariant::Full,
                 23,
-                &fresh("threads_ref"),
-                None,
+                &checkpointed(&fresh("threads_ref"), None),
             )
         })
         .unwrap();
@@ -986,29 +942,13 @@ mod tests {
 
         let ckpt = fresh("threads_kill");
         let (_, killed) = with_threads(1, || {
-            AeroDiffusionPipeline::fit_with_checkpoints(
-                &ds,
-                config,
-                LlmProvider::KeypointAware,
-                AblationVariant::Full,
-                23,
-                &ckpt,
-                Some(1),
-            )
+            AeroDiffusionPipeline::fit_with(&ds, config, 23, &checkpointed(&ckpt, Some(1)))
         })
         .unwrap();
         assert!(!killed.completed);
 
         let (resumed, report) = with_threads(4, || {
-            AeroDiffusionPipeline::fit_with_checkpoints(
-                &ds,
-                config,
-                LlmProvider::KeypointAware,
-                AblationVariant::Full,
-                23,
-                &ckpt,
-                None,
-            )
+            AeroDiffusionPipeline::fit_with(&ds, config, 23, &checkpointed(&ckpt, None))
         })
         .unwrap();
         assert_eq!(report.resumed_from, Some(1));
@@ -1047,16 +987,7 @@ mod tests {
             CheckpointConfig::new(dir, 1)
         };
         let fit = |ckpt: &CheckpointConfig, kill: Option<u64>| {
-            AeroDiffusionPipeline::fit_with_checkpoints(
-                &ds,
-                config,
-                LlmProvider::KeypointAware,
-                AblationVariant::Full,
-                29,
-                ckpt,
-                kill,
-            )
-            .unwrap()
+            AeroDiffusionPipeline::fit_with(&ds, config, 29, &checkpointed(ckpt, kill)).unwrap()
         };
 
         let (reference, ref_report) =

@@ -10,14 +10,12 @@
 //! deployment shape.
 
 use crate::ablation::AblationVariant;
-use crate::condition::ConditionNetwork;
 use crate::config::PipelineConfig;
 use crate::persist::{vocab_from_words, PersistError, PipelineMeta};
 use crate::pipeline::AeroDiffusionPipeline;
 use crate::substrate::SubstrateBundle;
-use aero_diffusion::{CondUnet, DiffusionTrainer};
 use aero_nn::serialize::{decode_tensors, encode_params, load_into_params, LoadWeightsError};
-use aero_nn::{Module, Var};
+use aero_nn::Var;
 use aero_tensor::parallel::{self, ParallelConfig};
 use aero_text::llm::LlmProvider;
 use aero_text::tokenizer::Tokenizer;
@@ -156,32 +154,20 @@ impl PipelineSnapshot {
         // snapshot carries.
         parallel::adopt_thread_policy(self.parallel);
         let tokenizer = Tokenizer::new(vocab_from_words(&self.vocab)?, self.meta.max_len);
-        let mut bundle = SubstrateBundle::new_untrained(tokenizer, &self.config, 0);
+        let bundle = SubstrateBundle::new_untrained(tokenizer, &self.config, 0);
         let mut rng = StdRng::seed_from_u64(0);
-        let vocab = bundle.tokenizer.vocab().len();
-        let condition = ConditionNetwork::with_components(
-            vocab,
-            &self.config,
-            self.meta.variant.uses_blip(),
-            self.meta.variant.uses_object_detection(),
+        let mut pipeline = AeroDiffusionPipeline::assemble(
+            self.config,
+            bundle,
+            self.meta.provider,
+            self.meta.variant,
             &mut rng,
         );
-        let unet = CondUnet::new(crate::lint::unet_config(&self.config), &mut rng);
-        restore(&bundle.clip.params(), &self.clip)?;
-        restore(&bundle.vae.params(), &self.vae)?;
-        restore(&bundle.detector.params(), &self.detector)?;
-        restore(&condition.params(), &self.condition)?;
-        restore(&unet.params(), &self.unet)?;
-        bundle.vae.set_latent_scale(self.meta.latent_scale);
-        Ok(AeroDiffusionPipeline {
-            config: self.config,
-            bundle,
-            condition,
-            unet,
-            trainer: DiffusionTrainer::new(self.config.diffusion),
-            provider: self.meta.provider,
-            variant: self.meta.variant,
-        })
+        for (params, (_, blob)) in pipeline.modules().iter().zip(self.module_blobs()) {
+            restore(params, blob)?;
+        }
+        pipeline.bundle.vae.set_latent_scale(self.meta.latent_scale);
+        Ok(pipeline)
     }
 
     /// A copy whose UNet weight blob is truncated mid-stream — a snapshot
@@ -201,6 +187,8 @@ impl AeroDiffusionPipeline {
     /// (see [`PipelineSnapshot`]).
     pub fn snapshot(&self) -> PipelineSnapshot {
         let vocab = self.bundle.tokenizer.vocab();
+        let [clip, vae, detector, condition, unet] =
+            self.modules().map(|params| params_bytes(&params));
         PipelineSnapshot {
             config: self.config,
             parallel: ParallelConfig::with_threads(parallel::active_threads()),
@@ -211,11 +199,11 @@ impl AeroDiffusionPipeline {
                 variant: self.variant,
             },
             vocab: (0..vocab.len()).map(|id| vocab.word(id).to_string()).collect(),
-            clip: params_bytes(&self.bundle.clip.params()),
-            vae: params_bytes(&self.bundle.vae.params()),
-            detector: params_bytes(&self.bundle.detector.params()),
-            condition: params_bytes(&self.condition.params()),
-            unet: params_bytes(&self.unet.params()),
+            clip,
+            vae,
+            detector,
+            condition,
+            unet,
         }
     }
 }

@@ -11,10 +11,10 @@
 //! two requests share an encoded condition only when every conditioning
 //! input matches.
 //!
-//! The text-to-image variant carries the same reference item + caption
-//! pair the old positional `encode_condition(item, caption_g, g_prime)`
-//! took, so routing it through the task API is bit-identical to the old
-//! path — pinned by tests and the serve byte-compare smoke.
+//! The text-to-image variant carries the reference item + caption pair
+//! the pre-task positional encode took, so routing it through the task
+//! API is bit-identical to that path — pinned by the serve byte-compare
+//! smoke.
 
 use aero_scene::{Annotation, DatasetItem, Homography, Image};
 

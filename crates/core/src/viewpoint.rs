@@ -30,7 +30,7 @@ pub fn viewpoint_transition<R: Rng + ?Sized>(
     let llm = pipeline.llm();
     let reference_description = llm.describe(&item.spec, &pipeline.prompt(), rng);
     let target_description = llm.describe_with_viewpoint(&item.spec, target, rng);
-    let image = pipeline.generate_with_description(item, &target_description, rng);
+    let image = pipeline.generate_with(item, Some(&target_description), None, rng);
     ViewpointTransition {
         reference_description,
         target_description,
@@ -59,7 +59,7 @@ pub fn night_synthesis<R: Rng + ?Sized>(
 ) -> NightSynthesis {
     let llm = pipeline.llm();
     let description = llm.describe_at_night(&item.spec, rng);
-    let image = pipeline.generate_with_description(item, &description, rng);
+    let image = pipeline.generate_with(item, Some(&description), None, rng);
     let luminance = image.mean_luminance();
     NightSynthesis { description, image, luminance }
 }

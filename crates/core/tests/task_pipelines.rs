@@ -1,16 +1,16 @@
 //! Integration tests for the typed [`TaskSpec`] conditioning API: the
-//! deprecated shim's bitwise equivalence, the inpainting no-touch
-//! guarantee outside the masked footprint, cascade observer reuse, and
-//! the heterogeneous-batch mixing contract the serving runtime relies
-//! on. One smoke-scale pipeline is trained once and shared.
+//! inpainting no-touch guarantee outside the masked footprint, cascade
+//! observer reuse, and the heterogeneous-batch mixing contract the
+//! serving runtime relies on. One smoke-scale pipeline is trained once
+//! and shared.
 
-use aero_diffusion::{DdimSampler, LatentPin, StepEvent, StepSink};
+use aero_diffusion::{DdimSampler, StepEvent, StepSink};
 use aero_scene::{
     build_dataset, AerialDataset, Annotation, BBox, DatasetConfig, Homography, Image, ObjectClass,
     SceneGeneratorConfig, Viewpoint,
 };
 use aero_tensor::Tensor;
-use aerodiffusion::{AeroDiffusionPipeline, PipelineConfig, PipelineSnapshot, TaskSpec};
+use aerodiffusion::{AeroDiffusionPipeline, PipelineConfig, PipelineSnapshot, SampleRow, TaskSpec};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,26 +42,6 @@ fn sampler(pipeline: &AeroDiffusionPipeline) -> DdimSampler {
 
 fn image_bits(image: &Image) -> Vec<u32> {
     image.to_tensor().as_slice().iter().map(|v| v.to_bits()).collect()
-}
-
-/// The one-release migration shim must stay a pure alias for the task
-/// API, or external callers would silently change outputs mid-migration.
-#[test]
-fn deprecated_shim_is_bitwise_identical_to_the_task_api() {
-    let (snapshot, ds) = fixture();
-    let pipeline = snapshot.hydrate().expect("snapshot hydrates");
-    let item = &ds.items[0];
-    let caption = pipeline.caption_for(item, &mut StdRng::seed_from_u64(3));
-    let prompt = "an aerial view with more trucks";
-    #[allow(deprecated)]
-    let old = pipeline.encode_condition(item, &caption, prompt);
-    let new = pipeline.encode_task(&TaskSpec::text(item, &caption, prompt));
-    assert_eq!(old.shape(), new.shape());
-    let (old, new) = (old.as_slice(), new.as_slice());
-    assert!(
-        old.iter().zip(new).all(|(a, b)| a.to_bits() == b.to_bits()),
-        "shim output diverged from encode_task"
-    );
 }
 
 /// The inpainting acceptance bar: pixels outside the keypoint boxes'
@@ -170,11 +150,10 @@ fn view_and_superres_tasks_are_deterministic_end_to_end() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// The serving batcher's mixing contract, pipeline-side: a
-    /// heterogeneous batch (text + view + inpaint) coalesced into one
-    /// sampler call — per-row RNG drawing `z_init` first and pin noise
-    /// second, neutral pin rows for non-inpaint tasks — is byte-identical
-    /// per row to three solo `run_task` calls, in any row order.
+    /// The serving batcher's mixing contract: a heterogeneous batch
+    /// (text + view + inpaint) coalesced into one `sample_batch` call —
+    /// the call `serve_batch` makes — is byte-identical per row to three
+    /// solo `run_task` calls, in any row order.
     #[test]
     fn heterogeneous_batches_match_solo_runs_bitwise(
         s0 in 0u64..1000,
@@ -207,47 +186,17 @@ proptest! {
 
         let sampler = sampler(&pipeline);
         let [c, h, w] = pipeline.latent_shape();
-        // Mirror the serving batcher exactly: per-row seeded RNG draws
-        // the initial latent, then (for inpaint rows) the pin noise;
-        // non-pin rows get a neutral all-writable pin row.
+        // The same batch call the serving batcher makes: one row per
+        // task with its own seeded rng and its inpainting pin parts.
         let conds: Vec<Tensor> = specs.iter().map(|t| pipeline.encode_task(t)).collect();
-        let cond_batch = Tensor::concat(&conds.iter().collect::<Vec<_>>(), 0);
-        let (mut z_rows, mut masks, mut refs, mut noises) =
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        let mut any_pin = false;
-        for (spec, &seed) in specs.iter().zip(&seeds) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            z_rows.push(Tensor::randn(&[1, c, h, w], &mut rng));
-            match spec {
-                TaskSpec::Inpaint { source, regions, .. } => {
-                    masks.push(pipeline.latent_mask(regions));
-                    refs.push(pipeline.encode_image_latent(source));
-                    noises.push(Tensor::randn(&[1, c, h, w], &mut rng));
-                    any_pin = true;
-                }
-                _ => {
-                    masks.push(Tensor::full(&[1, c, h, w], 1.0));
-                    refs.push(Tensor::full(&[1, c, h, w], 0.0));
-                    noises.push(Tensor::full(&[1, c, h, w], 0.0));
-                }
-            }
-        }
-        let z_init = Tensor::concat(&z_rows.iter().collect::<Vec<_>>(), 0);
-        let pin = any_pin.then(|| {
-            LatentPin::new(
-                Tensor::concat(&masks.iter().collect::<Vec<_>>(), 0),
-                Tensor::concat(&refs.iter().collect::<Vec<_>>(), 0),
-                Tensor::concat(&noises.iter().collect::<Vec<_>>(), 0),
-            )
-        });
-        let z = pipeline.sample_latents_controlled(
-            &sampler,
-            z_init,
-            &cond_batch,
-            pin.as_ref(),
-            None,
-            StepSink::none(),
-        );
+        let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
+        let rows = specs
+            .iter()
+            .zip(&conds)
+            .zip(&mut rngs)
+            .map(|((spec, cond), rng)| SampleRow { cond, rng, pin: pipeline.pin_parts(spec) })
+            .collect();
+        let z = pipeline.sample_batch(&sampler, rows, None, StepSink::none());
         for (row, (spec, &seed)) in specs.iter().zip(&seeds).enumerate() {
             let batched = pipeline.decode_latent(&z.narrow(0, row, 1).reshape(&[c, h, w]));
             let solo = pipeline.run_task(spec, &sampler, seed, StepSink::none());

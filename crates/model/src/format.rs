@@ -86,8 +86,15 @@ pub struct TensorInfo {
     pub byte_len: u64,
 }
 
+/// Element count of `shape`, or `None` when it overflows `usize`.
+fn checked_numel(shape: &[usize]) -> Option<usize> {
+    shape.iter().try_fold(1usize, |n, &d| n.checked_mul(d))
+}
+
 /// Per-row q8 geometry for `shape`: `(rows, row_len, blocks_per_row)`,
-/// matching [`aero_tensor::quant`].
+/// matching [`aero_tensor::quant`]. Callers pass shapes whose element
+/// count fits `usize` (in-memory tensors, or headers checked by
+/// [`payload_len`]).
 fn q8_geometry(shape: &[usize]) -> (usize, usize, usize) {
     let row_len = shape.last().copied().unwrap_or(1).max(1);
     let numel: usize = shape.iter().product();
@@ -96,15 +103,27 @@ fn q8_geometry(shape: &[usize]) -> (usize, usize, usize) {
     (rows, row_len, bpr)
 }
 
-/// Expected q8 payload length for `shape`: per-block scales plus
-/// *unpadded* row-major quants. The in-memory [`Q8Tensor`] pads each
-/// row's last block to a full [`Q8_BLOCK`] for the kernels; storing the
-/// padding would make small-row tensors larger than `f32`, so the
-/// artifact keeps only the real elements and the loader re-pads.
-fn q8_payload_len(shape: &[usize]) -> usize {
-    let (rows, row_len, bpr) = q8_geometry(shape);
-    rows * bpr * 4 + rows * row_len
+/// Expected payload length of a stored tensor, or `None` when it
+/// overflows `usize` (only a crafted header gets there). `f32` stores
+/// raw values; q8 stores per-block scales plus *unpadded* row-major
+/// quants. The in-memory [`Q8Tensor`] pads each row's last block to a
+/// full [`Q8_BLOCK`] for the kernels; storing the padding would make
+/// small-row tensors larger than `f32`, so the artifact keeps only the
+/// real elements and the loader re-pads.
+fn payload_len(dtype: DType, shape: &[usize]) -> Option<usize> {
+    let numel = checked_numel(shape)?;
+    match dtype {
+        DType::F32 => numel.checked_mul(4),
+        DType::Q8 => {
+            let (rows, _, bpr) = q8_geometry(shape);
+            rows.checked_mul(bpr)?.checked_mul(4)?.checked_add(numel)
+        }
+    }
 }
+
+/// Fewest bytes one tensor-table entry can occupy: an empty name's
+/// length prefix, dtype, rank, offset and byte length.
+const MIN_TABLE_ENTRY: usize = 4 + 1 + 4 + 8 + 8;
 
 fn align_up(n: usize) -> usize {
     n.div_ceil(DATA_ALIGN) * DATA_ALIGN
@@ -347,7 +366,10 @@ impl ModelArtifact {
             kv.insert(key, value);
         }
 
-        let mut tensors = Vec::with_capacity(tensor_count);
+        // The count is untrusted: preallocate no more entries than the
+        // remaining header bytes could hold.
+        let table_room = data_offset.saturating_sub(cur.pos) / MIN_TABLE_ENTRY;
+        let mut tensors = Vec::with_capacity(tensor_count.min(table_room));
         for i in 0..tensor_count {
             let name = cur.string(&format!("tensor name {i}"))?;
             let dtype = DType::from_byte(cur.u8(&format!("tensor dtype {i}"))?)?;
@@ -368,9 +390,10 @@ impl ModelArtifact {
                      ({data_len} bytes)"
                 )));
             }
-            let expected = match dtype {
-                DType::F32 => shape.iter().product::<usize>() * 4,
-                DType::Q8 => q8_payload_len(&shape),
+            let Some(expected) = payload_len(dtype, &shape) else {
+                return Err(ModelError::corrupt(format!(
+                    "tensor {name}: shape {shape:?} overflows the addressable size"
+                )));
             };
             if byte_len != expected as u64 {
                 return Err(ModelError::corrupt(format!(
@@ -453,7 +476,7 @@ impl ModelArtifact {
     fn decode_q8(&self, info: &TensorInfo) -> Result<Q8Tensor, ModelError> {
         let payload = self.payload(info);
         let (rows, row_len, bpr) = q8_geometry(&info.shape);
-        // parse() already checked byte_len == q8_payload_len(shape).
+        // parse() already checked byte_len == payload_len(Q8, shape).
         let scales: Vec<f32> = payload[..rows * bpr * 4]
             .chunks_exact(4)
             .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))

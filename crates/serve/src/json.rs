@@ -8,6 +8,12 @@
 
 use std::fmt;
 
+/// Deepest container nesting [`Json::parse`] accepts. Well-formed serve
+/// requests nest at most 4 levels (request, `task`, `boxes`, one box);
+/// the parser recurses once per level, so an uncapped line of `[`s would
+/// overflow the reader's stack and abort the process.
+pub const MAX_DEPTH: usize = 32;
+
 /// A JSON value. Object keys keep insertion order so rendered responses
 /// are deterministic.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,7 +109,7 @@ impl Json {
     ///
     /// Returns the first syntax error with its byte offset.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -214,6 +220,8 @@ fn render_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -251,8 +259,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let container = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                container
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -459,6 +474,18 @@ mod tests {
         for bad in ["", "{", "{\"a\":}", "[1,]", "tru", "\"unterminated", "1 2", "{'a':1}"] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH, "{err}");
+        assert!(err.message.contains("nesting"), "{err}");
+        // The hostile line: far past any stack, answered with an error.
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -74,13 +74,15 @@ use crate::request::{
 };
 use crate::router::ShardRouter;
 use crate::stats::{StatsCollector, StatsReport};
-use aero_diffusion::{CancelSignal, CancelToken, DdimSampler, LatentPin, StepEvent, StepSink};
+use aero_diffusion::{CancelSignal, CancelToken, DdimSampler, StepEvent, StepSink};
 use aero_model::{
     snapshot_from_artifact, IntegrityState, ModelArtifact, ModelError, ModelRegistry, RegistryEntry,
 };
 use aero_scene::{build_dataset, DatasetConfig, DatasetItem, SceneGeneratorConfig};
 use aero_tensor::Tensor;
-use aerodiffusion::{AeroDiffusionPipeline, PipelineConfig, PipelineSnapshot, TaskKind, TaskSpec};
+use aerodiffusion::{
+    AeroDiffusionPipeline, PipelineConfig, PipelineSnapshot, SampleRow, TaskKind, TaskSpec,
+};
 use rand::{rngs::StdRng, SeedableRng};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -958,10 +960,8 @@ struct Job {
     encode_us: u64,
     cache_hit: bool,
     cond: Tensor,
-    /// Inpainting pin `(mask, reference)` rows, both `[1, c, h, w]`;
-    /// `None` for every other task kind. The pin's per-step noise is
-    /// drawn later, from the request's own rng, right after its initial
-    /// latent.
+    /// Inpainting pin parts (see `AeroDiffusionPipeline::pin_parts`);
+    /// `None` for every other task kind.
     pin_parts: Option<(Tensor, Tensor)>,
     /// Injected [`Fault::NanLatents`]: poison this request's latents
     /// after sampling so the output guard has something to catch.
@@ -1128,46 +1128,6 @@ fn serve_batch(
         let n = jobs.len();
         shared.stats.record_batch(n);
         let [c, h, w] = pipeline.latent_shape();
-        let conds: Vec<&Tensor> = jobs.iter().map(|j| &j.cond).collect();
-        let cond_batch = Tensor::concat(&conds, 0);
-        // Each request's private noise stream: same seed, same bytes,
-        // whatever else rides in the batch — or whichever replica group
-        // serves it. An inpainting job draws its pin noise from the same
-        // rng right after its initial latent, exactly the order
-        // `AeroDiffusionPipeline::run_task` uses at batch 1; every other
-        // job gets a neutral pin row (mask of ones), which the sampler
-        // leaves bitwise untouched.
-        let mut noise: Vec<Tensor> = Vec::with_capacity(jobs.len());
-        let mut pin_masks: Vec<Tensor> = Vec::with_capacity(jobs.len());
-        let mut pin_refs: Vec<Tensor> = Vec::with_capacity(jobs.len());
-        let mut pin_noise: Vec<Tensor> = Vec::with_capacity(jobs.len());
-        let mut any_pin = false;
-        for j in &jobs {
-            let mut rng = StdRng::seed_from_u64(j.pending.request.seed);
-            noise.push(Tensor::randn(&[1, c, h, w], &mut rng));
-            match &j.pin_parts {
-                Some((mask, reference)) => {
-                    any_pin = true;
-                    pin_masks.push(mask.clone());
-                    pin_refs.push(reference.clone());
-                    pin_noise.push(Tensor::randn(&[1, c, h, w], &mut rng));
-                }
-                None => {
-                    pin_masks.push(Tensor::full(&[1, c, h, w], 1.0));
-                    pin_refs.push(Tensor::full(&[1, c, h, w], 0.0));
-                    pin_noise.push(Tensor::full(&[1, c, h, w], 0.0));
-                }
-            }
-        }
-        let noise_refs: Vec<&Tensor> = noise.iter().collect();
-        let z_init = Tensor::concat(&noise_refs, 0);
-        let pin = any_pin.then(|| {
-            LatentPin::new(
-                Tensor::concat(&pin_masks.iter().collect::<Vec<_>>(), 0),
-                Tensor::concat(&pin_refs.iter().collect::<Vec<_>>(), 0),
-                Tensor::concat(&pin_noise.iter().collect::<Vec<_>>(), 0),
-            )
-        });
         // The cancel signal aborts the call only when every rider is
         // cancelled; the step observer streams previews to the requests
         // that asked and counts completed steps so an abort is visible.
@@ -1178,6 +1138,19 @@ fn serve_batch(
             .enumerate()
             .filter(|(_, j)| j.pending.request.stream || config.stream_previews)
             .map(|(i, j)| (i, j.pending.request.id.clone(), j.pending.responder.clone()))
+            .collect();
+        // Each request's private noise stream: same seed, same bytes,
+        // whatever else rides in the batch — or whichever replica group
+        // serves it.
+        let mut rngs: Vec<StdRng> =
+            jobs.iter().map(|j| StdRng::seed_from_u64(j.pending.request.seed)).collect();
+        let pins: Vec<Option<(Tensor, Tensor)>> =
+            jobs.iter_mut().map(|j| j.pin_parts.take()).collect();
+        let rows: Vec<SampleRow<'_, StdRng>> = jobs
+            .iter()
+            .zip(&mut rngs)
+            .zip(pins)
+            .map(|((j, rng), pin)| SampleRow { cond: &j.cond, rng, pin })
             .collect();
         let sample_started = Instant::now();
         let mut steps_done = 0usize;
@@ -1191,14 +1164,7 @@ fn serve_batch(
                         .send(ServeReply::Preview(quantize_preview(id, ev.step, ev.total, &view)));
                 }
             };
-            pipeline.sample_latents_controlled(
-                &sampler,
-                z_init,
-                &cond_batch,
-                pin.as_ref(),
-                Some(&group_cancel),
-                StepSink::new(&mut on_step),
-            )
+            pipeline.sample_batch(&sampler, rows, Some(&group_cancel), StepSink::new(&mut on_step))
         };
         if steps_done < steps {
             shared.stats.record_sampler_abort();
@@ -1320,13 +1286,7 @@ fn prepare_condition(
     if matches!(fault, Some(Fault::CorruptCacheEntry)) {
         lock_cache(&group.cache).insert(key, Tensor::full(cond.shape(), f32::NAN));
     }
-    let pin_parts = match &spec {
-        Some(TaskSpec::Inpaint { source, regions, .. }) => {
-            Some((pipeline.latent_mask(regions), pipeline.encode_image_latent(source)))
-        }
-        _ => None,
-    };
-    (cond, cache_hit, pin_parts)
+    (cond, cache_hit, spec.and_then(|s| pipeline.pin_parts(&s)))
 }
 
 fn micros(d: Duration) -> u64 {

@@ -16,7 +16,12 @@
 //! - a `{"type":"cancel","id":…}` control line flips the named request's
 //!   cancel token the moment the *reader* parses it (cancellation must
 //!   not wait behind the FIFO), and is acknowledged in order with
-//!   `{"type":"cancel","id":…,"ok":…}`;
+//!   `{"type":"cancel","id":…,"ok":…}`. The connection holds a token
+//!   only while its request is in flight: once the collector has the
+//!   request's terminal reply the token is dropped, so a `cancel` for an
+//!   id that already has its reply (or was never submitted) acks
+//!   `"ok":false`. When a newer request reuses an id, `cancel` reaches
+//!   the newest one;
 //! - a request submitted with `"stream": true` emits zero or more
 //!   `{"type":"preview",…}` lines (quantized intermediate latents)
 //!   immediately before its terminal reply line.
@@ -29,18 +34,49 @@ use aero_diffusion::CancelToken;
 use aero_obs::MetricsSnapshot;
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
 
 /// One unit of ordered output.
 enum Entry {
-    /// A submitted request; the collector blocks on its reply.
-    Reply(ResponseHandle),
+    /// A submitted request and its submit sequence number; the collector
+    /// blocks on its reply.
+    Reply(ResponseHandle, u64),
     /// An immediate reply (rejection or parse error), already final.
     Immediate(Json),
     /// A stats probe, resolved when the collector reaches it.
     Stats,
     /// A unified-metrics probe, resolved when the collector reaches it.
     Metrics,
+}
+
+/// The cancel tokens of one connection's in-flight requests, by id, each
+/// with its submit sequence number. The reader registers a token on
+/// submit and the collector drops it once the request's terminal reply
+/// is in; the sequence number keeps an older request's resolution from
+/// dropping a newer request that reused its id.
+#[derive(Default)]
+struct CancelTokens(Mutex<HashMap<String, (u64, CancelToken)>>);
+
+impl CancelTokens {
+    fn map(&self) -> MutexGuard<'_, HashMap<String, (u64, CancelToken)>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Cancels the in-flight request `id`; `false` when there is none.
+    fn cancel(&self, id: &str) -> bool {
+        let map = self.map();
+        let Some((_, token)) = map.get(id) else { return false };
+        token.cancel();
+        true
+    }
+
+    /// Drops the token of request `seq` unless a newer request took `id`.
+    fn resolve(&self, id: &str, seq: u64) {
+        let mut map = self.map();
+        if map.get(id).is_some_and(|&(newest, _)| newest == seq) {
+            map.remove(id);
+        }
+    }
 }
 
 /// The single-line `{"type":"metrics",…}` wire form of a merged
@@ -175,25 +211,30 @@ pub fn serve_ndjson(
     mut output: impl Write + Send,
 ) -> std::io::Result<StatsReport> {
     let (tx, rx) = mpsc::channel::<Entry>();
+    let cancels = CancelTokens::default();
     let (read_result, write_result) = std::thread::scope(|scope| {
-        let runtime = &runtime;
+        let (runtime, cancels) = (&runtime, &cancels);
         let collector = scope.spawn(move || -> std::io::Result<()> {
             for entry in rx {
                 let reply = match entry {
-                    Entry::Reply(handle) => loop {
-                        match handle.next_event() {
-                            // Streamed previews go out as their own lines,
-                            // in place, ahead of the terminal reply.
-                            Some(reply) if !reply.is_terminal() => {
-                                writeln!(output, "{}", reply.to_json().render())?;
-                                output.flush()?;
+                    Entry::Reply(handle, seq) => {
+                        let terminal = loop {
+                            match handle.next_event() {
+                                // Streamed previews go out as their own
+                                // lines, in place, ahead of the terminal
+                                // reply.
+                                Some(reply) if !reply.is_terminal() => {
+                                    writeln!(output, "{}", reply.to_json().render())?;
+                                    output.flush()?;
+                                }
+                                other => break other,
                             }
-                            Some(reply) => break reply.to_json(),
-                            // The worker died without answering; `wait`
-                            // synthesizes (and records) the typed failure.
-                            None => break handle.wait().to_json(),
-                        }
-                    },
+                        };
+                        cancels.resolve(handle.id(), seq);
+                        // The worker died without answering; `wait`
+                        // synthesizes (and records) the typed failure.
+                        terminal.unwrap_or_else(|| handle.wait()).to_json()
+                    }
                     Entry::Immediate(json) => json,
                     Entry::Stats => runtime.stats().to_json(),
                     Entry::Metrics => metrics_json(&runtime.metrics()),
@@ -203,7 +244,7 @@ pub fn serve_ndjson(
             }
             Ok(())
         });
-        let read_result = read_loop(runtime, input, &tx);
+        let read_result = read_loop(runtime, input, &tx, cancels);
         drop(tx);
         let write_result = collector.join().expect("reply collector panicked");
         (read_result, write_result)
@@ -220,11 +261,8 @@ fn read_loop(
     runtime: &ServeRuntime,
     input: impl BufRead,
     tx: &mpsc::Sender<Entry>,
+    cancels: &CancelTokens,
 ) -> std::io::Result<()> {
-    // id → cancel token for every request submitted on this connection,
-    // so a later `cancel` line can reach it while it is queued or
-    // sampling.
-    let mut cancels: HashMap<String, CancelToken> = HashMap::new();
     for (lineno, line) in input.lines().enumerate() {
         let line = line?;
         if line.trim().is_empty() {
@@ -244,21 +282,14 @@ fn read_loop(
                 "swap" => Entry::Immediate(swap_json(runtime, &v, &fallback_id)),
                 // The cancel takes effect here, as soon as the reader
                 // sees the line — only the acknowledgement waits for its
-                // turn in the output order. `ok` is false for ids this
-                // connection never submitted.
+                // turn in the output order. `ok` is false for ids with no
+                // request in flight on this connection.
                 "cancel" => {
                     let id = v.get("id").and_then(Json::as_str).unwrap_or(&fallback_id);
-                    let ok = match cancels.get(id) {
-                        Some(token) => {
-                            token.cancel();
-                            true
-                        }
-                        None => false,
-                    };
                     Entry::Immediate(Json::obj(vec![
                         ("type", "cancel".into()),
                         ("id", id.into()),
-                        ("ok", ok.into()),
+                        ("ok", cancels.cancel(id).into()),
                     ]))
                 }
                 "generate" => match GenerateRequest::from_json(&v, &fallback_id) {
@@ -267,8 +298,9 @@ fn read_loop(
                         let id = request.id.clone();
                         match runtime.submit(request) {
                             Ok(handle) => {
-                                cancels.insert(id, handle.cancel_token());
-                                Entry::Reply(handle)
+                                let seq = lineno as u64;
+                                cancels.map().insert(id, (seq, handle.cancel_token()));
+                                Entry::Reply(handle, seq)
                             }
                             Err(reason) => {
                                 Entry::Immediate(ServeReply::Rejected { id, reason }.to_json())

@@ -18,8 +18,8 @@ use aero_serve::{
     ServeConfig, ServeReply, ServeRuntime,
 };
 use aerodiffusion::{AeroDiffusionPipeline, PipelineConfig, PipelineSnapshot};
-use std::io::Cursor;
-use std::sync::{Arc, OnceLock};
+use std::io::{BufReader, Cursor, Read, Write};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 fn snapshot() -> &'static PipelineSnapshot {
@@ -513,4 +513,132 @@ fn ndjson_stream_and_cancel_lines() {
     assert_eq!(lines[4].get("ok").and_then(Json::as_bool), Some(false));
     assert_eq!(lines[5].get("type").and_then(Json::as_str), Some("stats"));
     assert_eq!(lines[5].get("completed").and_then(Json::as_u64), Some(1));
+}
+
+/// Reply output shared between the server's collector and the test.
+#[derive(Clone, Default)]
+struct SharedOutput(Arc<Mutex<Vec<u8>>>);
+
+impl SharedOutput {
+    fn line_count(&self) -> usize {
+        self.0.lock().unwrap().iter().filter(|&&b| b == b'\n').count()
+    }
+
+    fn lines(&self) -> Vec<Json> {
+        let text = String::from_utf8(self.0.lock().unwrap().clone()).unwrap();
+        text.lines().map(|l| Json::parse(l).unwrap()).collect()
+    }
+}
+
+impl Write for SharedOutput {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// NDJSON input in two parts, like a client that awaits replies before
+/// sending more: `head` at once, `tail` only once `output` holds `ready`
+/// reply lines.
+struct GatedInput {
+    head: Cursor<&'static str>,
+    tail: Cursor<&'static str>,
+    output: SharedOutput,
+    ready: usize,
+}
+
+impl Read for GatedInput {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.head.read(buf)?;
+        if n > 0 {
+            return Ok(n);
+        }
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while self.output.line_count() < self.ready {
+            assert!(Instant::now() < deadline, "the head's replies never arrived");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        self.tail.read(buf)
+    }
+}
+
+/// Runs one connection over gated input and returns its reply lines.
+fn serve_gated(
+    runtime: ServeRuntime,
+    head: &'static str,
+    ready: usize,
+    tail: &'static str,
+) -> Vec<Json> {
+    let output = SharedOutput::default();
+    let input = GatedInput {
+        head: Cursor::new(head),
+        tail: Cursor::new(tail),
+        output: output.clone(),
+        ready,
+    };
+    serve_ndjson(runtime, BufReader::new(input), output.clone()).unwrap();
+    output.lines()
+}
+
+/// A connection holds a cancel token only while its request is in
+/// flight: once N requests have their replies, cancelling any of them
+/// finds no token and acks `ok:false`.
+#[test]
+fn resolved_requests_leave_no_cancel_token_behind() {
+    let head = concat!(
+        r#"{"type":"generate","id":"r0","prompt":"a harbor at dawn","seed":1}"#,
+        "\n",
+        r#"{"type":"generate","id":"r1","prompt":"a harbor at dawn","seed":2}"#,
+        "\n",
+        r#"{"type":"generate","id":"r2","prompt":"a rail yard","seed":3}"#,
+        "\n",
+    );
+    let tail = concat!(
+        r#"{"type":"cancel","id":"r0"}"#,
+        "\n",
+        r#"{"type":"cancel","id":"r1"}"#,
+        "\n",
+        r#"{"type":"cancel","id":"r2"}"#,
+        "\n",
+    );
+    let runtime = ServeRuntime::start(snapshot().clone(), fleet_config(1));
+    let lines = serve_gated(runtime, head, 3, tail);
+    assert_eq!(lines.len(), 6, "3 images + 3 cancel acks");
+    for (i, line) in lines.iter().take(3).enumerate() {
+        assert_eq!(line.get("type").and_then(Json::as_str), Some("image"), "line {i}");
+    }
+    for (i, ack) in lines.iter().skip(3).enumerate() {
+        assert_eq!(ack.get("type").and_then(Json::as_str), Some("cancel"));
+        assert_eq!(ack.get("id").and_then(Json::as_str), Some(format!("r{i}").as_str()));
+        assert_eq!(ack.get("ok").and_then(Json::as_bool), Some(false), "r{i} kept its token");
+    }
+}
+
+/// Resolving a request must not drop the token of a newer request that
+/// reused its id: the cancel still reaches the newer one.
+#[test]
+fn resolving_an_older_request_keeps_a_reused_ids_token() {
+    let head = concat!(
+        r#"{"type":"generate","id":"dup","prompt":"a harbor at dawn","seed":1}"#,
+        "\n",
+        r#"{"type":"generate","id":"dup","prompt":"a harbor at dawn","seed":2,"steps":64}"#,
+        "\n",
+    );
+    let tail = concat!(r#"{"type":"cancel","id":"dup"}"#, "\n");
+    // Hold the second request back so it is still in flight when the
+    // cancel line arrives, after the first one's reply.
+    let plan = Arc::new(FaultPlan::new());
+    plan.schedule(1, Fault::DelayMs(400));
+    let runtime = ServeRuntime::start_with_faults(snapshot().clone(), fleet_config(1), Some(plan));
+    let lines = serve_gated(runtime, head, 1, tail);
+    assert_eq!(lines.len(), 3, "image + cancelled + cancel ack");
+    assert_eq!(lines[0].get("type").and_then(Json::as_str), Some("image"));
+    assert_eq!(lines[1].get("id").and_then(Json::as_str), Some("dup"));
+    assert_eq!(lines[1].get("reason").and_then(Json::as_str), Some("cancelled"));
+    assert_eq!(lines[2].get("type").and_then(Json::as_str), Some("cancel"));
+    assert_eq!(lines[2].get("ok").and_then(Json::as_bool), Some(true));
 }

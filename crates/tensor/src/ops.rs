@@ -8,9 +8,9 @@
 //! [`crate::par_kernels`], fanning out over the thread count resolved by
 //! [`crate::parallel::active_threads`]. Sharding assigns each output
 //! region to exactly one thread running the identical serial inner loop,
-//! so results are bit-identical at every thread count; the
-//! `*_serial` methods are the independent single-threaded references the
-//! equivalence suite compares against.
+//! so results are bit-identical at every thread count; the `Reference`
+//! backend at one thread is the oracle the equivalence suite compares
+//! against (see [`crate::backend`]).
 
 use crate::par_kernels::{self, ConvGeom};
 use crate::shape::{bmm_shape, conv2d_shape, conv_transpose2d_shape, matmul_shape, pool2d_shape};
@@ -19,7 +19,7 @@ use crate::TensorError;
 
 impl Tensor {
     /// Matrix product of two rank-2 tensors, sharded over output rows
-    /// (bit-identical to [`Tensor::matmul_serial`] at any thread count).
+    /// (bit-identical to the `Reference` backend at any thread count).
     ///
     /// # Panics
     ///
@@ -41,39 +41,6 @@ impl Tensor {
         let k = self.shape()[1];
         let out = par_kernels::matmul(self.as_slice(), other.as_slice(), m, k, n);
         Ok(Tensor::from_vec(out, &[m, n]))
-    }
-
-    /// Single-threaded reference matmul: the exact accumulation order
-    /// ([`Tensor::matmul`]'s "ikj" loop) run without the worker pool.
-    ///
-    /// Exists for the parallel-equivalence test suite and benchmarks
-    /// only. Production call sites must go through [`Tensor::matmul`];
-    /// `aero-analysis` flags `matmul_serial` uses outside this crate's
-    /// tests (diagnostic `AD0110`).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `self` is `[m, k]` and `other` is `[k, n]`.
-    pub fn matmul_serial(&self, other: &Tensor) -> Tensor {
-        let out_shape = matmul_shape(self.shape(), other.shape())
-            .unwrap_or_else(|e| panic!("matmul_serial: {e}"));
-        let (m, n) = (out_shape[0], out_shape[1]);
-        let k = self.shape()[1];
-        let a = self.as_slice();
-        let b = other.as_slice();
-        let mut out = vec![0.0f32; m * n];
-        // ikj loop order: streams through b rows, accumulates into out rows.
-        for i in 0..m {
-            let out_row = &mut out[i * n..(i + 1) * n];
-            for p in 0..k {
-                let av = a[i * k + p];
-                let b_row = &b[p * n..(p + 1) * n];
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += av * bv;
-                }
-            }
-        }
-        Tensor::from_vec(out, &[m, n])
     }
 
     /// Batched matrix product of two rank-3 tensors `[b, m, k] x [b, k, n]`,
@@ -279,96 +246,6 @@ impl Tensor {
             par_kernels::add_channel_bias(out.as_mut_slice(), bias.as_slice(), oh * ow);
         }
         Ok(out)
-    }
-
-    /// Single-threaded reference convolution: a fully serial im2col
-    /// gather followed by per-batch [`Tensor::matmul_serial`] products
-    /// in the same accumulation order [`Tensor::conv2d`] uses.
-    ///
-    /// Exists for the parallel-equivalence test suite and benchmarks
-    /// only. Production call sites must go through [`Tensor::conv2d`];
-    /// `aero-analysis` flags `conv2d_serial` uses outside this crate's
-    /// tests (diagnostic `AD0110`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on rank or channel mismatches.
-    pub fn conv2d_serial(
-        &self,
-        weight: &Tensor,
-        bias: Option<&Tensor>,
-        stride: usize,
-        pad: usize,
-    ) -> Tensor {
-        let out_shape = conv2d_shape(self.shape(), weight.shape(), stride, pad)
-            .unwrap_or_else(|e| panic!("conv2d_serial: {e}"));
-        let (n, cin) = (self.shape()[0], self.shape()[1]);
-        let (cout, kh, kw) = (weight.shape()[0], weight.shape()[2], weight.shape()[3]);
-        let (oh, ow) = (out_shape[2], out_shape[3]);
-        if let Some(bias) = bias {
-            assert_eq!(bias.numel(), cout, "conv2d_serial bias must have cout elements");
-        }
-        let cols = self.im2col_serial(kh, kw, stride, pad);
-        let wmat = weight.reshape(&[cout, cin * kh * kw]);
-        let mut out = Tensor::zeros(&out_shape);
-        for b in 0..n {
-            let col_b = cols.narrow(0, b, 1).reshape(&[cin * kh * kw, oh * ow]);
-            let res = wmat.matmul_serial(&col_b);
-            out.as_mut_slice()[b * cout * oh * ow..(b + 1) * cout * oh * ow]
-                .copy_from_slice(res.as_slice());
-        }
-        if let Some(bias) = bias {
-            let bslice = bias.as_slice().to_vec();
-            let plane = oh * ow;
-            let data = out.as_mut_slice();
-            for b in 0..n {
-                for (co, &bv) in bslice.iter().enumerate() {
-                    let base = (b * cout + co) * plane;
-                    for v in &mut data[base..base + plane] {
-                        *v += bv;
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Serial im2col gather backing [`Tensor::conv2d_serial`].
-    fn im2col_serial(&self, kh: usize, kw: usize, stride: usize, pad: usize) -> Tensor {
-        assert_eq!(self.rank(), 4, "im2col requires [n, c, h, w]");
-        let (n, c, h, w) = (self.shape()[0], self.shape()[1], self.shape()[2], self.shape()[3]);
-        let oh = crate::shape::conv_out_dim(h, kh, stride, pad)
-            .unwrap_or_else(|e| panic!("im2col: {e}"));
-        let ow = crate::shape::conv_out_dim(w, kw, stride, pad)
-            .unwrap_or_else(|e| panic!("im2col: {e}"));
-        let src = self.as_slice();
-        let mut out = vec![0.0f32; n * c * kh * kw * oh * ow];
-        let col_stride = oh * ow;
-        for b in 0..n {
-            for ch in 0..c {
-                for ky in 0..kh {
-                    for kx in 0..kw {
-                        let row =
-                            ((ch * kh + ky) * kw + kx) * col_stride + b * c * kh * kw * col_stride;
-                        for oy in 0..oh {
-                            let iy = (oy * stride + ky) as isize - pad as isize;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            for ox in 0..ow {
-                                let ix = (ox * stride + kx) as isize - pad as isize;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                out[row + oy * ow + ox] =
-                                    src[((b * c + ch) * h + iy as usize) * w + ix as usize];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Tensor::from_vec(out, &[n, c * kh * kw, oh * ow])
     }
 
     /// Transposed 2-D convolution (fractionally strided) of `[n, cin, h, w]`
@@ -584,8 +461,15 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{with_backend, BackendKind};
+    use crate::parallel::with_threads;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// `f` under the one oracle: the `Reference` backend at one thread.
+    fn oracle<R>(f: impl FnOnce() -> R) -> R {
+        with_threads(1, || with_backend(BackendKind::Reference, f))
+    }
 
     #[test]
     fn matmul_identity() {
@@ -602,12 +486,12 @@ mod tests {
     }
 
     #[test]
-    fn matmul_serial_agrees_bitwise() {
+    fn matmul_agrees_bitwise_with_reference() {
         let mut rng = StdRng::seed_from_u64(11);
         let a = Tensor::randn(&[7, 5], &mut rng);
         let b = Tensor::randn(&[5, 9], &mut rng);
         let par = a.matmul(&b);
-        let ser = a.matmul_serial(&b);
+        let ser = oracle(|| a.matmul(&b));
         assert_eq!(par.shape(), ser.shape());
         for (x, y) in par.as_slice().iter().zip(ser.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits());
@@ -683,13 +567,13 @@ mod tests {
     }
 
     #[test]
-    fn conv2d_serial_agrees_bitwise() {
+    fn conv2d_agrees_bitwise_with_reference() {
         let mut rng = StdRng::seed_from_u64(12);
         let x = Tensor::randn(&[2, 3, 6, 6], &mut rng);
         let w = Tensor::randn(&[4, 3, 3, 3], &mut rng);
         let b = Tensor::randn(&[4], &mut rng);
         let par = x.conv2d(&w, Some(&b), 1, 1);
-        let ser = x.conv2d_serial(&w, Some(&b), 1, 1);
+        let ser = oracle(|| x.conv2d(&w, Some(&b), 1, 1));
         assert_eq!(par.shape(), ser.shape());
         for (p, s) in par.as_slice().iter().zip(ser.as_slice()) {
             assert_eq!(p.to_bits(), s.to_bits());

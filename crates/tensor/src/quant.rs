@@ -14,8 +14,8 @@
 //! the same "ikj" accumulation order every other matmul-family kernel in
 //! this crate uses. The parallel path shards output rows through
 //! [`crate::par_kernels::run_units`] exactly like [`Tensor::matmul`], so
-//! it is bit-identical to [`Q8Tensor::matmul_serial`] (the quarantined
-//! oracle) at any thread count.
+//! it is bit-identical to the `Reference` backend (the oracle) at any
+//! thread count.
 //!
 //! Quantization itself is deterministic — scale selection and rounding
 //! involve no ambient state — so the same `f32` tensor always produces
@@ -179,8 +179,7 @@ impl Q8Tensor {
     /// dense `f32` `[k, n]` matrix, sharded over output rows like
     /// [`Tensor::matmul`]. Each row dequantizes its q8 blocks on the fly
     /// inside the same "ikj" accumulation order, so the parallel result
-    /// is bit-identical to [`Q8Tensor::matmul_serial`] at any thread
-    /// count.
+    /// is bit-identical to the `Reference` backend at any thread count.
     ///
     /// # Panics
     ///
@@ -209,44 +208,15 @@ impl Q8Tensor {
         });
         Tensor::from_vec(out, &[m, n])
     }
-
-    /// Single-threaded reference for [`Q8Tensor::matmul`]: the identical
-    /// per-row kernel run without the worker pool. Exists as the bitwise
-    /// oracle for the equivalence tests only — production call sites go
-    /// through [`Q8Tensor::matmul`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `self` is rank 2 and shapes agree.
-    #[must_use]
-    pub fn matmul_serial(&self, other: &Tensor) -> Tensor {
-        let out_shape = matmul_shape(&self.shape, other.shape())
-            .unwrap_or_else(|e| panic!("q8 matmul_serial: {e}"));
-        let (m, n) = (out_shape[0], out_shape[1]);
-        let k = self.shape[1];
-        let bpr = blocks_per_row(k);
-        let mut out = vec![0.0f32; m * n];
-        let b = other.as_slice();
-        for (i, out_row) in out.chunks_mut(n).enumerate() {
-            q8_row_kernel(
-                &self.scales[i * bpr..(i + 1) * bpr],
-                &self.quants[i * bpr * Q8_BLOCK..(i + 1) * bpr * Q8_BLOCK],
-                k,
-                b,
-                out_row,
-            );
-        }
-        Tensor::from_vec(out, &[m, n])
-    }
 }
 
 /// Accumulates `out_row += dequant(a_row) @ b` for one output row,
 /// dequantizing per block and streaming through the rows of `b` in
 /// ascending `p` — the q8 twin of
 /// [`crate::par_kernels::matmul_row_kernel`], defining the accumulation
-/// order for both the serial oracle and the backend-dispatched path
-/// (the blocked backend packs the identical `scale * q` products into
-/// its tiles).
+/// order for both backends (the `Reference` backend runs it row by row;
+/// the blocked backend packs the identical `scale * q` products into its
+/// tiles).
 #[inline]
 pub(crate) fn q8_row_kernel(
     scales: &[f32],
@@ -327,12 +297,16 @@ mod tests {
     }
 
     #[test]
-    fn q8_matmul_parallel_is_bitwise_serial() {
+    fn q8_matmul_parallel_is_bitwise_reference() {
+        use crate::backend::{with_backend, BackendKind};
         let mut rng = StdRng::seed_from_u64(19);
         let a = Tensor::randn(&[40, 65], &mut rng);
         let b = Tensor::randn(&[65, 48], &mut rng);
         let q = Q8Tensor::quantize(&a);
-        let oracle: Vec<u32> = q.matmul_serial(&b).as_slice().iter().map(|v| v.to_bits()).collect();
+        let reference = crate::parallel::with_threads(1, || {
+            with_backend(BackendKind::Reference, || q.matmul(&b))
+        });
+        let oracle: Vec<u32> = reference.as_slice().iter().map(|v| v.to_bits()).collect();
         for threads in [1, 2, 3, 8] {
             let got = crate::parallel::with_threads(threads, || q.matmul(&b));
             let bits: Vec<u32> = got.as_slice().iter().map(|v| v.to_bits()).collect();

@@ -4,11 +4,12 @@
 //! Every assertion here is **byte-for-byte** (`f32::to_bits`), not
 //! approximate: the determinism contract of `aero_tensor::par_kernels`
 //! is that every dispatched kernel produces the *identical* bit pattern
-//! as the single-threaded reference — at every thread count (each output
-//! region is written by exactly one thread) **and under every compute
-//! backend** (the blocked tiles preserve the per-element accumulation
-//! order of the reference row loops, see `backend.rs`). Shapes, strides,
-//! and padding are randomized in the proptest style of `properties.rs`;
+//! as the one oracle, the `Reference` backend at one thread — at every
+//! thread count (each output region is written by exactly one thread)
+//! **and under every compute backend** (the blocked tiles preserve the
+//! per-element accumulation order of the reference row loops, see
+//! `backend.rs`). Shapes, strides, and padding are randomized in the
+//! proptest style of `properties.rs`;
 //! thread counts sweep 1–8 — beyond the container's core count on
 //! purpose: oversubscription must not change a single bit either.
 //!
@@ -48,6 +49,11 @@ fn run_under<R>(backend: BackendKind, threads: usize, f: impl FnOnce() -> R) -> 
     with_assumed_cores(8, || with_backend(backend, || with_threads(threads, f)))
 }
 
+/// `f` under the one oracle: the `Reference` backend at one thread.
+fn oracle<R>(f: impl FnOnce() -> R) -> R {
+    run_under(BackendKind::Reference, 1, f)
+}
+
 /// Sweeps `f` over both backends × threads 1–8 and asserts each result
 /// is bit-identical to `reference`.
 fn assert_all_backends_bitwise<F>(reference: &Tensor, what: &str, f: F)
@@ -80,7 +86,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = Tensor::randn(&[m, k], &mut rng);
         let b = Tensor::randn(&[k, n], &mut rng);
-        let reference = a.matmul_serial(&b);
+        let reference = oracle(|| a.matmul(&b));
         assert_all_backends_bitwise(&reference, "matmul", || a.matmul(&b));
     }
 
@@ -100,7 +106,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = Tensor::randn(&[m, k], &mut rng);
         let b = Tensor::randn(&[k, n], &mut rng);
-        let reference = a.matmul_serial(&b);
+        let reference = oracle(|| a.matmul(&b));
         assert_all_backends_bitwise(&reference, "matmul tile adversary", || a.matmul(&b));
     }
 
@@ -120,7 +126,7 @@ proptest! {
         let a = Tensor::randn(&[m, k], &mut rng);
         let b = Tensor::randn(&[k, n], &mut rng);
         let q = Q8Tensor::quantize(&a);
-        let reference = q.matmul_serial(&b);
+        let reference = oracle(|| q.matmul(&b));
         assert_all_backends_bitwise(&reference, "q8 matmul", || q.matmul(&b));
     }
 
@@ -134,7 +140,7 @@ proptest! {
         let scale = [1.0f32, 8.0, 64.0][si];
         let mut rng = StdRng::seed_from_u64(seed);
         let x = Tensor::randn(&[rows, cols], &mut rng).mul_scalar(scale);
-        let reference = run_under(BackendKind::Reference, 1, || x.softmax_last_axis());
+        let reference = oracle(|| x.softmax_last_axis());
         assert_all_backends_bitwise(&reference, "softmax", || x.softmax_last_axis());
     }
 
@@ -150,12 +156,12 @@ proptest! {
         let a = Tensor::randn(&[nb, m, k], &mut rng);
         let b = Tensor::randn(&[nb, k, n], &mut rng);
         // Independent reference: batches multiplied one by one with the
-        // serial kernel, concatenated in order.
+        // oracle matmul, concatenated in order.
         let mut reference = Tensor::zeros(&[nb, m, n]);
         for i in 0..nb {
             let lhs = a.narrow(0, i, 1).reshape(&[m, k]);
             let rhs = b.narrow(0, i, 1).reshape(&[k, n]);
-            let prod = lhs.matmul_serial(&rhs);
+            let prod = oracle(|| lhs.matmul(&rhs));
             reference.as_mut_slice()[i * m * n..(i + 1) * m * n]
                 .copy_from_slice(prod.as_slice());
         }
@@ -180,7 +186,7 @@ proptest! {
         let x = Tensor::randn(&[n, cin, h, w], &mut rng);
         let wt = Tensor::randn(&[cout, cin, kh, kw], &mut rng);
         let b = Tensor::randn(&[cout], &mut rng);
-        let reference = x.conv2d_serial(&wt, Some(&b), stride, pad);
+        let reference = oracle(|| x.conv2d(&wt, Some(&b), stride, pad));
         // kh/kw sample 1..4 and stride 1..3, so this sweep crosses both
         // the blocked backend's direct path (stride-1 1×1/3×3, any pad)
         // and its im2col fallback (2×2, rectangular, strided).
@@ -206,7 +212,7 @@ proptest! {
         let wt = Tensor::randn(&[cin, cout, k, k], &mut rng);
         let b = Tensor::randn(&[cout], &mut rng);
         let reference =
-            run_under(BackendKind::Reference, 1, || x.conv_transpose2d(&wt, Some(&b), stride, 0));
+            oracle(|| x.conv_transpose2d(&wt, Some(&b), stride, 0));
         assert_all_backends_bitwise(&reference, "conv_transpose2d", || {
             x.conv_transpose2d(&wt, Some(&b), stride, 0)
         });
@@ -229,7 +235,7 @@ proptest! {
             let scores = q.bmm(&key.permute(&[0, 2, 1])).mul_scalar(1.0 / (d as f32).sqrt());
             scores.softmax_last_axis().bmm(&v)
         };
-        let reference = run_under(BackendKind::Reference, 1, attn);
+        let reference = oracle(attn);
         assert_all_backends_bitwise(&reference, "attention chain", attn);
     }
 
@@ -307,10 +313,10 @@ fn single_row_and_single_col_matmul_match_serial() {
     let mut rng = StdRng::seed_from_u64(7);
     let a = Tensor::randn(&[1, 33], &mut rng);
     let b = Tensor::randn(&[33, 129], &mut rng);
-    assert_all_backends_bitwise(&a.matmul_serial(&b), "single-row matmul", || a.matmul(&b));
+    assert_all_backends_bitwise(&oracle(|| a.matmul(&b)), "single-row matmul", || a.matmul(&b));
     let c = Tensor::randn(&[37, 33], &mut rng);
     let d = Tensor::randn(&[33, 1], &mut rng);
-    assert_all_backends_bitwise(&c.matmul_serial(&d), "single-col matmul", || c.matmul(&d));
+    assert_all_backends_bitwise(&oracle(|| c.matmul(&d)), "single-col matmul", || c.matmul(&d));
 }
 
 #[test]
@@ -319,7 +325,7 @@ fn one_by_one_conv_matches_serial() {
     let x = Tensor::randn(&[2, 3, 5, 5], &mut rng);
     let w = Tensor::randn(&[4, 3, 1, 1], &mut rng);
     let b = Tensor::randn(&[4], &mut rng);
-    let reference = x.conv2d_serial(&w, Some(&b), 1, 0);
+    let reference = oracle(|| x.conv2d(&w, Some(&b), 1, 0));
     assert_all_backends_bitwise(&reference, "1x1 conv", || x.conv2d(&w, Some(&b), 1, 0));
 }
 
@@ -332,7 +338,7 @@ fn wide_direct_conv_with_padding_matches_serial() {
     let x = Tensor::randn(&[1, 3, 7, 41], &mut rng);
     let w = Tensor::randn(&[5, 3, 3, 3], &mut rng);
     let b = Tensor::randn(&[5], &mut rng);
-    let reference = x.conv2d_serial(&w, Some(&b), 1, 1);
+    let reference = oracle(|| x.conv2d(&w, Some(&b), 1, 1));
     assert_all_backends_bitwise(&reference, "wide 3x3 conv", || x.conv2d(&w, Some(&b), 1, 1));
 }
 
@@ -344,7 +350,7 @@ fn large_matmul_above_fanout_threshold_matches_serial() {
     let mut rng = StdRng::seed_from_u64(9);
     let a = Tensor::randn(&[96, 704], &mut rng);
     let b = Tensor::randn(&[704, 96], &mut rng);
-    let reference = a.matmul_serial(&b);
+    let reference = oracle(|| a.matmul(&b));
     assert_all_backends_bitwise(&reference, "large matmul", || a.matmul(&b));
 }
 
@@ -368,6 +374,6 @@ fn elementwise_map_and_zip_fan_out_bit_identically() {
 fn large_softmax_above_threshold_is_backend_and_thread_invariant() {
     let mut rng = StdRng::seed_from_u64(11);
     let x = Tensor::randn(&[512, 64], &mut rng).mul_scalar(6.0);
-    let reference = run_under(BackendKind::Reference, 1, || x.softmax_last_axis());
+    let reference = oracle(|| x.softmax_last_axis());
     assert_all_backends_bitwise(&reference, "softmax", || x.softmax_last_axis());
 }

@@ -1,7 +1,8 @@
 //! Property-based tests for q8 block quantization: round-trip error
-//! bounds over random tensors, determinism, and the parallel/serial
+//! bounds over random tensors, determinism, and the parallel-vs-oracle
 //! bitwise contract of the quantized matmul.
 
+use aero_tensor::backend::{with_backend, BackendKind};
 use aero_tensor::{parallel, Q8Tensor, Tensor, Q8_BLOCK};
 use proptest::prelude::*;
 
@@ -74,8 +75,9 @@ proptest! {
         }
     }
 
-    /// The q8 matmul is bit-identical to its serial oracle at any thread
-    /// count, the same contract the dense kernels uphold.
+    /// The q8 matmul is bit-identical to the oracle (the `Reference`
+    /// backend at one thread) at any thread count, the same contract the
+    /// dense kernels uphold.
     #[test]
     fn q8_matmul_parallel_matches_serial_bitwise(
         m in 1usize..6,
@@ -88,9 +90,11 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = Q8Tensor::quantize(&Tensor::randn(&[m, k], &mut rng));
         let b = Tensor::randn(&[k, n], &mut rng);
-        let serial = a.matmul_serial(&b);
+        let oracle = parallel::with_threads(1, || {
+            with_backend(BackendKind::Reference, || a.matmul(&b))
+        });
         let par = parallel::with_threads(threads, || a.matmul(&b));
-        let sb: Vec<u32> = serial.as_slice().iter().map(|v| v.to_bits()).collect();
+        let sb: Vec<u32> = oracle.as_slice().iter().map(|v| v.to_bits()).collect();
         let pb: Vec<u32> = par.as_slice().iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(sb, pb);
     }

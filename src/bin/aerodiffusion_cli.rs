@@ -226,16 +226,12 @@ fn cmd_train(args: &[String]) -> Result<(), Box<dyn Error>> {
         // A fresh run must not silently continue someone else's training.
         std::fs::remove_dir_all(&ckpt_dir)?;
     }
-    let checkpoint = aero_diffusion::CheckpointConfig::new(&ckpt_dir, every.max(1));
-    let (pipeline, report) = AeroDiffusionPipeline::fit_with_checkpoints(
-        &dataset,
-        config,
-        aero_text::llm::LlmProvider::KeypointAware,
-        aerodiffusion::AblationVariant::Full,
-        seed,
-        &checkpoint,
+    let options = aerodiffusion::FitOptions {
+        checkpoint: Some(aero_diffusion::CheckpointConfig::new(&ckpt_dir, every.max(1))),
         max_steps,
-    )?;
+        ..Default::default()
+    };
+    let (pipeline, report) = AeroDiffusionPipeline::fit_with(&dataset, config, seed, &options)?;
     if let Some(step) = report.resumed_from {
         println!(
             "resumed from checkpoint step {step} ({} corrupt skipped)",
@@ -675,11 +671,11 @@ fn cmd_lint(args: &[String]) -> Result<(), Box<dyn Error>> {
         println!("== checkpoint ==");
         print!("{}", report.render());
         failed |= !report.is_clean();
-        // Source-level: all eight token-level passes over the workspace
-        // tree (AD0110/AD0111 kernel discipline, AD0112 backend
-        // dispatch, AD0113 deprecated condition API, AD0200 lock order,
-        // AD0201 atomics, AD0202 determinism, AD0203 worker panics). A
-        // no-op away from a checkout.
+        // Source-level: all six token-level passes over the workspace
+        // tree (AD0111 fallible kernels on serving paths, AD0112 backend
+        // dispatch, AD0200 lock order, AD0201 atomics, AD0202
+        // determinism, AD0203 worker panics). A no-op away from a
+        // checkout.
         let source_root = parse_flag(args, "--source-root").unwrap_or_else(|| ".".to_string());
         let report = aerodiffusion::lint_source_all(std::path::Path::new(&source_root));
         println!("== source ==");

@@ -3,7 +3,7 @@
 use aero_scene::{build_dataset, DatasetConfig, SceneGeneratorConfig, Viewpoint};
 use aero_text::llm::LlmProvider;
 use aerodiffusion::viewpoint::{night_synthesis, viewpoint_transition};
-use aerodiffusion::{AblationVariant, AeroDiffusionPipeline, PipelineConfig};
+use aerodiffusion::{AblationVariant, AeroDiffusionPipeline, FitOptions, PipelineConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -51,13 +51,9 @@ fn pipeline_is_deterministic_given_seeds() {
 fn ablation_variants_share_the_interface() {
     let ds = smoke_dataset(4, 6);
     for variant in [AblationVariant::BaseSd, AblationVariant::Full] {
-        let pipeline = AeroDiffusionPipeline::fit_with_options(
-            &ds,
-            PipelineConfig::smoke(),
-            LlmProvider::KeypointAware,
-            variant,
-            7,
-        );
+        let options = FitOptions { variant, ..FitOptions::default() };
+        let (pipeline, _) =
+            AeroDiffusionPipeline::fit_with(&ds, PipelineConfig::smoke(), 7, &options).unwrap();
         let img = pipeline.generate(&ds.items[0], &mut StdRng::seed_from_u64(8));
         assert_eq!(img.width(), PipelineConfig::smoke().vision.image_size);
         assert_eq!(pipeline.variant(), variant);
@@ -80,13 +76,9 @@ fn viewpoint_and_night_modes_run_end_to_end() {
 #[test]
 fn caption_provider_plumbs_through_pipeline() {
     let ds = smoke_dataset(4, 13);
-    let pipeline = AeroDiffusionPipeline::fit_with_options(
-        &ds,
-        PipelineConfig::smoke(),
-        LlmProvider::BlipCaption,
-        AblationVariant::Full,
-        14,
-    );
+    let options = FitOptions { provider: LlmProvider::BlipCaption, ..FitOptions::default() };
+    let (pipeline, _) =
+        AeroDiffusionPipeline::fit_with(&ds, PipelineConfig::smoke(), 14, &options).unwrap();
     assert_eq!(pipeline.provider(), LlmProvider::BlipCaption);
     let caption = pipeline.caption_for(&ds.items[0], &mut StdRng::seed_from_u64(0));
     // BLIP-style: a single sentence

@@ -16,7 +16,10 @@
 #                      temp workspace and asserts the analyzer trips
 #   5. serve smoke   — two NDJSON requests piped through `serve --demo`,
 #                      asserting image replies plus the stats and
-#                      metrics probes
+#                      metrics probes; then one line of 100,000 `[`
+#                      followed by a valid request must get a typed
+#                      `bad_request` and then an image (the JSON
+#                      nesting cap)
 #   6. fault smokes  — a checkpointed training run killed mid-way via
 #                      --max-steps and resumed to completion with a finite
 #                      final loss, and a serve run with an injected
@@ -63,6 +66,10 @@
 #                      corruption error; plus a bench_model liveness run
 #                      (BENCH_MODEL_SMOKE=1) asserting q8 < f32 size and
 #                      f32 round-trip losslessness
+#  10. benchmark     — the aerobench package (its own manifest under
+#                      crates/bench/src/bin/aerobench) builds every binary,
+#                      including the in-process layer prober that calls the
+#                      layer APIs, and passes its unit tests
 #
 # Everything runs with --offline: the build environment has no network and
 # all dependencies are vendored shims (see shims/).
@@ -132,6 +139,20 @@ echo "$serve_out" | grep -q '"type":"metrics"' \
   || { echo "serve smoke: metrics line missing"; exit 1; }
 echo "$serve_out" | grep -q '"serve.completed":2' \
   || { echo "serve smoke: metrics line missing serve.completed counter"; exit 1; }
+
+echo "== serve smoke: a deeply nested line gets a typed bad_request =="
+# One line of 100,000 `[` would recurse the JSON parser off the reader's
+# stack and abort the server; the nesting cap must answer it with a
+# typed bad_request, and the next request must still be served.
+deep_out="$( { printf '%*s\n' 100000 '' | tr ' ' '['; \
+    echo '{"type":"generate","id":"ci-deep","prompt":"an aerial view of a park","seed":1}'; } \
+  | cargo run --offline -q -p aerodiffusion-suite --bin aerodiffusion_cli -- \
+      serve --demo --scenes 3 --workers 1 --steps 4)"
+echo "$deep_out" | head -c 400; echo
+echo "$deep_out" | sed -n 1p | grep -q '"reason":"bad_request"' \
+  || { echo "serve smoke: deeply nested line must get a typed bad_request"; exit 1; }
+echo "$deep_out" | sed -n 2p | grep '"id":"ci-deep"' | grep -q '"type":"image"' \
+  || { echo "serve smoke: the request after the nested line must be served"; exit 1; }
 
 echo "== fault smoke: kill + resume a checkpointed training run =="
 # Kill the joint stage after its first step (checkpoint every step; the
@@ -388,5 +409,12 @@ echo "$profile_out" | grep -q 'unet.denoise_step ×' \
   || { echo "obs smoke: profile output missing the aggregated denoise line"; exit 1; }
 echo "$profile_out" | grep -q 'tensor.dispatch' \
   || { echo "obs smoke: profile output missing the metrics table"; exit 1; }
+
+echo "== benchmark package: build every binary and run its unit tests =="
+# The runner builds the layer prober only for traced runs, so without
+# this step a layer API change could break it unnoticed.
+bench_manifest=crates/bench/src/bin/aerobench/Cargo.toml
+cargo build --release --offline --manifest-path "$bench_manifest" --bins
+cargo test --offline --manifest-path "$bench_manifest"
 
 echo "CI: all gates passed"
