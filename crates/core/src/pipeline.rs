@@ -488,7 +488,7 @@ impl AeroDiffusionPipeline {
             tokens_g_prime: self.bundle.tokenizer.encode(&source.g_prime),
             rois: &source.rois,
         }];
-        self.condition.build_batch(&self.bundle.clip, &inputs).to_tensor()
+        aero_nn::no_grad(|| self.condition.build_batch(&self.bundle.clip, &inputs)).to_tensor()
     }
 
     /// The `[1, c, h, w]` diffusion-space latent of one native-resolution

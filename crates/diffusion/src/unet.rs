@@ -290,10 +290,14 @@ impl CondUnet {
         self.conv_out.forward(&self.norm_out.forward(&h5).silu())
     }
 
-    /// Non-differentiable forward over tensors (inference convenience).
+    /// Non-differentiable forward over tensors (inference convenience):
+    /// [`Self::forward`] inside [`aero_nn::no_grad`], so no tape is
+    /// recorded, with bit-identical values.
     pub fn predict(&self, z_t: &Tensor, timesteps: &[usize], cond: Option<&Tensor>) -> Tensor {
-        let cv = cond.map(|c| Var::constant(c.clone()));
-        self.forward(&Var::constant(z_t.clone()), timesteps, cv.as_ref()).to_tensor()
+        aero_nn::no_grad(|| {
+            let cv = cond.map(|c| Var::constant(c.clone()));
+            self.forward(&Var::constant(z_t.clone()), timesteps, cv.as_ref()).to_tensor()
+        })
     }
 }
 

@@ -5,18 +5,53 @@
 //! return new `Var`s that remember their parents and a backward closure;
 //! [`Var::backward`] runs the closures in reverse topological order.
 //!
+//! Recording is conditional. An op records its parents and builds its
+//! backward closure only when some parent requires a gradient and the
+//! thread is not inside [`no_grad`]; otherwise it returns a leaf that
+//! holds just its value. Every op computes its value from borrowed
+//! operands, and the closure's captures (one copy of each tensor the
+//! backward reads) are made only when the op records, so an inference
+//! pass costs its kernels and nothing more. Values do not depend on
+//! whether an op records: both paths run the same [`Tensor`] op on the
+//! same operands.
+//!
 //! The graph is single-threaded by design (training here is small-scale
 //! and deterministic); data parallelism, where used, happens across
 //! independent graphs.
 
 use aero_tensor::Tensor;
-use std::cell::{Ref, RefCell};
+use std::cell::{Cell, Ref, RefCell};
 use std::collections::HashSet;
 use std::fmt;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 static NEXT_ID: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Whether ops on this thread record the tape; [`no_grad`] clears it
+    /// for the length of a scope.
+    static RECORDING: Cell<bool> = const { Cell::new(true) };
+}
+
+/// Runs `f` with tape recording off on the current thread.
+///
+/// Inside the scope every op returns a leaf with
+/// [`requires_grad`](Var::requires_grad) `== false` and no parents, even
+/// on parameter inputs, and builds no backward closure. The previous
+/// state is restored on exit, including on panic, so scopes nest. It is
+/// a scope, not a setting: values are bit-identical to a recording pass,
+/// which runs the same [`Tensor`] ops.
+pub fn no_grad<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            RECORDING.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(RECORDING.with(|c| c.replace(false)));
+    f()
+}
 
 type BackwardFn = Box<dyn Fn(&Tensor) -> Vec<Tensor>>;
 
@@ -61,41 +96,53 @@ impl Var {
 
     /// Creates a trainable leaf.
     pub fn parameter(value: Tensor) -> Self {
-        Self::leaf(value, true, "parameter")
+        Self::node(value, true, "parameter", Vec::new(), None)
     }
 
     /// Creates a frozen leaf that never receives gradients.
     pub fn constant(value: Tensor) -> Self {
-        Self::leaf(value, false, "constant")
+        Self::node(value, false, "constant", Vec::new(), None)
     }
 
-    fn leaf(value: Tensor, requires_grad: bool, op: &'static str) -> Self {
+    fn node(
+        value: Tensor,
+        requires_grad: bool,
+        op: &'static str,
+        parents: Vec<Var>,
+        backward: Option<BackwardFn>,
+    ) -> Self {
         Var {
             inner: Rc::new(RefCell::new(Node {
+                // lint: relaxed-ok(ids need only be unique; the counter publishes no data)
                 id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
                 op,
                 value,
                 grad: None,
-                parents: Vec::new(),
-                backward: None,
+                parents,
+                backward,
                 requires_grad,
             })),
         }
     }
 
-    fn from_op(op: &'static str, value: Tensor, parents: Vec<Var>, backward: BackwardFn) -> Self {
-        let requires_grad = parents.iter().any(Var::requires_grad);
-        Var {
-            inner: Rc::new(RefCell::new(Node {
-                id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-                op,
-                value,
-                grad: None,
-                parents: if requires_grad { parents } else { Vec::new() },
-                backward: if requires_grad { Some(backward) } else { None },
-                requires_grad,
-            })),
+    /// An interior node holding `value`, the result of `op` on
+    /// `parents`. It records the parents and the closure `backward`
+    /// builds from the value only when some parent requires a gradient
+    /// and the thread is not inside [`no_grad`]; otherwise `backward` is
+    /// never called, so its captures are never copied.
+    fn from_op(
+        op: &'static str,
+        value: Tensor,
+        parents: &[&Var],
+        backward: impl FnOnce(&Tensor) -> BackwardFn,
+    ) -> Self {
+        let record = RECORDING.with(Cell::get) && parents.iter().any(|p| p.requires_grad());
+        if !record {
+            return Self::node(value, false, op, Vec::new(), None);
         }
+        let backward = backward(&value);
+        let parents = parents.iter().map(|&p| p.clone()).collect();
+        Self::node(value, true, op, parents, Some(backward))
     }
 
     // ----------------------------------------------------------- accessors
@@ -156,7 +203,7 @@ impl Var {
 
     /// A frozen copy of this node's current value, cut off from the graph.
     pub fn detach(&self) -> Var {
-        Var::leaf(self.to_tensor(), false, "detach")
+        Self::node(self.to_tensor(), false, "detach", Vec::new(), None)
     }
 
     /// Unique id of this node within the process (monotonic per creation).
@@ -264,68 +311,56 @@ impl Var {
 
     /// Broadcasting elementwise addition.
     pub fn add(&self, other: &Var) -> Var {
-        let (a, b) = (self.to_tensor(), other.to_tensor());
-        let (sa, sb) = (a.shape().to_vec(), b.shape().to_vec());
-        Var::from_op(
-            "add",
-            a.add(&b),
-            vec![self.clone(), other.clone()],
-            Box::new(move |g| vec![unbroadcast(g, &sa), unbroadcast(g, &sb)]),
-        )
+        let out = self.value().add(&other.value());
+        Var::from_op("add", out, &[self, other], |_| {
+            let (sa, sb) = (self.shape(), other.shape());
+            Box::new(move |g| vec![unbroadcast(g, &sa), unbroadcast(g, &sb)])
+        })
     }
 
     /// Broadcasting elementwise subtraction.
     pub fn sub(&self, other: &Var) -> Var {
-        let (a, b) = (self.to_tensor(), other.to_tensor());
-        let (sa, sb) = (a.shape().to_vec(), b.shape().to_vec());
-        Var::from_op(
-            "sub",
-            a.sub(&b),
-            vec![self.clone(), other.clone()],
-            Box::new(move |g| vec![unbroadcast(g, &sa), unbroadcast(&g.neg(), &sb)]),
-        )
+        let out = self.value().sub(&other.value());
+        Var::from_op("sub", out, &[self, other], |_| {
+            let (sa, sb) = (self.shape(), other.shape());
+            Box::new(move |g| vec![unbroadcast(g, &sa), unbroadcast(&g.neg(), &sb)])
+        })
     }
 
     /// Broadcasting elementwise multiplication.
     pub fn mul(&self, other: &Var) -> Var {
-        let (a, b) = (self.to_tensor(), other.to_tensor());
-        let (sa, sb) = (a.shape().to_vec(), b.shape().to_vec());
-        let (ac, bc) = (a.clone(), b.clone());
-        Var::from_op(
-            "mul",
-            a.mul(&b),
-            vec![self.clone(), other.clone()],
-            Box::new(move |g| vec![unbroadcast(&g.mul(&bc), &sa), unbroadcast(&g.mul(&ac), &sb)]),
-        )
+        let out = self.value().mul(&other.value());
+        Var::from_op("mul", out, &[self, other], |_| {
+            let (a, b) = (self.to_tensor(), other.to_tensor());
+            let (sa, sb) = (a.shape().to_vec(), b.shape().to_vec());
+            Box::new(move |g| vec![unbroadcast(&g.mul(&b), &sa), unbroadcast(&g.mul(&a), &sb)])
+        })
     }
 
     /// Broadcasting elementwise division.
     pub fn div(&self, other: &Var) -> Var {
-        let (a, b) = (self.to_tensor(), other.to_tensor());
-        let (sa, sb) = (a.shape().to_vec(), b.shape().to_vec());
-        let (ac, bc) = (a.clone(), b.clone());
-        Var::from_op(
-            "div",
-            a.div(&b),
-            vec![self.clone(), other.clone()],
+        let out = self.value().div(&other.value());
+        Var::from_op("div", out, &[self, other], |_| {
+            let (a, b) = (self.to_tensor(), other.to_tensor());
+            let (sa, sb) = (a.shape().to_vec(), b.shape().to_vec());
             Box::new(move |g| {
-                let da = g.div(&bc);
-                let db = g.mul(&ac).div(&bc.mul(&bc)).neg();
+                let da = g.div(&b);
+                let db = g.mul(&a).div(&b.mul(&b)).neg();
                 vec![unbroadcast(&da, &sa), unbroadcast(&db, &sb)]
-            }),
-        )
+            })
+        })
     }
 
     /// Multiplies every element by a constant.
     pub fn scale(&self, s: f32) -> Var {
-        let v = self.to_tensor().mul_scalar(s);
-        Var::from_op("scale", v, vec![self.clone()], Box::new(move |g| vec![g.mul_scalar(s)]))
+        let out = self.value().mul_scalar(s);
+        Var::from_op("scale", out, &[self], |_| Box::new(move |g| vec![g.mul_scalar(s)]))
     }
 
     /// Adds a constant to every element.
     pub fn add_scalar(&self, s: f32) -> Var {
-        let v = self.to_tensor().add_scalar(s);
-        Var::from_op("add_scalar", v, vec![self.clone()], Box::new(|g| vec![g.clone()]))
+        let out = self.value().add_scalar(s);
+        Var::from_op("add_scalar", out, &[self], |_| Box::new(|g| vec![g.clone()]))
     }
 
     /// Elementwise negation.
@@ -335,117 +370,98 @@ impl Var {
 
     /// Elementwise exponential.
     pub fn exp(&self) -> Var {
-        let out = self.to_tensor().exp();
-        let out_c = out.clone();
-        Var::from_op("exp", out, vec![self.clone()], Box::new(move |g| vec![g.mul(&out_c)]))
+        let out = self.value().exp();
+        Var::from_op("exp", out, &[self], |out| {
+            let out = out.clone();
+            Box::new(move |g| vec![g.mul(&out)])
+        })
     }
 
     /// Elementwise natural logarithm.
     pub fn ln(&self) -> Var {
-        let x = self.to_tensor();
-        let xc = x.clone();
-        Var::from_op("ln", x.ln(), vec![self.clone()], Box::new(move |g| vec![g.div(&xc)]))
+        let out = self.value().ln();
+        Var::from_op("ln", out, &[self], |_| {
+            let x = self.to_tensor();
+            Box::new(move |g| vec![g.div(&x)])
+        })
     }
 
     /// Elementwise square root.
     pub fn sqrt(&self) -> Var {
-        let out = self.to_tensor().sqrt();
-        let out_c = out.clone();
-        Var::from_op(
-            "sqrt",
-            out,
-            vec![self.clone()],
-            Box::new(move |g| vec![g.div(&out_c.mul_scalar(2.0))]),
-        )
+        let out = self.value().sqrt();
+        Var::from_op("sqrt", out, &[self], |out| {
+            let out = out.clone();
+            Box::new(move |g| vec![g.div(&out.mul_scalar(2.0))])
+        })
     }
 
     /// Elementwise power with a constant exponent.
     pub fn powf(&self, p: f32) -> Var {
-        let x = self.to_tensor();
-        let xc = x.clone();
-        Var::from_op(
-            "powf",
-            x.powf(p),
-            vec![self.clone()],
-            Box::new(move |g| vec![g.mul(&xc.powf(p - 1.0).mul_scalar(p))]),
-        )
+        let out = self.value().powf(p);
+        Var::from_op("powf", out, &[self], |_| {
+            let x = self.to_tensor();
+            Box::new(move |g| vec![g.mul(&x.powf(p - 1.0).mul_scalar(p))])
+        })
     }
 
     /// Rectified linear unit.
     pub fn relu(&self) -> Var {
-        let x = self.to_tensor();
-        let mask = x.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-        Var::from_op(
-            "relu",
-            x.map(|v| v.max(0.0)),
-            vec![self.clone()],
-            Box::new(move |g| vec![g.mul(&mask)]),
-        )
+        let out = self.value().map(|v| v.max(0.0));
+        Var::from_op("relu", out, &[self], |_| {
+            let mask = self.value().map(|v| if v > 0.0 { 1.0 } else { 0.0 });
+            Box::new(move |g| vec![g.mul(&mask)])
+        })
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&self) -> Var {
-        let out = self.to_tensor().map(|v| 1.0 / (1.0 + (-v).exp()));
-        let out_c = out.clone();
-        Var::from_op(
-            "sigmoid",
-            out,
-            vec![self.clone()],
-            Box::new(move |g| vec![g.mul(&out_c.map(|s| s * (1.0 - s)))]),
-        )
+        let out = self.value().map(|v| 1.0 / (1.0 + (-v).exp()));
+        Var::from_op("sigmoid", out, &[self], |out| {
+            let out = out.clone();
+            Box::new(move |g| vec![g.mul(&out.map(|s| s * (1.0 - s)))])
+        })
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&self) -> Var {
-        let out = self.to_tensor().map(f32::tanh);
-        let out_c = out.clone();
-        Var::from_op(
-            "tanh",
-            out,
-            vec![self.clone()],
-            Box::new(move |g| vec![g.mul(&out_c.map(|t| 1.0 - t * t))]),
-        )
+        let out = self.value().map(f32::tanh);
+        Var::from_op("tanh", out, &[self], |out| {
+            let out = out.clone();
+            Box::new(move |g| vec![g.mul(&out.map(|t| 1.0 - t * t))])
+        })
     }
 
     /// SiLU (swish): `x * sigmoid(x)` — the UNet's activation.
     pub fn silu(&self) -> Var {
-        let x = self.to_tensor();
-        let xc = x.clone();
-        let out = x.map(|v| v / (1.0 + (-v).exp()));
-        Var::from_op(
-            "silu",
-            out,
-            vec![self.clone()],
+        let out = self.value().map(|v| v / (1.0 + (-v).exp()));
+        Var::from_op("silu", out, &[self], |_| {
+            let x = self.to_tensor();
             Box::new(move |g| {
-                let d = xc.map(|v| {
+                let d = x.map(|v| {
                     let s = 1.0 / (1.0 + (-v).exp());
                     s * (1.0 + v * (1.0 - s))
                 });
                 vec![g.mul(&d)]
-            }),
-        )
+            })
+        })
     }
 
     /// Gaussian error linear unit (tanh approximation).
     pub fn gelu(&self) -> Var {
         const C: f32 = 0.797_884_6; // sqrt(2/pi)
-        let x = self.to_tensor();
-        let xc = x.clone();
-        let out = x.map(|v| 0.5 * v * (1.0 + (C * (v + 0.044715 * v * v * v)).tanh()));
-        Var::from_op(
-            "gelu",
-            out,
-            vec![self.clone()],
+        let out = self.value().map(|v| 0.5 * v * (1.0 + (C * (v + 0.044715 * v * v * v)).tanh()));
+        Var::from_op("gelu", out, &[self], |_| {
+            let x = self.to_tensor();
             Box::new(move |g| {
-                let d = xc.map(|v| {
+                let d = x.map(|v| {
                     let inner = C * (v + 0.044715 * v * v * v);
                     let t = inner.tanh();
                     let dinner = C * (1.0 + 3.0 * 0.044715 * v * v);
                     0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * dinner
                 });
                 vec![g.mul(&d)]
-            }),
-        )
+            })
+        })
     }
 
     // ------------------------------------------------------- linear algebra
@@ -456,14 +472,11 @@ impl Var {
     ///
     /// Panics on rank or inner-dimension mismatch.
     pub fn matmul(&self, other: &Var) -> Var {
-        let (a, b) = (self.to_tensor(), other.to_tensor());
-        let (ac, bc) = (a.clone(), b.clone());
-        Var::from_op(
-            "matmul",
-            a.matmul(&b),
-            vec![self.clone(), other.clone()],
-            Box::new(move |g| vec![g.matmul(&bc.transpose()), ac.transpose().matmul(g)]),
-        )
+        let out = self.value().matmul(&other.value());
+        Var::from_op("matmul", out, &[self, other], |_| {
+            let (a, b) = (self.to_tensor(), other.to_tensor());
+            Box::new(move |g| vec![g.matmul(&b.transpose()), a.transpose().matmul(g)])
+        })
     }
 
     /// Batched rank-3 matrix multiplication `[b, m, k] x [b, k, n]`.
@@ -472,18 +485,15 @@ impl Var {
     ///
     /// Panics on rank, batch, or inner-dimension mismatch.
     pub fn bmm(&self, other: &Var) -> Var {
-        let (a, b) = (self.to_tensor(), other.to_tensor());
-        let (ac, bc) = (a.clone(), b.clone());
-        Var::from_op(
-            "bmm",
-            a.bmm(&b),
-            vec![self.clone(), other.clone()],
+        let out = self.value().bmm(&other.value());
+        Var::from_op("bmm", out, &[self, other], |_| {
+            let (a, b) = (self.to_tensor(), other.to_tensor());
             Box::new(move |g| {
-                let da = g.bmm(&bc.permute(&[0, 2, 1]));
-                let db = ac.permute(&[0, 2, 1]).bmm(g);
+                let da = g.bmm(&b.permute(&[0, 2, 1]));
+                let db = a.permute(&[0, 2, 1]).bmm(g);
                 vec![da, db]
-            }),
-        )
+            })
+        })
     }
 
     // ------------------------------------------------------- shape plumbing
@@ -494,9 +504,11 @@ impl Var {
     ///
     /// Panics if element counts differ.
     pub fn reshape(&self, shape: &[usize]) -> Var {
-        let old = self.shape();
-        let v = self.to_tensor().reshape(shape);
-        Var::from_op("reshape", v, vec![self.clone()], Box::new(move |g| vec![g.reshape(&old)]))
+        let out = self.value().reshape(shape);
+        Var::from_op("reshape", out, &[self], |_| {
+            let old = self.shape();
+            Box::new(move |g| vec![g.reshape(&old)])
+        })
     }
 
     /// Permutes axes.
@@ -505,12 +517,14 @@ impl Var {
     ///
     /// Panics unless `axes` is a permutation of `0..rank`.
     pub fn permute(&self, axes: &[usize]) -> Var {
-        let mut inverse = vec![0usize; axes.len()];
-        for (i, &a) in axes.iter().enumerate() {
-            inverse[a] = i;
-        }
-        let v = self.to_tensor().permute(axes);
-        Var::from_op("permute", v, vec![self.clone()], Box::new(move |g| vec![g.permute(&inverse)]))
+        let out = self.value().permute(axes);
+        Var::from_op("permute", out, &[self], |_| {
+            let mut inverse = vec![0usize; axes.len()];
+            for (i, &a) in axes.iter().enumerate() {
+                inverse[a] = i;
+            }
+            Box::new(move |g| vec![g.permute(&inverse)])
+        })
     }
 
     /// Selects a contiguous range along an axis.
@@ -519,12 +533,9 @@ impl Var {
     ///
     /// Panics if the range exceeds the axis.
     pub fn narrow(&self, axis: usize, start: usize, len: usize) -> Var {
-        let full = self.shape();
-        let v = self.to_tensor().narrow(axis, start, len);
-        Var::from_op(
-            "narrow",
-            v,
-            vec![self.clone()],
+        let out = self.value().narrow(axis, start, len);
+        Var::from_op("narrow", out, &[self], |_| {
+            let full = self.shape();
             Box::new(move |g| {
                 // Scatter the slice gradient back into a zero tensor.
                 let mut out = Tensor::zeros(&full);
@@ -539,8 +550,8 @@ impl Var {
                         .copy_from_slice(&src[sbase..sbase + len * inner]);
                 }
                 vec![out]
-            }),
-        )
+            })
+        })
     }
 
     /// Concatenates along an axis.
@@ -550,15 +561,10 @@ impl Var {
     /// Panics if `vars` is empty or off-axis shapes differ.
     pub fn concat(vars: &[&Var], axis: usize) -> Var {
         assert!(!vars.is_empty(), "concat requires at least one var");
-        let tensors: Vec<Tensor> = vars.iter().map(|v| v.to_tensor()).collect();
-        let refs: Vec<&Tensor> = tensors.iter().collect();
-        let out = Tensor::concat(&refs, axis);
-        let lens: Vec<usize> = tensors.iter().map(|t| t.shape()[axis]).collect();
-        let parents: Vec<Var> = vars.iter().map(|&v| v.clone()).collect();
-        Var::from_op(
-            "concat",
-            out,
-            parents,
+        let values: Vec<Ref<'_, Tensor>> = vars.iter().map(|v| v.value()).collect();
+        let out = Tensor::concat(&values.iter().map(|v| &**v).collect::<Vec<_>>(), axis);
+        Var::from_op("concat", out, vars, |_| {
+            let lens: Vec<usize> = vars.iter().map(|v| v.shape()[axis]).collect();
             Box::new(move |g| {
                 let mut grads = Vec::with_capacity(lens.len());
                 let mut start = 0;
@@ -567,8 +573,8 @@ impl Var {
                     start += len;
                 }
                 grads
-            }),
-        )
+            })
+        })
     }
 
     /// Selects rows along axis 0 (embedding lookup); gradient scatter-adds.
@@ -577,13 +583,10 @@ impl Var {
     ///
     /// Panics if an index is out of bounds.
     pub fn index_select0(&self, indices: &[usize]) -> Var {
-        let full = self.shape();
-        let idx = indices.to_vec();
-        let v = self.to_tensor().index_select(0, indices);
-        Var::from_op(
-            "index_select0",
-            v,
-            vec![self.clone()],
+        let out = self.value().index_select(0, indices);
+        Var::from_op("index_select0", out, &[self], |_| {
+            let full = self.shape();
+            let idx = indices.to_vec();
             Box::new(move |g| {
                 let mut out = Tensor::zeros(&full);
                 let row: usize = full[1..].iter().product();
@@ -595,22 +598,19 @@ impl Var {
                     }
                 }
                 vec![out]
-            }),
-        )
+            })
+        })
     }
 
     // ---------------------------------------------------------- reductions
 
     /// Sum of all elements (rank-0 result).
     pub fn sum(&self) -> Var {
-        let shape = self.shape();
-        let v = Tensor::scalar(self.value().sum());
-        Var::from_op(
-            "sum",
-            v,
-            vec![self.clone()],
-            Box::new(move |g| vec![Tensor::full(&shape, g.item())]),
-        )
+        let out = Tensor::scalar(self.value().sum());
+        Var::from_op("sum", out, &[self], |_| {
+            let shape = self.shape();
+            Box::new(move |g| vec![Tensor::full(&shape, g.item())])
+        })
     }
 
     /// Mean of all elements (rank-0 result).
@@ -628,13 +628,10 @@ impl Var {
         let full = self.shape();
         let mut kept = full.clone();
         kept[axis] = 1;
-        let v = self.to_tensor().sum_axis(axis).reshape(&kept);
-        Var::from_op(
-            "sum_axis_keepdim",
-            v,
-            vec![self.clone()],
-            Box::new(move |g| vec![g.broadcast_to(&full)]),
-        )
+        let out = self.value().sum_axis(axis).reshape(&kept);
+        Var::from_op("sum_axis_keepdim", out, &[self], |_| {
+            Box::new(move |g| vec![g.broadcast_to(&full)])
+        })
     }
 
     /// Mean along an axis, keeping it with size 1.
@@ -653,16 +650,13 @@ impl Var {
     ///
     /// Panics on a rank-0 tensor.
     pub fn softmax_last_axis(&self) -> Var {
-        let out = self.to_tensor().softmax_last_axis();
-        let out_c = out.clone();
-        let last = *out.shape().last().expect("softmax needs rank >= 1");
-        Var::from_op(
-            "softmax_last_axis",
-            out,
-            vec![self.clone()],
+        let out = self.value().softmax_last_axis();
+        Var::from_op("softmax_last_axis", out, &[self], |out| {
+            let out = out.clone();
+            let last = *out.shape().last().expect("softmax needs rank >= 1");
             Box::new(move |g| {
                 // dx = s ⊙ (g − Σ(g ⊙ s)) per row
-                let mut dx = g.mul(&out_c);
+                let mut dx = g.mul(&out);
                 let sums: Vec<f32> = dx.as_slice().chunks(last).map(|r| r.iter().sum()).collect();
                 let data = dx.as_mut_slice();
                 for (row_idx, row) in data.chunks_mut(last).enumerate() {
@@ -671,9 +665,9 @@ impl Var {
                     }
                 }
                 let centered = g.add(&dx);
-                vec![centered.mul(&out_c)]
-            }),
-        )
+                vec![centered.mul(&out)]
+            })
+        })
     }
 
     // -------------------------------------------------------- convolutions
@@ -684,29 +678,25 @@ impl Var {
     ///
     /// Panics on rank or channel mismatch.
     pub fn conv2d(&self, weight: &Var, bias: Option<&Var>, stride: usize, pad: usize) -> Var {
-        let x = self.to_tensor();
-        let w = weight.to_tensor();
-        let b = bias.map(Var::to_tensor);
-        let out = x.conv2d(&w, b.as_ref(), stride, pad);
-        let (xc, wc) = (x.clone(), w.clone());
-        let has_bias = bias.is_some();
-        let mut parents = vec![self.clone(), weight.clone()];
-        if let Some(bv) = bias {
-            parents.push(bv.clone());
-        }
-        Var::from_op(
-            "conv2d",
-            out,
-            parents,
+        let out = {
+            let b = bias.map(Var::value);
+            self.value().conv2d(&weight.value(), b.as_deref(), stride, pad)
+        };
+        let parents: &[&Var] = match bias {
+            Some(b) => &[self, weight, b],
+            None => &[self, weight],
+        };
+        Var::from_op("conv2d", out, parents, |_| {
+            let (x, w) = (self.to_tensor(), weight.to_tensor());
+            let has_bias = bias.is_some();
             Box::new(move |g| {
-                let (cout, cin, kh, kw) =
-                    (wc.shape()[0], wc.shape()[1], wc.shape()[2], wc.shape()[3]);
-                let n = xc.shape()[0];
+                let (cout, cin, kh, kw) = (w.shape()[0], w.shape()[1], w.shape()[2], w.shape()[3]);
+                let n = x.shape()[0];
                 let (oh, ow) = (g.shape()[2], g.shape()[3]);
                 // dX = adjoint conv, computed via col2im with the *known* input
                 // geometry (conv_transpose2d would infer an ambiguous size when
                 // stride does not divide the padded input exactly).
-                let wmat_t = wc.reshape(&[cout, cin * kh * kw]).transpose();
+                let wmat_t = w.reshape(&[cout, cin * kh * kw]).transpose();
                 let mut dcols = Tensor::zeros(&[n, cin * kh * kw, oh * ow]);
                 for bi in 0..n {
                     let g_b = g.narrow(0, bi, 1).reshape(&[cout, oh * ow]);
@@ -714,9 +704,9 @@ impl Var {
                     let len = cin * kh * kw * oh * ow;
                     dcols.as_mut_slice()[bi * len..(bi + 1) * len].copy_from_slice(d_b.as_slice());
                 }
-                let dx = dcols.col2im(xc.shape(), kh, kw, stride, pad);
+                let dx = dcols.col2im(x.shape(), kh, kw, stride, pad);
                 // dW: accumulate g_b [cout, oh*ow] @ cols_b^T [oh*ow, cin*kh*kw].
-                let cols = xc.im2col(kh, kw, stride, pad);
+                let cols = x.im2col(kh, kw, stride, pad);
                 let mut dw = Tensor::zeros(&[cout, cin * kh * kw]);
                 for bi in 0..n {
                     let g_b = g.narrow(0, bi, 1).reshape(&[cout, oh * ow]);
@@ -731,8 +721,8 @@ impl Var {
                     grads.push(db);
                 }
                 grads
-            }),
-        )
+            })
+        })
     }
 
     /// Transposed 2-D convolution; see [`Tensor::conv_transpose2d`].
@@ -747,33 +737,29 @@ impl Var {
         stride: usize,
         pad: usize,
     ) -> Var {
-        let x = self.to_tensor();
-        let w = weight.to_tensor();
-        let b = bias.map(Var::to_tensor);
-        let out = x.conv_transpose2d(&w, b.as_ref(), stride, pad);
-        let (xc, wc) = (x.clone(), w.clone());
-        let has_bias = bias.is_some();
-        let mut parents = vec![self.clone(), weight.clone()];
-        if let Some(bv) = bias {
-            parents.push(bv.clone());
-        }
-        Var::from_op(
-            "conv_transpose2d",
-            out,
-            parents,
+        let out = {
+            let b = bias.map(Var::value);
+            self.value().conv_transpose2d(&weight.value(), b.as_deref(), stride, pad)
+        };
+        let parents: &[&Var] = match bias {
+            Some(b) => &[self, weight, b],
+            None => &[self, weight],
+        };
+        Var::from_op("conv_transpose2d", out, parents, |_| {
+            let (x, w) = (self.to_tensor(), weight.to_tensor());
+            let has_bias = bias.is_some();
             Box::new(move |g| {
-                let (cin, cout, kh, kw) =
-                    (wc.shape()[0], wc.shape()[1], wc.shape()[2], wc.shape()[3]);
-                let n = xc.shape()[0];
-                let (h, w_sp) = (xc.shape()[2], xc.shape()[3]);
+                let (cin, cout, kh, kw) = (w.shape()[0], w.shape()[1], w.shape()[2], w.shape()[3]);
+                let n = x.shape()[0];
+                let (h, w_sp) = (x.shape()[2], x.shape()[3]);
                 // conv_transpose is the adjoint of conv2d with the same buffer,
                 // so its input gradient is the forward conv2d.
-                let dx = g.conv2d(&wc, None, stride, pad);
+                let dx = g.conv2d(&w, None, stride, pad);
                 // dW: out = col2im(W_mat^T x) ⇒ dW_mat = Σ_b x_b @ im2col(g)_b^T.
                 let gcols = g.im2col(kh, kw, stride, pad); // [n, cout*kh*kw, h*w]
                 let mut dw = Tensor::zeros(&[cin, cout * kh * kw]);
                 for bi in 0..n {
-                    let x_b = xc.narrow(0, bi, 1).reshape(&[cin, h * w_sp]);
+                    let x_b = x.narrow(0, bi, 1).reshape(&[cin, h * w_sp]);
                     let gc_b = gcols.narrow(0, bi, 1).reshape(&[cout * kh * kw, h * w_sp]);
                     dw = dw.add(&x_b.matmul(&gc_b.transpose()));
                 }
@@ -784,8 +770,8 @@ impl Var {
                     grads.push(db);
                 }
                 grads
-            }),
-        )
+            })
+        })
     }
 
     /// Average pooling with square window `k`, stride `k`.
@@ -794,13 +780,9 @@ impl Var {
     ///
     /// Panics unless spatial dims divide by `k`.
     pub fn avg_pool2d(&self, k: usize) -> Var {
-        let x = self.to_tensor();
-        let in_shape = x.shape().to_vec();
-        let out = x.avg_pool2d(k);
-        Var::from_op(
-            "avg_pool2d",
-            out,
-            vec![self.clone()],
+        let out = self.value().avg_pool2d(k);
+        Var::from_op("avg_pool2d", out, &[self], |_| {
+            let in_shape = self.shape();
             Box::new(move |g| {
                 let (n, c, oh, ow) = (g.shape()[0], g.shape()[1], g.shape()[2], g.shape()[3]);
                 let mut dx = Tensor::zeros(&in_shape);
@@ -824,8 +806,8 @@ impl Var {
                     }
                 }
                 vec![dx]
-            }),
-        )
+            })
+        })
     }
 
     /// Nearest-neighbour 2× upsampling.
@@ -834,16 +816,11 @@ impl Var {
     ///
     /// Panics unless the tensor is rank-4.
     pub fn upsample_nearest2x(&self) -> Var {
-        let out = self.to_tensor().upsample_nearest2x();
-        Var::from_op(
-            "upsample_nearest2x",
-            out,
-            vec![self.clone()],
-            Box::new(move |g| {
-                // Gradient of nearest-2x is the sum over each 2×2 cell.
-                vec![g.avg_pool2d(2).mul_scalar(4.0)]
-            }),
-        )
+        let out = self.value().upsample_nearest2x();
+        Var::from_op("upsample_nearest2x", out, &[self], |_| {
+            // Gradient of nearest-2x is the sum over each 2×2 cell.
+            Box::new(|g| vec![g.avg_pool2d(2).mul_scalar(4.0)])
+        })
     }
 
     // ------------------------------------------------------------- losses
@@ -1142,5 +1119,90 @@ mod tests {
         mid.sum().backward();
         assert!(x.grad().is_some());
         assert!(mid.grad().is_none());
+    }
+
+    /// One result per op, every op on parameter inputs, with values
+    /// fixed by the seed so two calls build identical graphs.
+    fn every_op() -> Vec<(&'static str, Var)> {
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut p = |shape: &[usize]| Var::parameter(Tensor::randn(shape, &mut rng));
+        let (x, y, m) = (p(&[2, 3]), p(&[2, 3]), p(&[3, 2]));
+        let (a3, b3) = (p(&[2, 2, 3]), p(&[2, 3, 2]));
+        let (img, w, wt, bias) = (p(&[1, 2, 4, 4]), p(&[3, 2, 3, 3]), p(&[2, 3, 2, 2]), p(&[3]));
+        let pos = Var::parameter(p(&[2, 3]).value().map(|v| v.abs() + 0.5));
+        let target = Tensor::zeros(&[2, 3]);
+        vec![
+            ("add", x.add(&y)),
+            ("sub", x.sub(&y)),
+            ("mul", x.mul(&y)),
+            ("div", x.div(&pos)),
+            ("scale", x.scale(1.5)),
+            ("add_scalar", x.add_scalar(0.5)),
+            ("neg", x.neg()),
+            ("exp", x.exp()),
+            ("ln", pos.ln()),
+            ("sqrt", pos.sqrt()),
+            ("powf", pos.powf(1.7)),
+            ("relu", x.relu()),
+            ("sigmoid", x.sigmoid()),
+            ("tanh", x.tanh()),
+            ("silu", x.silu()),
+            ("gelu", x.gelu()),
+            ("matmul", x.matmul(&m)),
+            ("bmm", a3.bmm(&b3)),
+            ("reshape", x.reshape(&[3, 2])),
+            ("permute", a3.permute(&[2, 0, 1])),
+            ("narrow", x.narrow(1, 1, 2)),
+            ("concat", Var::concat(&[&x, &y], 0)),
+            ("index_select0", x.index_select0(&[1, 0, 1])),
+            ("sum", x.sum()),
+            ("mean", x.mean()),
+            ("sum_axis_keepdim", x.sum_axis_keepdim(1)),
+            ("mean_axis_keepdim", x.mean_axis_keepdim(0)),
+            ("softmax_last_axis", x.softmax_last_axis()),
+            ("conv2d", img.conv2d(&w, Some(&bias), 1, 1)),
+            ("conv2d_no_bias", img.conv2d(&w, None, 2, 1)),
+            ("conv_transpose2d", img.conv_transpose2d(&wt, Some(&bias), 2, 0)),
+            ("avg_pool2d", img.avg_pool2d(2)),
+            ("upsample_nearest2x", img.upsample_nearest2x()),
+            ("mse_loss", x.mse_loss(&target)),
+        ]
+    }
+
+    #[test]
+    fn no_grad_ops_return_parentless_leaves_with_the_recorded_values() {
+        let recorded = every_op();
+        let inference = no_grad(every_op);
+        assert_eq!(recorded.len(), inference.len());
+        for ((name, rec), (_, inf)) in recorded.iter().zip(&inference) {
+            assert!(rec.requires_grad() && !rec.is_leaf(), "{name}: must record outside no_grad");
+            assert!(!inf.requires_grad(), "{name}: requires_grad inside no_grad");
+            assert!(inf.parents().is_empty(), "{name}: kept parents inside no_grad");
+            let bits =
+                |v: &Var| v.value().as_slice().iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(rec.shape(), inf.shape(), "{name}: shape");
+            assert_eq!(bits(rec), bits(inf), "{name}: value must be bit-identical");
+        }
+    }
+
+    #[test]
+    fn recording_resumes_after_scope_nested_scope_and_panic() {
+        let x = Var::parameter(Tensor::from_vec(vec![2.0], &[1]));
+        let records = || {
+            let y = x.scale(3.0);
+            y.requires_grad() && !y.is_leaf()
+        };
+        assert!(records());
+        no_grad(|| {
+            assert!(!records());
+            no_grad(|| assert!(!records()));
+            assert!(!records(), "leaving a nested scope must keep the outer one");
+        });
+        assert!(records(), "recording must resume after the scope");
+        let caught = std::panic::catch_unwind(|| no_grad::<()>(|| panic!("boom")));
+        assert!(caught.is_err());
+        assert!(records(), "recording must resume after a panic inside the scope");
+        x.scale(3.0).sum().backward();
+        assert_eq!(x.grad().unwrap().item(), 3.0);
     }
 }

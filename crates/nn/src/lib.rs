@@ -35,7 +35,7 @@ pub mod optim;
 pub mod serialize;
 
 pub use aero_tensor::sym::{Dim, ShapeSpec};
-pub use autograd::Var;
+pub use autograd::{no_grad, Var};
 
 /// Trait for anything that owns trainable parameters.
 ///

@@ -25,6 +25,15 @@
 //! - a request submitted with `"stream": true` emits zero or more
 //!   `{"type":"preview",…}` lines (quantized intermediate latents)
 //!   immediately before its terminal reply line.
+//!
+//! The reader takes input as bytes and holds at most [`MAX_LINE_BYTES`]
+//! of one line, plus its `\n` or `\r\n` terminator. A line longer than
+//! that is answered with a typed `bad_request` and the rest of it is
+//! skipped without being buffered; a line that is not UTF-8 gets the
+//! same typed reply. Either way the session keeps serving the lines
+//! after it. Every physical line keeps its number, so fallback ids
+//! (`req-N`) and the order of replies are the same as if the bad line
+//! had been a well-formed one.
 
 use crate::json::Json;
 use crate::request::{GenerateRequest, ServeReply};
@@ -33,8 +42,13 @@ use crate::stats::StatsReport;
 use aero_diffusion::CancelToken;
 use aero_obs::MetricsSnapshot;
 use std::collections::HashMap;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
+
+/// The longest request line the reader accepts, in bytes, not counting
+/// the line terminator: 1 MiB, about a thousand times a typical request
+/// line that carries an inline source image (~1 KB).
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// One unit of ordered output.
 enum Entry {
@@ -259,17 +273,31 @@ pub fn serve_ndjson(
 /// collector.
 fn read_loop(
     runtime: &ServeRuntime,
-    input: impl BufRead,
+    mut input: impl BufRead,
     tx: &mpsc::Sender<Entry>,
     cancels: &CancelTokens,
 ) -> std::io::Result<()> {
-    for (lineno, line) in input.lines().enumerate() {
-        let line = line?;
+    let mut buf = Vec::new();
+    for lineno in 0usize.. {
+        let Some(line) = read_line_capped(&mut input, &mut buf)? else { break };
+        let fallback_id = format!("req-{lineno}");
+        let line = match line.map(std::str::from_utf8) {
+            Ok(Ok(line)) => line,
+            bad => {
+                let detail = match bad {
+                    Err(TooLong) => format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+                    _ => "request line is not valid UTF-8".to_string(),
+                };
+                if tx.send(Entry::Immediate(bad_request(&fallback_id, &detail))).is_err() {
+                    break;
+                }
+                continue;
+            }
+        };
         if line.trim().is_empty() {
             continue;
         }
-        let fallback_id = format!("req-{lineno}");
-        let entry = match Json::parse(&line) {
+        let entry = match Json::parse(line) {
             Err(e) => Entry::Immediate(bad_request(&fallback_id, &format!("invalid JSON: {e}"))),
             Ok(v) => match v.get("type").and_then(Json::as_str).unwrap_or("generate") {
                 "stats" => Entry::Stats,
@@ -319,4 +347,34 @@ fn read_loop(
         }
     }
     Ok(())
+}
+
+/// A request line longer than [`MAX_LINE_BYTES`].
+struct TooLong;
+
+/// Reads the next line into `buf`, holding at most [`MAX_LINE_BYTES`] of
+/// it plus its terminator, and returns its bytes without the `\n` or
+/// `\r\n` terminator, or `Ok(None)` at end of input. A longer line is
+/// skipped to its end and reported as [`TooLong`].
+fn read_line_capped<'b>(
+    input: &mut impl BufRead,
+    buf: &'b mut Vec<u8>,
+) -> std::io::Result<Option<Result<&'b [u8], TooLong>>> {
+    buf.clear();
+    let cap = MAX_LINE_BYTES as u64 + 2; // room for a `\r\n` terminator
+    if Read::take(&mut *input, cap).read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_LINE_BYTES {
+        input.skip_until(b'\n')?;
+    }
+    if buf.len() > MAX_LINE_BYTES {
+        return Ok(Some(Err(TooLong)));
+    }
+    Ok(Some(Ok(buf)))
 }

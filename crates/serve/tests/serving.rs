@@ -375,6 +375,45 @@ fn ndjson_round_trip_preserves_order_and_reports_stats() {
     assert!(counters.get("tensor.matmul.calls").and_then(Json::as_u64).unwrap_or(0) >= 1);
 }
 
+/// Hostile bytes on the wire: a line that is not UTF-8 and a line past
+/// `MAX_LINE_BYTES` each get a typed `bad_request` under their line's
+/// fallback id, and the session keeps serving the valid requests after
+/// them — including one of exactly `MAX_LINE_BYTES` ended by `\r\n`,
+/// since the cap does not count the terminator.
+#[test]
+fn bad_lines_get_typed_replies_and_the_session_keeps_serving() {
+    let max = aero_serve::server::MAX_LINE_BYTES;
+    let mut input = b"\xff\xfe not utf-8\n".to_vec();
+    input.extend(std::iter::repeat_n(b'[', max + 1));
+    input.extend_from_slice(b"\n");
+    let mut at_cap =
+        br#"{"type":"generate","id":"at-cap","prompt":"a harbour with boats","seed":4}"#.to_vec();
+    at_cap.resize(max, b' ');
+    input.extend_from_slice(&at_cap);
+    input.extend_from_slice(b"\r\n");
+    input.extend_from_slice(
+        br#"{"type":"generate","id":"ok","prompt":"an aerial view of a park","seed":5}"#,
+    );
+    input.extend_from_slice(b"\n");
+    let runtime = ServeRuntime::start(snapshot().clone(), serve_config());
+    let mut output = Vec::new();
+    let stats = serve_ndjson(runtime, Cursor::new(input), &mut output).unwrap();
+    assert_eq!(stats.completed, 2);
+    let lines: Vec<Json> =
+        String::from_utf8(output).unwrap().lines().map(|l| Json::parse(l).unwrap()).collect();
+    assert_eq!(lines.len(), 4, "one reply line per input line");
+    for (i, what) in [(0, "UTF-8"), (1, "exceeds")] {
+        assert_eq!(lines[i].get("reason").and_then(Json::as_str), Some("bad_request"));
+        assert_eq!(lines[i].get("id").and_then(Json::as_str), Some(format!("req-{i}").as_str()));
+        let detail = lines[i].render();
+        assert!(detail.contains(what), "line {i}: {detail}");
+    }
+    for (i, id) in [(2, "at-cap"), (3, "ok")] {
+        assert_eq!(lines[i].get("type").and_then(Json::as_str), Some("image"), "line {i}");
+        assert_eq!(lines[i].get("id").and_then(Json::as_str), Some(id));
+    }
+}
+
 /// The three image-conditioned task kinds serve end to end, a
 /// heterogeneous batch (text + view + inpaint + superres coalesced into
 /// one sampler call) is byte-identical per row to solo batch-1 runs, and

@@ -21,7 +21,9 @@
 //! [`crate::parallel`] (`active_threads`), clamped by [`planned_threads`]:
 //! a work-size floor, the machine's physical core count, and a per-thread
 //! work budget, so small kernels never pay thread-spawn overhead and no
-//! kernel oversubscribes the cores it actually has. Because sharding
+//! kernel oversubscribes the cores it actually has. The floors come from
+//! a 1- vs 2-thread sweep (`DESIGN.md` §10): a kernel fans out only at
+//! sizes where two threads beat one. Because sharding
 //! cannot change numerics, the plan is a pure performance heuristic and
 //! needs no determinism carve-out.
 
@@ -40,20 +42,34 @@ macro_rules! record_kernel {
     };
 }
 
-/// Minimum estimated scalar-op count before a kernel fans out; below
-/// this, thread-spawn overhead dominates any speedup. Retuned upward
-/// (16 Ki → 256 Ki) after BENCH_kernels.json showed conv2d and the UNet
-/// denoise step *losing* to serial under the old gate.
-const PAR_WORK_THRESHOLD: usize = 256 * 1024;
+/// Minimum estimated scalar-op count before a kernel fans out. Below it,
+/// spawning and joining the shard threads costs more than the split
+/// saves. Derived from the 1- vs 2-thread sweep in `bench_kernels`
+/// (`DESIGN.md` §10) on a 2-vCPU host. At 4 Mi ops a 128³ matmul and an
+/// attention-sized bmm still ran slower on two threads (medians 0.80×
+/// and 0.88× over four runs); between 8 and 16 Mi the result flipped
+/// from run to run (a strided 9 Mi conv lost in the median of seven);
+/// every swept matmul, bmm, conv2d and softmax at 16 Mi or more won in
+/// the median of seven (1.35–1.78×). The blocked matmul does the most
+/// work per microsecond, so it needs the most ops before half its serial
+/// time pays for a fan-out; the floor is set by it.
+const PAR_WORK_THRESHOLD: usize = 16 * 1024 * 1024;
 
 /// Once a kernel fans out, each spawned thread should own at least this
 /// many estimated scalar ops — otherwise the spawn cost outweighs the
-/// shard it amortises over.
+/// shard it amortises over. Not re-derived with the floor: a sweep on two
+/// cores cannot tell how wide a kernel should go. At the current floor it
+/// allows more threads than the 64-thread ceiling, so only the ambient
+/// thread count and the physical cores clamp the width.
 const PAR_WORK_PER_THREAD: usize = 128 * 1024;
 
 /// Elementwise ops are far cheaper per element than matmul rows, so they
-/// use a higher element-count threshold before fanning out.
-const ELEM_PAR_THRESHOLD: usize = 64 * 1024;
+/// gate on element count instead. In the same sweep the elementwise
+/// `add`, the cheapest op per element, lost at 256 Ki elements (0.66×)
+/// and at 1 Mi (median 0.88×, single runs 0.34–1.28×), and won at 4 Mi
+/// in every run (1.24–1.53×). Every costlier map or zip wins from a
+/// smaller size, so the cheapest op sets the floor.
+const ELEM_PAR_THRESHOLD: usize = 4 * 1024 * 1024;
 
 /// Splits `units` work units into at most `shards` contiguous,
 /// near-even ranges covering `0..units` in order. The first
@@ -93,6 +109,18 @@ pub fn planned_threads(work: usize) -> usize {
     }
     let budget = (work / PAR_WORK_PER_THREAD).max(1);
     active_threads().min(effective_cores()).min(budget).max(1)
+}
+
+/// The thread count an elementwise map or zip over `len` elements fans
+/// out over: 1 below [`ELEM_PAR_THRESHOLD`], otherwise the ambient
+/// [`active_threads`] clamped to the machine's physical cores. Public
+/// for the same reason as [`planned_threads`].
+#[must_use]
+pub fn planned_elementwise_threads(len: usize) -> usize {
+    if len < ELEM_PAR_THRESHOLD {
+        return 1;
+    }
+    active_threads().min(effective_cores()).min(len)
 }
 
 /// Runs `kernel(unit_index, unit_out)` over every `unit_len`-sized chunk
@@ -208,11 +236,7 @@ where
     if out.is_empty() {
         return;
     }
-    let threads = if out.len() < ELEM_PAR_THRESHOLD {
-        1
-    } else {
-        active_threads().min(effective_cores()).min(out.len())
-    };
+    let threads = planned_elementwise_threads(out.len());
     if threads <= 1 {
         aero_obs::counter!("tensor.dispatch.serial").inc();
         fill(0, out);
@@ -505,10 +529,10 @@ mod tests {
                 assert_eq!(planned_threads(PAR_WORK_THRESHOLD - 1), 1, "below the fan-out floor");
                 assert_eq!(
                     planned_threads(PAR_WORK_THRESHOLD),
-                    PAR_WORK_THRESHOLD / PAR_WORK_PER_THREAD,
-                    "just past the floor, the per-thread budget caps the width"
+                    (PAR_WORK_THRESHOLD / PAR_WORK_PER_THREAD).min(8),
+                    "past the floor, the per-thread budget or the ambient threads cap the width"
                 );
-                assert_eq!(planned_threads(8 * PAR_WORK_PER_THREAD), 8);
+                assert_eq!(planned_threads((8 * PAR_WORK_PER_THREAD).max(PAR_WORK_THRESHOLD)), 8);
                 assert_eq!(planned_threads(usize::MAX), 8, "ambient threads cap");
             });
             with_assumed_cores(3, || {
@@ -527,6 +551,26 @@ mod tests {
         with_threads(4, || {
             with_assumed_cores(1, || assert_eq!(planned_threads(work), 1));
             with_assumed_cores(4, || assert_eq!(planned_threads(work), 4));
+        });
+    }
+
+    #[test]
+    fn paper_unet_conv_stays_serial_while_large_matmul_fans_out() {
+        // Regression for the 2-vCPU sweep (DESIGN.md §10, medians of
+        // four runs). The paper UNet's largest b1 conv (32→16 3×3 on
+        // 8×8, 576 Ki ops) is the size of the sweep's 16→16 n=2 conv,
+        // which took 47 µs serial and 90 µs on two threads; a 512²
+        // matmul took 5.7 ms serial and 3.4 ms on two. An elementwise
+        // add over 1 Mi elements lost in the median, so it stays serial.
+        let unet_conv_b1 = 16 * (8 * 8) * 2 * (32 * 3 * 3);
+        let matmul_512 = 512 * 512 * 2 * 512;
+        with_threads(2, || {
+            with_assumed_cores(2, || {
+                assert_eq!(planned_threads(unet_conv_b1), 1);
+                assert_eq!(planned_threads(matmul_512), 2);
+                assert_eq!(planned_elementwise_threads(1024 * 1024), 1);
+                assert_eq!(planned_elementwise_threads(ELEM_PAR_THRESHOLD), 2);
+            });
         });
     }
 

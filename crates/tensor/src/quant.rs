@@ -299,16 +299,23 @@ mod tests {
     #[test]
     fn q8_matmul_parallel_is_bitwise_reference() {
         use crate::backend::{with_backend, BackendKind};
+        use crate::parallel::{with_assumed_cores, with_threads};
+        // Above the fan-out floor, with K off the q8 block, so the
+        // sharded path runs across scale boundaries; 257 rows (prime)
+        // split unevenly at every width.
+        let (m, k, n) = (257, 289, 128);
+        let work = m * n * 2 * k;
+        let planned =
+            with_assumed_cores(8, || with_threads(8, || par_kernels::planned_threads(work)));
+        assert_eq!(planned, 8, "the q8 matmul fans out over {planned} threads; resize the test");
         let mut rng = StdRng::seed_from_u64(19);
-        let a = Tensor::randn(&[40, 65], &mut rng);
-        let b = Tensor::randn(&[65, 48], &mut rng);
+        let a = Tensor::randn(&[m, k], &mut rng);
+        let b = Tensor::randn(&[k, n], &mut rng);
         let q = Q8Tensor::quantize(&a);
-        let reference = crate::parallel::with_threads(1, || {
-            with_backend(BackendKind::Reference, || q.matmul(&b))
-        });
+        let reference = with_threads(1, || with_backend(BackendKind::Reference, || q.matmul(&b)));
         let oracle: Vec<u32> = reference.as_slice().iter().map(|v| v.to_bits()).collect();
         for threads in [1, 2, 3, 8] {
-            let got = crate::parallel::with_threads(threads, || q.matmul(&b));
+            let got = with_assumed_cores(8, || with_threads(threads, || q.matmul(&b)));
             let bits: Vec<u32> = got.as_slice().iter().map(|v| v.to_bits()).collect();
             assert_eq!(bits, oracle, "diverged at {threads} threads");
         }

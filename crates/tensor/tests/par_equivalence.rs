@@ -18,14 +18,24 @@
 //! sweeps below install `with_assumed_cores(8)` to force genuine
 //! fan-out regardless of the host.
 //!
-//! Small kernels stay below the fan-out work threshold and run serially
-//! no matter the policy; the shape ranges below deliberately straddle
-//! the threshold so both the gated and the fanned-out paths are hit.
+//! The proptest shapes are small: every one of them stays below the
+//! dispatcher's fan-out floors and runs serially whatever the policy, so
+//! they pin each backend against the oracle on the serial path. The
+//! fan-out path is pinned by the fixed-shape tests after them (matmul,
+//! bmm, the direct and the im2col conv2d, softmax, elementwise), each
+//! sized above the floor and asserting through `planned_threads` (or
+//! `planned_elementwise_threads`) that its shape fans out over all 8
+//! threads, so a later retune of the floors cannot silently narrow or
+//! serialize them. The row (or plane) counts of the matmul, bmm, conv2d
+//! and softmax tests are divisible by no width from 2 to 8, so every leg
+//! of the sweep splits unevenly, slabs start mid-tile, and in bmm and
+//! conv2d some slab straddles a batch boundary.
 //! Tile-boundary adversaries (dims ±1 of the MR/NR register tile and
 //! the KC k-panel, k = 0, single rows/columns, K not a multiple of the
 //! q8 block) are pinned explicitly at the bottom.
 
 use aero_tensor::backend::{with_backend, BackendKind, KC, MR, NR};
+use aero_tensor::par_kernels::{planned_elementwise_threads, planned_threads};
 use aero_tensor::parallel::{with_assumed_cores, with_threads};
 use aero_tensor::{Q8Tensor, Tensor};
 use proptest::prelude::*;
@@ -52,6 +62,15 @@ fn run_under<R>(backend: BackendKind, threads: usize, f: impl FnOnce() -> R) -> 
 /// `f` under the one oracle: the `Reference` backend at one thread.
 fn oracle<R>(f: impl FnOnce() -> R) -> R {
     run_under(BackendKind::Reference, 1, f)
+}
+
+/// Asserts that a kernel whose dispatcher work estimate is `work`
+/// (output elements × ops per element) fans out over all 8 threads under
+/// the sweep's assumed 8 cores, so each leg of the test named `what`
+/// runs the sharded path as wide as its thread count.
+fn assert_fans_out_fully(work: usize, what: &str) {
+    let width = run_under(BackendKind::Blocked, 8, || planned_threads(work));
+    assert_eq!(width, 8, "{what}: work {work} fans out over {width} threads; resize the test");
 }
 
 /// Sweeps `f` over both backends × threads 1–8 and asserts each result
@@ -344,23 +363,69 @@ fn wide_direct_conv_with_padding_matches_serial() {
 
 #[test]
 fn large_matmul_above_fanout_threshold_matches_serial() {
-    // Big enough that the worker pool genuinely engages under the
-    // assumed-8-core override (out.len() * 2k well past the retuned
-    // work threshold) rather than the gated path.
+    // Big enough that the shards genuinely fan out under the
+    // assumed-8-core override rather than take the gated path; 131 rows
+    // (prime) split unevenly at every width and start slabs mid-tile.
+    let (m, k, n) = (131, 704, 96);
+    assert_fans_out_fully(m * n * 2 * k, "large matmul");
     let mut rng = StdRng::seed_from_u64(9);
-    let a = Tensor::randn(&[96, 704], &mut rng);
-    let b = Tensor::randn(&[704, 96], &mut rng);
+    let a = Tensor::randn(&[m, k], &mut rng);
+    let b = Tensor::randn(&[k, n], &mut rng);
     let reference = oracle(|| a.matmul(&b));
     assert_all_backends_bitwise(&reference, "large matmul", || a.matmul(&b));
 }
 
 #[test]
+fn large_bmm_above_fanout_threshold_matches_serial() {
+    // 11 batches of 13 rows: no width from 2 to 8 divides the 143 rows,
+    // so at every width some slab straddles a batch boundary.
+    let (nb, m, k, n) = (11, 13, 480, 128);
+    assert_fans_out_fully(nb * m * n * 2 * k, "large bmm");
+    let mut rng = StdRng::seed_from_u64(15);
+    let a = Tensor::randn(&[nb, m, k], &mut rng);
+    let b = Tensor::randn(&[nb, k, n], &mut rng);
+    let reference = oracle(|| a.bmm(&b));
+    assert_all_backends_bitwise(&reference, "large bmm", || a.bmm(&b));
+}
+
+/// A 3×3 conv2d with padding 1 above the fan-out floor: stride 1 takes
+/// the blocked backend's direct path, stride 2 its im2col path (whose
+/// shared-lhs matmul carries the work). Both shard the `n * cout` output
+/// planes, a batch being `cout` of them.
+fn large_conv_matches_serial(stride: usize, shape: [usize; 4], cout: usize, seed: u64) {
+    let [n, cin, h, w] = shape;
+    let (oh, ow) = ((h - 1) / stride + 1, (w - 1) / stride + 1);
+    let what = format!("large conv2d s{stride}");
+    assert_fans_out_fully(n * cout * oh * ow * 2 * cin * 9, &what);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let x = Tensor::randn(&shape, &mut rng);
+    let wt = Tensor::randn(&[cout, cin, 3, 3], &mut rng);
+    let b = Tensor::randn(&[cout], &mut rng);
+    let reference = oracle(|| x.conv2d(&wt, Some(&b), stride, 1));
+    assert_all_backends_bitwise(&reference, &what, || x.conv2d(&wt, Some(&b), stride, 1));
+}
+
+#[test]
+fn large_direct_conv_above_fanout_threshold_matches_serial() {
+    // 11 images × 13 output channels: 143 planes.
+    large_conv_matches_serial(1, [11, 8, 32, 32], 13, 16);
+}
+
+#[test]
+fn large_strided_conv_above_fanout_threshold_matches_serial() {
+    large_conv_matches_serial(2, [11, 27, 32, 32], 13, 17);
+}
+
+#[test]
 fn elementwise_map_and_zip_fan_out_bit_identically() {
-    // Above the elementwise threshold (64 Ki elements) so the chunked
-    // path really runs; chunking preserves element order exactly.
+    // Above the elementwise floor so the chunked path really runs;
+    // chunking preserves element order exactly.
+    let len = 1 << 22;
+    let width = run_under(BackendKind::Blocked, 8, || planned_elementwise_threads(len));
+    assert_eq!(width, 8, "{len} elements fan out over {width} threads; resize the test");
     let mut rng = StdRng::seed_from_u64(10);
-    let a = Tensor::randn(&[80_000], &mut rng);
-    let b = Tensor::randn(&[80_000], &mut rng);
+    let a = Tensor::randn(&[len], &mut rng);
+    let b = Tensor::randn(&[len], &mut rng);
     let elems = || (a.map(|v| (v * 1.7).tanh()), a.mul(&b));
     let reference = with_threads(1, elems);
     for threads in [2, 4, 8] {
@@ -372,8 +437,12 @@ fn elementwise_map_and_zip_fan_out_bit_identically() {
 
 #[test]
 fn large_softmax_above_threshold_is_backend_and_thread_invariant() {
+    // The softmax dispatch estimates 16 ops per element; no width from
+    // 2 to 8 divides 17,011 rows.
+    let (rows, cols) = (17_011, 64);
+    assert_fans_out_fully(rows * cols * 16, "large softmax");
     let mut rng = StdRng::seed_from_u64(11);
-    let x = Tensor::randn(&[512, 64], &mut rng).mul_scalar(6.0);
+    let x = Tensor::randn(&[rows, cols], &mut rng).mul_scalar(6.0);
     let reference = oracle(|| x.softmax_last_axis());
     assert_all_backends_bitwise(&reference, "softmax", || x.softmax_last_axis());
 }

@@ -64,13 +64,13 @@ impl ClipModel {
     ///
     /// Panics if `images` is not `[n, 3, s, s]` with the configured size.
     pub fn encode_image(&self, images: &Tensor) -> Tensor {
-        let v = self.image_encoder.embed(&Var::constant(images.clone()));
+        let v = aero_nn::no_grad(|| self.image_encoder.embed(&Var::constant(images.clone())));
         normalize_rows(&v.to_tensor())
     }
 
     /// L2-normalized text embeddings `[n, d]` (no gradient).
     pub fn encode_text(&self, batch: &[Vec<usize>]) -> Tensor {
-        let v = self.text_encoder.embed(batch);
+        let v = aero_nn::no_grad(|| self.text_encoder.embed(batch));
         normalize_rows(&v.to_tensor())
     }
 

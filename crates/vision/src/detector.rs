@@ -181,7 +181,7 @@ impl YoloLite {
     /// Runs detection on one `[3, s, s]` image.
     pub fn detect(&self, image: &Tensor, conf_threshold: f32, nms_iou: f32) -> Vec<Detection> {
         let batch = image.reshape(&[1, 3, self.config.image_size, self.config.image_size]);
-        let pred = self.raw_forward(&Var::constant(batch)).to_tensor();
+        let pred = aero_nn::no_grad(|| self.raw_forward(&Var::constant(batch))).to_tensor();
         let g = self.grid();
         let s = self.config.image_size as f32;
         let n_class = ObjectClass::ALL.len();

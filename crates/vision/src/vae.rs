@@ -93,13 +93,14 @@ impl Vae {
     /// Non-differentiable latent of an image batch, scaled for diffusion:
     /// `z = mu · latent_scale`.
     pub fn encode_tensor(&self, images: &Tensor) -> Tensor {
-        let (mu, _) = self.encode(&Var::constant(images.clone()));
+        let (mu, _) = aero_nn::no_grad(|| self.encode(&Var::constant(images.clone())));
         mu.to_tensor().mul_scalar(self.latent_scale)
     }
 
     /// Non-differentiable decode of diffusion-space latents (descaled).
     pub fn decode_tensor(&self, z: &Tensor) -> Tensor {
-        self.decode(&Var::constant(z.mul_scalar(1.0 / self.latent_scale))).to_tensor()
+        aero_nn::no_grad(|| self.decode(&Var::constant(z.mul_scalar(1.0 / self.latent_scale))))
+            .to_tensor()
     }
 
     /// Full reconstruction of an image batch.

@@ -19,7 +19,9 @@
 #                      metrics probes; then one line of 100,000 `[`
 #                      followed by a valid request must get a typed
 #                      `bad_request` and then an image (the JSON
-#                      nesting cap)
+#                      nesting cap); and a non-UTF-8 line plus a line
+#                      past the 1 MiB line cap must each get a typed
+#                      `bad_request` before the next request is served
 #   6. fault smokes  — a checkpointed training run killed mid-way via
 #                      --max-steps and resumed to completion with a finite
 #                      final loss, and a serve run with an injected
@@ -69,7 +71,10 @@
 #  10. benchmark     — the aerobench package (its own manifest under
 #                      crates/bench/src/bin/aerobench) builds every binary,
 #                      including the in-process layer prober that calls the
-#                      layer APIs, and passes its unit tests
+#                      layer APIs, and passes its unit tests; then a
+#                      `--smoke --seed 1` run must pass every correctness
+#                      check and print the four seed-1 output digests its
+#                      README records (same bytes for every later change)
 #
 # Everything runs with --offline: the build environment has no network and
 # all dependencies are vendored shims (see shims/).
@@ -153,6 +158,22 @@ echo "$deep_out" | sed -n 1p | grep -q '"reason":"bad_request"' \
   || { echo "serve smoke: deeply nested line must get a typed bad_request"; exit 1; }
 echo "$deep_out" | sed -n 2p | grep '"id":"ci-deep"' | grep -q '"type":"image"' \
   || { echo "serve smoke: the request after the nested line must be served"; exit 1; }
+
+echo "== serve smoke: non-UTF-8 and over-long lines get typed bad_requests =="
+# A line that is not UTF-8 used to end the session; a line of any length
+# used to be buffered whole. Both must now get a typed bad_request, and
+# the request after them must still be served.
+bytes_out="$( { printf '\xff\xfe\n'; head -c 1048577 /dev/zero | tr '\0' 'a'; echo; \
+    echo '{"type":"generate","id":"ci-bytes","prompt":"an aerial view of a park","seed":1}'; } \
+  | cargo run --offline -q -p aerodiffusion-suite --bin aerodiffusion_cli -- \
+      serve --demo --scenes 3 --workers 1 --steps 4)"
+echo "$bytes_out" | head -c 400; echo
+echo "$bytes_out" | sed -n 1p | grep -q '"reason":"bad_request"' \
+  || { echo "serve smoke: a non-UTF-8 line must get a typed bad_request"; exit 1; }
+echo "$bytes_out" | sed -n 2p | grep -q '"reason":"bad_request"' \
+  || { echo "serve smoke: an over-long line must get a typed bad_request"; exit 1; }
+echo "$bytes_out" | sed -n 3p | grep '"id":"ci-bytes"' | grep -q '"type":"image"' \
+  || { echo "serve smoke: the request after the bad lines must be served"; exit 1; }
 
 echo "== fault smoke: kill + resume a checkpointed training run =="
 # Kill the joint stage after its first step (checkpoint every step; the
@@ -416,5 +437,21 @@ echo "== benchmark package: build every binary and run its unit tests =="
 bench_manifest=crates/bench/src/bin/aerobench/Cargo.toml
 cargo build --release --offline --manifest-path "$bench_manifest" --bins
 cargo test --offline --manifest-path "$bench_manifest"
+
+echo "== benchmark digests: seed-1 outputs are byte-identical to the recorded ones =="
+# Each workload prints an FNV-1a digest of its seed-determined output
+# (serve probe pixels, the cold paper sample, the trained paper model).
+# A smoke run prints the same digests as a full run, so this pins "same
+# bytes" for every performance change.
+bench_out="$(cargo run --release --offline -q --manifest-path "$bench_manifest" \
+  --bin aerobench -- --smoke --seed 1)"
+echo "$bench_out" | grep 'digest'
+echo "$bench_out" | tail -n 1 | grep -q '"correct":true' \
+  || { echo "benchmark digests: the smoke run failed a correctness check"; exit 1; }
+for want in serve_repeat:76ee5cf43414013b serve_mixed:3c1e08dcfe29f8e8 \
+    sample_paper:eb8a4efde97265f6 train_paper:55a6d5084870222e; do
+  echo "$bench_out" | grep -Eq "^${want%%:*} +digest fnv64:${want#*:}\$" \
+    || { echo "benchmark digests: ${want%%:*} did not print fnv64:${want#*:}"; exit 1; }
+done
 
 echo "CI: all gates passed"
