@@ -1,13 +1,15 @@
 //! In-memory snapshots of trained pipelines.
 //!
-//! [`AeroDiffusionPipeline`] weights live in `aero-nn` autograd handles
-//! (`Rc<RefCell<…>>`), which cannot cross threads. A [`PipelineSnapshot`]
-//! captures everything a replica needs — configuration, metadata, the
-//! vocabulary, and every module's weights in the `aero-nn` binary codec —
-//! as plain owned data that *is* `Send + Sync`. The serving worker pool
-//! shares one snapshot behind an `Arc` and each worker hydrates its own
-//! thread-local replica, the standard immutable-weights/many-replicas
-//! deployment shape.
+//! [`AeroDiffusionPipeline`] weights live in `aero-nn` autograd handles,
+//! which are `Send + Sync`: several threads can read one pipeline's
+//! weights at once (the DDIM sampler runs the two passes of a guided step
+//! on two threads over one UNet). A [`PipelineSnapshot`] captures
+//! everything a replica needs — configuration, metadata, the vocabulary,
+//! and every module's weights in the `aero-nn` binary codec — as plain
+//! owned bytes, the form model artifacts export and hot-swaps install.
+//! The serving worker pool shares one snapshot behind an `Arc` and each
+//! worker hydrates its own replica from it, the standard
+//! immutable-weights/many-replicas deployment shape.
 
 use crate::ablation::AblationVariant;
 use crate::config::PipelineConfig;

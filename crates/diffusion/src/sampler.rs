@@ -18,12 +18,13 @@
 use crate::schedule::NoiseSchedule;
 use crate::unet::CondUnet;
 use aero_obs::span;
-use aero_obs::TraceSink;
+use aero_obs::{Trace, TraceSink};
+use aero_tensor::parallel::{self, ParallelConfig};
 use aero_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 /// Shared floor for every denominator of the reverse-process update rules
 /// (`sqrt(alpha)`, `sqrt(alpha_bar)`, `sqrt(1 - alpha_bar)`). Near the ends
@@ -394,9 +395,11 @@ impl Sampler {
     /// Runs the reverse process described by `opts`.
     ///
     /// Emits `sampler.ddim` / `sampler.ddpm` spans with one
-    /// `unet.denoise_step` child per step; when `opts.trace` is set the
-    /// run executes under span collection and the finished trace goes
-    /// to the sink. Tracing never changes the returned tensor.
+    /// `unet.denoise_step` child per step (under DDIM, each with a
+    /// `unet.cond` / `unet.uncond` child per UNet pass, wherever the pass
+    /// ran); when `opts.trace` is set the run executes under span
+    /// collection and the finished trace goes to the sink. Tracing never
+    /// changes the returned tensor.
     ///
     /// # Panics
     ///
@@ -604,9 +607,12 @@ impl DdimSampler {
     /// serving batcher uses this to coalesce requests without changing
     /// any request's result.
     ///
-    /// With a condition and `guidance_scale > 1`, each step evaluates the
+    /// With a condition and `guidance_scale != 1`, each step evaluates the
     /// UNet twice (conditional + unconditional) and extrapolates:
-    /// `ε = ε_u + g (ε_c − ε_u)`.
+    /// `ε = ε_u + g (ε_c − ε_u)`. When the thread policy allows two
+    /// threads and the machine has two cores, the unconditional pass of
+    /// every step runs on a scoped helper thread while the caller runs
+    /// the conditional one (see [`Self::denoise_with_helper`]).
     fn denoise(
         &self,
         unet: &CondUnet,
@@ -615,6 +621,99 @@ impl DdimSampler {
         cond: Option<&Tensor>,
         pin: Option<&LatentPin>,
         ctrl: &mut StepCtrl<'_, '_>,
+    ) -> Tensor {
+        let guided = cond.filter(|_| self.guidance_scale != 1.0);
+        match guided {
+            Some(c) if parallel::active_threads() >= 2 && parallel::effective_cores() >= 2 => {
+                self.denoise_with_helper(unet, schedule, z_init, c, pin, ctrl)
+            }
+            Some(c) => self.run_steps(schedule, z_init, pin, ctrl, |z, ts| {
+                let cond_eps = pass(unet, z, ts, Some(c));
+                self.guide(&cond_eps, &pass(unet, z, ts, None))
+            }),
+            None => self.run_steps(schedule, z_init, pin, ctrl, |z, ts| pass(unet, z, ts, cond)),
+        }
+    }
+
+    /// [`Self::denoise`] for a guided run with two threads to spend: the
+    /// caller keeps half its thread budget (rounded up) for the
+    /// conditional passes, and a scoped helper thread, under the other
+    /// half and the caller's backend, runs the unconditional pass of each
+    /// step on the same weights. The caller hands the helper each step's
+    /// latent over a channel, runs its own pass, then waits for `ε_u`;
+    /// the guidance combine stays on the caller, so the output bytes are
+    /// the serial run's.
+    ///
+    /// Cancellation, a finished run and a panicking caller all drop the
+    /// job sender, which ends the helper before the scope joins it. A
+    /// panicking helper drops its result sender, and the caller resumes
+    /// the helper's panic.
+    fn denoise_with_helper(
+        &self,
+        unet: &CondUnet,
+        schedule: &NoiseSchedule,
+        z_init: Tensor,
+        cond: &Tensor,
+        pin: Option<&LatentPin>,
+        ctrl: &mut StepCtrl<'_, '_>,
+    ) -> Tensor {
+        aero_obs::counter!("sampler.cfg_parallel").inc();
+        let threads = parallel::active_threads();
+        let caller_threads = threads - threads / 2;
+        let helper_policy = ParallelConfig::with_threads(threads / 2);
+        std::thread::scope(|scope| {
+            let (job_tx, job_rx) = mpsc::channel::<(Tensor, Vec<usize>, bool)>();
+            let (eps_tx, eps_rx) = mpsc::channel::<(Tensor, Option<Trace>)>();
+            // lint: nondet-ok(same predict, same weights; the combine stays on the caller)
+            let helper = scope.spawn(move || {
+                parallel::adopt_thread_policy(helper_policy);
+                for (z, ts, traced) in job_rx {
+                    let out = if traced {
+                        let (eps, trace) = span::collect(|| pass(unet, &z, &ts, None));
+                        (eps, Some(trace))
+                    } else {
+                        (pass(unet, &z, &ts, None), None)
+                    };
+                    if eps_tx.send(out).is_err() {
+                        break;
+                    }
+                }
+            });
+            let mut helper = Some(helper);
+            self.run_steps(schedule, z_init, pin, ctrl, |z, ts| {
+                let job = (z.clone(), ts.to_vec(), span::is_collecting());
+                // A send fails only once the helper is gone, and then so is
+                // its result sender: the `recv` below reports it.
+                let _ = job_tx.send(job);
+                let cond_eps =
+                    parallel::with_threads(caller_threads, || pass(unet, z, ts, Some(cond)));
+                let Ok((uncond_eps, trace)) = eps_rx.recv() else {
+                    match helper.take().map(std::thread::ScopedJoinHandle::join) {
+                        Some(Err(payload)) => std::panic::resume_unwind(payload),
+                        _ => panic!("the guidance helper exited without a result"),
+                    }
+                };
+                if let Some(trace) = trace {
+                    span::attach(trace.roots);
+                }
+                self.guide(&cond_eps, &uncond_eps)
+            })
+        })
+    }
+
+    /// The guided noise estimate `ε_u + g (ε_c − ε_u)`.
+    fn guide(&self, cond_eps: &Tensor, uncond_eps: &Tensor) -> Tensor {
+        uncond_eps.add(&cond_eps.sub(uncond_eps).mul_scalar(self.guidance_scale))
+    }
+
+    /// The DDIM step loop around a noise estimator `eps(z_t, timesteps)`.
+    fn run_steps(
+        &self,
+        schedule: &NoiseSchedule,
+        z_init: Tensor,
+        pin: Option<&LatentPin>,
+        ctrl: &mut StepCtrl<'_, '_>,
+        mut eps: impl FnMut(&Tensor, &[usize]) -> Tensor,
     ) -> Tensor {
         let n = z_init.shape()[0];
         let mut z = z_init;
@@ -635,14 +734,7 @@ impl DdimSampler {
                 }
             }
             batch_ts.fill(t);
-            let eps_hat = match cond {
-                Some(c) if self.guidance_scale != 1.0 => {
-                    let cond_eps = unet.predict(&z, &batch_ts, Some(c));
-                    let uncond_eps = unet.predict(&z, &batch_ts, None);
-                    uncond_eps.add(&cond_eps.sub(&uncond_eps).mul_scalar(self.guidance_scale))
-                }
-                other => unet.predict(&z, &batch_ts, other),
-            };
+            let eps_hat = eps(&z, &batch_ts);
             let ab_t = schedule.alpha_bar(t);
             let z0_hat = z
                 .sub(&eps_hat.mul_scalar((1.0 - ab_t).sqrt()))
@@ -672,6 +764,12 @@ impl DdimSampler {
         }
         z
     }
+}
+
+/// One UNet pass of a DDIM step, under a span naming its branch.
+fn pass(unet: &CondUnet, z: &Tensor, ts: &[usize], cond: Option<&Tensor>) -> Tensor {
+    let _span = span!(if cond.is_some() { "unet.cond" } else { "unet.uncond" });
+    unet.predict(z, ts, cond)
 }
 
 #[cfg(test)]

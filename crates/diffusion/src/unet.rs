@@ -226,9 +226,12 @@ impl CondUnet {
     pub fn forward(&self, z_t: &Var, timesteps: &[usize], cond: Option<&Var>) -> Var {
         let n = z_t.shape()[0];
         assert_eq!(n, timesteps.len(), "one timestep per batch item");
-        let temb_raw = Var::constant(self.timestep_features(timesteps));
-        let mut emb = self.time_mlp2.forward(&self.time_mlp1.forward(&temb_raw).silu());
-        if let (Some(m1), Some(m2)) = (&self.cond_mlp1, &self.cond_mlp2) {
+        let emb = block("unet.emb", || {
+            let temb_raw = Var::constant(self.timestep_features(timesteps));
+            let emb = self.time_mlp2.forward(&self.time_mlp1.forward(&temb_raw).silu());
+            let (Some(m1), Some(m2)) = (&self.cond_mlp1, &self.cond_mlp2) else {
+                return emb;
+            };
             let c = match cond {
                 Some(c) => {
                     assert_eq!(
@@ -240,17 +243,29 @@ impl CondUnet {
                 }
                 None => Var::constant(Tensor::zeros(&[n, self.config.cond_dim])),
             };
-            let cemb = m2.forward(&m1.forward(&c).silu());
-            emb = emb.add(&cemb);
-        }
+            emb.add(&m2.forward(&m1.forward(&c).silu()))
+        });
 
-        let h0 = self.conv_in.forward(z_t);
-        let h1 = self.res_down.forward(&h0, &emb);
-        let h2 = self.downsample.forward(&h1); // half resolution, 2c
-        let mut h3 = self.res_mid1.forward(&h2, &emb);
-        // Self-attention over bottleneck tokens.
+        let h0 = block("unet.conv_in", || self.conv_in.forward(z_t));
+        let h1 = block("unet.res_down", || self.res_down.forward(&h0, &emb));
+        let h2 = block("unet.downsample", || self.downsample.forward(&h1)); // half resolution, 2c
+        let h3 = block("unet.res_mid1", || self.res_mid1.forward(&h2, &emb));
+        let h3b = block("unet.attn", || self.attend(h3, cond));
+        let h4 = block("unet.res_mid2", || self.res_mid2.forward(&h3b, &emb));
+        let cat = block("unet.up", || {
+            let up = self.up_conv.forward(&h4.upsample_nearest2x());
+            Var::concat(&[&up, &h1], 1)
+        });
+        let h5 = block("unet.res_up", || self.res_up.forward(&cat, &emb));
+        block("unet.out", || self.conv_out.forward(&self.norm_out.forward(&h5).silu()))
+    }
+
+    /// The bottleneck: spatial condition injection, self-attention over
+    /// the bottleneck tokens, then cross-attention over the condition
+    /// tokens, back in `[n, c, h, w]` layout.
+    fn attend(&self, mut h3: Var, cond: Option<&Var>) -> Var {
         let shape = h3.shape();
-        let (c2, hh, ww) = (shape[1], shape[2], shape[3]);
+        let (n, c2, hh, ww) = (shape[0], shape[1], shape[2], shape[3]);
         // Spatial condition injection: C projected onto the bottleneck
         // grid, one additive feature per cell.
         if let Some(proj) = &self.cond_spatial_proj {
@@ -264,6 +279,7 @@ impl CondUnet {
                 h3 = h3.add(&map);
             }
         }
+        // Self-attention over bottleneck tokens.
         let tokens = h3.reshape(&[n, c2, hh * ww]).permute(&[0, 2, 1]);
         let mut attended = tokens.add(&self.mid_attn.forward(&tokens, &tokens));
         // Cross-attention over the condition tokens: spatial positions
@@ -282,12 +298,7 @@ impl CondUnet {
             };
             attended = attended.add(&cross.forward(&attended, &cond_tokens));
         }
-        let h3b = attended.permute(&[0, 2, 1]).reshape(&[n, c2, hh, ww]);
-        let h4 = self.res_mid2.forward(&h3b, &emb);
-        let up = self.up_conv.forward(&h4.upsample_nearest2x());
-        let cat = Var::concat(&[&up, &h1], 1);
-        let h5 = self.res_up.forward(&cat, &emb);
-        self.conv_out.forward(&self.norm_out.forward(&h5).silu())
+        attended.permute(&[0, 2, 1]).reshape(&[n, c2, hh, ww])
     }
 
     /// Non-differentiable forward over tensors (inference convenience):
@@ -299,6 +310,14 @@ impl CondUnet {
             self.forward(&Var::constant(z_t.clone()), timesteps, cv.as_ref()).to_tensor()
         })
     }
+}
+
+/// Runs one UNet block under a span of its own, so a traced pass shows
+/// where its time goes. With tracing off a span costs one thread-local
+/// read.
+fn block<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
+    let _span = aero_obs::span!(name);
+    f()
 }
 
 impl Module for CondUnet {

@@ -1,6 +1,6 @@
 //! Tape-based reverse-mode automatic differentiation.
 //!
-//! A [`Var`] is a cheap, clonable handle (`Rc<RefCell<…>>`) to a node in a
+//! A [`Var`] is a cheap, clonable handle (`Arc<…>`) to a node in a
 //! dynamically constructed computation graph. Differentiable operations
 //! return new `Var`s that remember their parents and a backward closure;
 //! [`Var::backward`] runs the closures in reverse topological order.
@@ -15,16 +15,22 @@
 //! whether an op records: both paths run the same [`Tensor`] op on the
 //! same operands.
 //!
-//! The graph is single-threaded by design (training here is small-scale
-//! and deterministic); data parallelism, where used, happens across
-//! independent graphs.
+//! `Var` is `Send + Sync`, so one model's weights can be read from
+//! several threads at once (the DDIM sampler runs the two passes of a
+//! guided step side by side). A node's identity, parents and backward
+//! closure never change after creation and sit outside any lock. So does
+//! an interior node's value: only a leaf's value can be rewritten (by
+//! [`Var::assign`]), so only leaves keep theirs under an `RwLock`. The
+//! gradient slot is a `Mutex`. A graph is still built and differentiated
+//! by one thread; [`no_grad`] is per thread.
 
 use aero_tensor::Tensor;
-use std::cell::{Cell, Ref, RefCell};
+use std::cell::Cell;
 use std::collections::HashSet;
 use std::fmt;
-use std::rc::Rc;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 
 static NEXT_ID: AtomicUsize = AtomicUsize::new(0);
 
@@ -53,7 +59,14 @@ pub fn no_grad<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
-type BackwardFn = Box<dyn Fn(&Tensor) -> Vec<Tensor>>;
+type BackwardFn = Box<dyn Fn(&Tensor) -> Vec<Tensor> + Send + Sync>;
+
+/// Where a node keeps its value: fixed at creation for interior nodes,
+/// rewritable (by [`Var::assign`]) for leaves.
+enum Value {
+    Fixed(Tensor),
+    Leaf(RwLock<Tensor>),
+}
 
 struct Node {
     id: usize,
@@ -61,11 +74,20 @@ struct Node {
     /// `"constant"`, `"detach"`, or the method name for interior ops).
     /// Consumed by `aero-analysis` when linting a built graph.
     op: &'static str,
-    value: Tensor,
-    grad: Option<Tensor>,
+    value: Value,
+    grad: Mutex<Option<Tensor>>,
     parents: Vec<Var>,
     backward: Option<BackwardFn>,
     requires_grad: bool,
+}
+
+impl Node {
+    /// Locks the gradient slot. A panic while it was held (a shape
+    /// mismatch in an accumulation) left it holding a whole value or
+    /// `None`, so the guard is recovered from poisoning.
+    fn grad(&self) -> MutexGuard<'_, Option<Tensor>> {
+        self.grad.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A node in the autograd graph.
@@ -76,19 +98,79 @@ struct Node {
 /// nodes are created by the operation methods.
 #[derive(Clone)]
 pub struct Var {
-    inner: Rc<RefCell<Node>>,
+    inner: Arc<Node>,
+}
+
+/// A borrowed node value, returned by [`Var::value`]. Derefs to the
+/// [`Tensor`]; a leaf's value stays read-locked while this lives, so
+/// drop it before [`Var::assign`] on the same node.
+pub struct ValueRef<'a>(ValueBorrow<'a>);
+
+enum ValueBorrow<'a> {
+    Fixed(&'a Tensor),
+    Leaf(RwLockReadGuard<'a, Tensor>),
+}
+
+impl Deref for ValueRef<'_> {
+    type Target = Tensor;
+
+    fn deref(&self) -> &Tensor {
+        match &self.0 {
+            ValueBorrow::Fixed(t) => t,
+            ValueBorrow::Leaf(g) => g,
+        }
+    }
 }
 
 impl fmt::Debug for Var {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let node = self.inner.borrow();
+        let node = &self.inner;
         f.debug_struct("Var")
             .field("id", &node.id)
-            .field("shape", &node.value.shape())
+            .field("shape", &self.value().shape())
             .field("requires_grad", &node.requires_grad)
-            .field("has_grad", &node.grad.is_some())
+            .field("has_grad", &node.grad().is_some())
             .finish()
     }
+}
+
+/// Runs `f` on the values of `a` and `b`, taking one guard when both are
+/// the same node: `x.mul(&x)` reads one node twice, and std allows a
+/// second read lock on a lock the thread already holds to panic.
+fn with_pair<R>(a: &Var, b: &Var, f: impl FnOnce(&Tensor, &Tensor) -> R) -> R {
+    let va = a.value();
+    if a.same_node(b) {
+        f(&va, &va)
+    } else {
+        f(&va, &b.value())
+    }
+}
+
+/// [`with_pair`] plus an optional third operand (a convolution's bias),
+/// still one guard per distinct node and no allocation.
+fn with_triple<R>(
+    a: &Var,
+    b: &Var,
+    c: Option<&Var>,
+    f: impl FnOnce(&Tensor, &Tensor, Option<&Tensor>) -> R,
+) -> R {
+    with_pair(a, b, |va, vb| match c {
+        None => f(va, vb, None),
+        Some(c) if c.same_node(a) => f(va, vb, Some(va)),
+        Some(c) if c.same_node(b) => f(va, vb, Some(vb)),
+        Some(c) => f(va, vb, Some(&c.value())),
+    })
+}
+
+/// [`with_pair`] over any number of vars: one guard per distinct node.
+fn with_values<R>(vars: &[&Var], f: impl FnOnce(&[&Tensor]) -> R) -> R {
+    let first = |i: usize| vars[..i].iter().position(|u| u.same_node(vars[i])).unwrap_or(i);
+    let guards: Vec<Option<ValueRef<'_>>> =
+        (0..vars.len()).map(|i| (first(i) == i).then(|| vars[i].value())).collect();
+    let values: Vec<&Tensor> = (0..vars.len())
+        .map(|i| &**guards[first(i)].as_ref().expect("first occurrence holds the guard"))
+        .collect();
+    f(&values)
 }
 
 impl Var {
@@ -96,32 +178,32 @@ impl Var {
 
     /// Creates a trainable leaf.
     pub fn parameter(value: Tensor) -> Self {
-        Self::node(value, true, "parameter", Vec::new(), None)
+        Self::node(Value::Leaf(RwLock::new(value)), true, "parameter", Vec::new(), None)
     }
 
     /// Creates a frozen leaf that never receives gradients.
     pub fn constant(value: Tensor) -> Self {
-        Self::node(value, false, "constant", Vec::new(), None)
+        Self::node(Value::Leaf(RwLock::new(value)), false, "constant", Vec::new(), None)
     }
 
     fn node(
-        value: Tensor,
+        value: Value,
         requires_grad: bool,
         op: &'static str,
         parents: Vec<Var>,
         backward: Option<BackwardFn>,
     ) -> Self {
         Var {
-            inner: Rc::new(RefCell::new(Node {
+            inner: Arc::new(Node {
                 // lint: relaxed-ok(ids need only be unique; the counter publishes no data)
                 id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
                 op,
                 value,
-                grad: None,
+                grad: Mutex::new(None),
                 parents,
                 backward,
                 requires_grad,
-            })),
+            }),
         }
     }
 
@@ -138,43 +220,48 @@ impl Var {
     ) -> Self {
         let record = RECORDING.with(Cell::get) && parents.iter().any(|p| p.requires_grad());
         if !record {
-            return Self::node(value, false, op, Vec::new(), None);
+            return Self::node(Value::Fixed(value), false, op, Vec::new(), None);
         }
         let backward = backward(&value);
         let parents = parents.iter().map(|&p| p.clone()).collect();
-        Self::node(value, true, op, parents, Some(backward))
+        Self::node(Value::Fixed(value), true, op, parents, Some(backward))
     }
 
     // ----------------------------------------------------------- accessors
 
     /// Borrows the node's value.
-    pub fn value(&self) -> Ref<'_, Tensor> {
-        Ref::map(self.inner.borrow(), |n| &n.value)
+    pub fn value(&self) -> ValueRef<'_> {
+        ValueRef(match &self.inner.value {
+            Value::Fixed(t) => ValueBorrow::Fixed(t),
+            Value::Leaf(lock) => {
+                ValueBorrow::Leaf(lock.read().unwrap_or_else(PoisonError::into_inner))
+            }
+        })
     }
 
     /// Clones the node's value tensor.
     pub fn to_tensor(&self) -> Tensor {
-        self.inner.borrow().value.clone()
+        self.value().clone()
     }
 
     /// The shape of the node's value.
     pub fn shape(&self) -> Vec<usize> {
-        self.inner.borrow().value.shape().to_vec()
+        self.value().shape().to_vec()
     }
 
     /// Whether gradients flow into this node.
     pub fn requires_grad(&self) -> bool {
-        self.inner.borrow().requires_grad
+        self.inner.requires_grad
     }
 
     /// The accumulated gradient, if any.
     pub fn grad(&self) -> Option<Tensor> {
-        self.inner.borrow().grad.clone()
+        self.inner.grad().clone()
     }
 
     /// Clears the accumulated gradient.
     pub fn zero_grad(&self) {
-        self.inner.borrow_mut().grad = None;
+        *self.inner.grad() = None;
     }
 
     /// Overwrites the accumulated gradient (used by gradient clipping:
@@ -185,30 +272,38 @@ impl Var {
     ///
     /// Panics if the gradient's shape differs from the value's shape.
     pub fn set_grad(&self, grad: Tensor) {
-        let mut node = self.inner.borrow_mut();
-        assert_eq!(node.value.shape(), grad.shape(), "set_grad must preserve shape");
-        node.grad = Some(grad);
+        assert_eq!(self.value().shape(), grad.shape(), "set_grad must preserve shape");
+        *self.inner.grad() = Some(grad);
     }
 
     /// Overwrites the value of a leaf (used by optimizers).
     ///
     /// # Panics
     ///
-    /// Panics if the new value's shape differs from the old one.
+    /// Panics if the new value's shape differs from the old one, or if
+    /// this is an interior node (their values are fixed at creation).
     pub fn assign(&self, value: Tensor) {
-        let mut node = self.inner.borrow_mut();
-        assert_eq!(node.value.shape(), value.shape(), "assign must preserve shape");
-        node.value = value;
+        let Value::Leaf(lock) = &self.inner.value else {
+            panic!("assign rewrites leaves only; `{}` is an interior node", self.inner.op);
+        };
+        let mut slot = lock.write().unwrap_or_else(PoisonError::into_inner);
+        assert_eq!(slot.shape(), value.shape(), "assign must preserve shape");
+        *slot = value;
     }
 
     /// A frozen copy of this node's current value, cut off from the graph.
     pub fn detach(&self) -> Var {
-        Self::node(self.to_tensor(), false, "detach", Vec::new(), None)
+        Self::node(Value::Leaf(RwLock::new(self.to_tensor())), false, "detach", Vec::new(), None)
     }
 
     /// Unique id of this node within the process (monotonic per creation).
     pub fn id(&self) -> usize {
-        self.inner.borrow().id
+        self.inner.id
+    }
+
+    /// Whether `self` and `other` are handles on the same node.
+    fn same_node(&self, other: &Var) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
     }
 
     /// Name of the operation that produced this node.
@@ -217,7 +312,7 @@ impl Var {
     /// nodes report the producing method (`"matmul"`, `"ln"`, ...). This is
     /// the hook the `aero-analysis` graph linter walks.
     pub fn op(&self) -> &'static str {
-        self.inner.borrow().op
+        self.inner.op
     }
 
     /// Clones the parent handles of this node.
@@ -226,12 +321,12 @@ impl Var {
     /// their parents (nothing to backpropagate into), so a walk over
     /// `parents()` sees exactly the differentiable subgraph.
     pub fn parents(&self) -> Vec<Var> {
-        self.inner.borrow().parents.clone()
+        self.inner.parents.clone()
     }
 
     /// Whether this node has no recorded parents (a leaf of the tape).
     pub fn is_leaf(&self) -> bool {
-        self.inner.borrow().parents.is_empty()
+        self.inner.parents.is_empty()
     }
 
     // ------------------------------------------------------------ backward
@@ -245,7 +340,11 @@ impl Var {
     ///
     /// Panics if this node does not hold exactly one element.
     pub fn backward(&self) {
-        assert_eq!(self.value().numel(), 1, "backward requires a scalar output");
+        let seed = {
+            let value = self.value();
+            assert_eq!(value.numel(), 1, "backward requires a scalar output");
+            Tensor::ones(value.shape())
+        };
         // Topological order via iterative DFS.
         let mut order: Vec<Var> = Vec::new();
         let mut visited: HashSet<usize> = HashSet::new();
@@ -258,51 +357,27 @@ impl Var {
             if !visited.insert(var.id()) {
                 continue;
             }
-            let parents = var.inner.borrow().parents.clone();
             stack.push((var.clone(), true));
-            for p in parents {
+            for p in &var.inner.parents {
                 if p.requires_grad() && !visited.contains(&p.id()) {
-                    stack.push((p, false));
+                    stack.push((p.clone(), false));
                 }
             }
         }
-        {
-            let mut node = self.inner.borrow_mut();
-            let seed = Tensor::ones(node.value.shape());
-            node.grad = Some(match node.grad.take() {
-                Some(g) => g.add(&seed),
-                None => seed,
-            });
-        }
+        accumulate(&self.inner, seed);
         for var in order.iter().rev() {
-            let (grad, parents) = {
-                let node = var.inner.borrow();
-                match (&node.grad, &node.backward) {
-                    (Some(g), Some(_)) => (g.clone(), node.parents.clone()),
-                    _ => continue,
+            let node = &var.inner;
+            let Some(back) = &node.backward else { continue };
+            // Interior gradients are freed as they are consumed; leaves
+            // (no backward) keep theirs for the optimizer.
+            let Some(grad) = node.grad().take() else { continue };
+            let parent_grads = back(&grad);
+            assert_eq!(parent_grads.len(), node.parents.len(), "backward arity mismatch");
+            for (p, pg) in node.parents.iter().zip(parent_grads) {
+                if p.requires_grad() {
+                    debug_assert_eq!(p.value().shape(), pg.shape(), "gradient shape mismatch");
+                    accumulate(&p.inner, pg);
                 }
-            };
-            let parent_grads = {
-                let node = var.inner.borrow();
-                let back = node.backward.as_ref().expect("checked above");
-                back(&grad)
-            };
-            assert_eq!(parent_grads.len(), parents.len(), "backward arity mismatch");
-            for (p, pg) in parents.iter().zip(parent_grads) {
-                if !p.requires_grad() {
-                    continue;
-                }
-                let mut pn = p.inner.borrow_mut();
-                debug_assert_eq!(pn.value.shape(), pg.shape(), "gradient shape mismatch");
-                pn.grad = Some(match pn.grad.take() {
-                    Some(g) => g.add(&pg),
-                    None => pg,
-                });
-            }
-            // Free interior gradients eagerly; keep leaves for the optimizer.
-            let mut node = var.inner.borrow_mut();
-            if node.backward.is_some() {
-                node.grad = None;
             }
         }
     }
@@ -311,7 +386,7 @@ impl Var {
 
     /// Broadcasting elementwise addition.
     pub fn add(&self, other: &Var) -> Var {
-        let out = self.value().add(&other.value());
+        let out = with_pair(self, other, Tensor::add);
         Var::from_op("add", out, &[self, other], |_| {
             let (sa, sb) = (self.shape(), other.shape());
             Box::new(move |g| vec![unbroadcast(g, &sa), unbroadcast(g, &sb)])
@@ -320,7 +395,7 @@ impl Var {
 
     /// Broadcasting elementwise subtraction.
     pub fn sub(&self, other: &Var) -> Var {
-        let out = self.value().sub(&other.value());
+        let out = with_pair(self, other, Tensor::sub);
         Var::from_op("sub", out, &[self, other], |_| {
             let (sa, sb) = (self.shape(), other.shape());
             Box::new(move |g| vec![unbroadcast(g, &sa), unbroadcast(&g.neg(), &sb)])
@@ -329,7 +404,7 @@ impl Var {
 
     /// Broadcasting elementwise multiplication.
     pub fn mul(&self, other: &Var) -> Var {
-        let out = self.value().mul(&other.value());
+        let out = with_pair(self, other, Tensor::mul);
         Var::from_op("mul", out, &[self, other], |_| {
             let (a, b) = (self.to_tensor(), other.to_tensor());
             let (sa, sb) = (a.shape().to_vec(), b.shape().to_vec());
@@ -339,7 +414,7 @@ impl Var {
 
     /// Broadcasting elementwise division.
     pub fn div(&self, other: &Var) -> Var {
-        let out = self.value().div(&other.value());
+        let out = with_pair(self, other, Tensor::div);
         Var::from_op("div", out, &[self, other], |_| {
             let (a, b) = (self.to_tensor(), other.to_tensor());
             let (sa, sb) = (a.shape().to_vec(), b.shape().to_vec());
@@ -472,7 +547,7 @@ impl Var {
     ///
     /// Panics on rank or inner-dimension mismatch.
     pub fn matmul(&self, other: &Var) -> Var {
-        let out = self.value().matmul(&other.value());
+        let out = with_pair(self, other, Tensor::matmul);
         Var::from_op("matmul", out, &[self, other], |_| {
             let (a, b) = (self.to_tensor(), other.to_tensor());
             Box::new(move |g| vec![g.matmul(&b.transpose()), a.transpose().matmul(g)])
@@ -485,7 +560,7 @@ impl Var {
     ///
     /// Panics on rank, batch, or inner-dimension mismatch.
     pub fn bmm(&self, other: &Var) -> Var {
-        let out = self.value().bmm(&other.value());
+        let out = with_pair(self, other, Tensor::bmm);
         Var::from_op("bmm", out, &[self, other], |_| {
             let (a, b) = (self.to_tensor(), other.to_tensor());
             Box::new(move |g| {
@@ -561,8 +636,7 @@ impl Var {
     /// Panics if `vars` is empty or off-axis shapes differ.
     pub fn concat(vars: &[&Var], axis: usize) -> Var {
         assert!(!vars.is_empty(), "concat requires at least one var");
-        let values: Vec<Ref<'_, Tensor>> = vars.iter().map(|v| v.value()).collect();
-        let out = Tensor::concat(&values.iter().map(|v| &**v).collect::<Vec<_>>(), axis);
+        let out = with_values(vars, |values| Tensor::concat(values, axis));
         Var::from_op("concat", out, vars, |_| {
             let lens: Vec<usize> = vars.iter().map(|v| v.shape()[axis]).collect();
             Box::new(move |g| {
@@ -678,10 +752,7 @@ impl Var {
     ///
     /// Panics on rank or channel mismatch.
     pub fn conv2d(&self, weight: &Var, bias: Option<&Var>, stride: usize, pad: usize) -> Var {
-        let out = {
-            let b = bias.map(Var::value);
-            self.value().conv2d(&weight.value(), b.as_deref(), stride, pad)
-        };
+        let out = with_triple(self, weight, bias, |x, w, b| x.conv2d(w, b, stride, pad));
         let parents: &[&Var] = match bias {
             Some(b) => &[self, weight, b],
             None => &[self, weight],
@@ -737,10 +808,7 @@ impl Var {
         stride: usize,
         pad: usize,
     ) -> Var {
-        let out = {
-            let b = bias.map(Var::value);
-            self.value().conv_transpose2d(&weight.value(), b.as_deref(), stride, pad)
-        };
+        let out = with_triple(self, weight, bias, |x, w, b| x.conv_transpose2d(w, b, stride, pad));
         let parents: &[&Var] = match bias {
             Some(b) => &[self, weight, b],
             None => &[self, weight],
@@ -836,6 +904,15 @@ impl Var {
         let diff = self.sub(&t);
         diff.mul(&diff).mean()
     }
+}
+
+/// Adds `g` into `node`'s gradient slot.
+fn accumulate(node: &Node, g: Tensor) {
+    let mut slot = node.grad();
+    *slot = Some(match slot.take() {
+        Some(acc) => acc.add(&g),
+        None => g,
+    });
 }
 
 /// Reduces a gradient over axes that were broadcast during the forward op.

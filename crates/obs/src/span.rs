@@ -30,11 +30,11 @@ pub struct SpanNode {
 
 impl SpanNode {
     /// Inclusive time minus the children's inclusive times (saturating:
-    /// clock granularity can make children appear marginally longer).
+    /// clock granularity can make children appear marginally longer, and
+    /// children that ran in parallel sum to more than their parent).
     #[must_use]
     pub fn exclusive_nanos(&self) -> u128 {
-        let child_total: u128 = self.children.iter().map(|c| c.inclusive_nanos).sum();
-        self.inclusive_nanos.saturating_sub(child_total)
+        self.inclusive_nanos.saturating_sub(children_inclusive(self))
     }
 
     /// Total spans in this subtree, including self.
@@ -73,6 +73,10 @@ impl Trace {
     /// sampler.ddim                 12.40ms  (self 0.52ms)
     ///   unet.denoise_step ×30      11.88ms  (self 11.88ms)
     /// ```
+    ///
+    /// A span whose children ran on several threads at once (the two
+    /// passes of a guided DDIM step) has children summing to more than
+    /// its own wall time; its line then also shows that sum as `busy`.
     #[must_use]
     pub fn render_tree(&self) -> String {
         let mut out = String::new();
@@ -98,6 +102,9 @@ struct Aggregate<'a> {
     count: usize,
     inclusive: u128,
     exclusive: u128,
+    /// Sum of the children's inclusive times (the busy time when they
+    /// ran in parallel).
+    children_inclusive: u128,
     children: Vec<&'a SpanNode>,
 }
 
@@ -108,6 +115,7 @@ fn aggregate_level(nodes: &[SpanNode]) -> Vec<Aggregate<'_>> {
             agg.count += 1;
             agg.inclusive += node.inclusive_nanos;
             agg.exclusive += node.exclusive_nanos();
+            agg.children_inclusive += children_inclusive(node);
             agg.children.extend(&node.children);
         } else {
             out.push(Aggregate {
@@ -115,11 +123,16 @@ fn aggregate_level(nodes: &[SpanNode]) -> Vec<Aggregate<'_>> {
                 count: 1,
                 inclusive: node.inclusive_nanos,
                 exclusive: node.exclusive_nanos(),
+                children_inclusive: children_inclusive(node),
                 children: node.children.iter().collect(),
             });
         }
     }
     out
+}
+
+fn children_inclusive(node: &SpanNode) -> u128 {
+    node.children.iter().map(|c| c.inclusive_nanos).sum()
 }
 
 fn fmt_ms(nanos: u128) -> String {
@@ -134,8 +147,13 @@ fn render_level(nodes: &[SpanNode], depth: usize, out: &mut String) {
             agg.name.to_string()
         };
         let indent = "  ".repeat(depth);
+        let busy = if agg.children_inclusive > agg.inclusive {
+            format!("  busy {}", fmt_ms(agg.children_inclusive))
+        } else {
+            String::new()
+        };
         out.push_str(&format!(
-            "{indent}{label:<width$}  {:>10}  (self {})\n",
+            "{indent}{label:<width$}  {:>10}  (self {}){busy}\n",
             fmt_ms(agg.inclusive),
             fmt_ms(agg.exclusive),
             width = 36usize.saturating_sub(indent.len()),
@@ -216,6 +234,20 @@ pub fn collect<T>(f: impl FnOnce() -> T) -> (T, Trace) {
 #[must_use]
 pub fn is_collecting() -> bool {
     COLLECTOR.with(|c| c.borrow().is_some())
+}
+
+/// Attaches finished spans, typically collected on another thread, as
+/// children of the innermost span open on this thread (or as roots when
+/// none is open). A no-op when this thread is not collecting.
+pub fn attach(nodes: Vec<SpanNode>) {
+    COLLECTOR.with(|c| {
+        if let Some(collector) = c.borrow_mut().as_mut() {
+            match collector.stack.last_mut() {
+                Some(parent) => parent.children.extend(nodes),
+                None => collector.roots.extend(nodes),
+            }
+        }
+    });
 }
 
 /// Opens a span named `name` if this thread is collecting; a no-op
@@ -358,6 +390,33 @@ mod tests {
         });
         let names: Vec<_> = outer_trace.roots.iter().map(|r| r.name).collect();
         assert_eq!(names, vec!["outer_span", "outer_span_2"]);
+    }
+
+    #[test]
+    fn attached_spans_nest_under_the_open_span_and_report_busy_time() {
+        // A span collected elsewhere (another thread's pass), attached
+        // under this thread's open step: it becomes the step's child, and
+        // since it outlasts the step, the step's line shows the sum.
+        let remote = SpanNode { name: "uncond", inclusive_nanos: 5_000_000_000, children: vec![] };
+        let (_, trace) = collect(|| {
+            let _step = enter("step");
+            {
+                let _cond = enter("cond");
+            }
+            attach(vec![remote.clone()]);
+        });
+        let step = &trace.roots[0];
+        let names: Vec<_> = step.children.iter().map(|c| c.name).collect();
+        assert_eq!(names, vec!["cond", "uncond"]);
+        assert_eq!(step.children[1], remote);
+        assert_eq!(step.exclusive_nanos(), 0, "parallel children saturate self time");
+        let tree = trace.render_tree();
+        let step_line = tree.lines().next().expect("step line");
+        assert!(step_line.contains("busy 5000."), "{tree}");
+        assert!(!tree.lines().nth(1).expect("cond line").contains("busy"), "{tree}");
+        // Outside a collect scope attaching is a no-op.
+        attach(vec![remote]);
+        assert!(!is_collecting());
     }
 
     #[test]

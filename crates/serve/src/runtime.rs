@@ -2,13 +2,20 @@
 //! one immutable trained pipeline, fronted by a rendezvous shard router
 //! and an admission controller.
 //!
-//! The trained pipeline itself is not shareable across threads (its
-//! parameters live in `Rc`-backed autograd nodes), so the runtime ships a
-//! [`PipelineSnapshot`] — plain bytes — to every worker and each worker
-//! hydrates a private replica once at startup. That is the standard
-//! immutable-weights / many-replicas deployment shape: weights are frozen
-//! at snapshot time, so replicas are exact clones and any worker may
-//! serve any request.
+//! The runtime ships a [`PipelineSnapshot`] — plain bytes — to every
+//! worker and each worker hydrates a private replica once at startup.
+//! That is the standard immutable-weights / many-replicas deployment
+//! shape: weights are frozen at snapshot time, so replicas are exact
+//! clones and any worker may serve any request.
+//!
+//! Thread budget: after every hydration a worker trims the snapshot's
+//! kernel thread policy to its share of the cores,
+//! `max(1, cores / (replicas × workers))`, capped by the snapshot's own
+//! count. Workers that together fill the cores therefore run one thread
+//! each, and the DDIM sampler spawns no guidance helper for them; a
+//! worker with two cores to itself runs each guided step's two UNet
+//! passes side by side. Workers plan against the core count of the
+//! thread that started the runtime.
 //!
 //! Scale-out shape: [`ServeConfig::replicas`] independent *replica
 //! groups*, each with its own bounded queue, its own condition-embedding
@@ -79,6 +86,7 @@ use aero_model::{
     snapshot_from_artifact, IntegrityState, ModelArtifact, ModelError, ModelRegistry, RegistryEntry,
 };
 use aero_scene::{build_dataset, DatasetConfig, DatasetItem, SceneGeneratorConfig};
+use aero_tensor::parallel::{self, ParallelConfig};
 use aero_tensor::Tensor;
 use aerodiffusion::{
     AeroDiffusionPipeline, PipelineConfig, PipelineSnapshot, SampleRow, TaskKind, TaskSpec,
@@ -286,6 +294,10 @@ struct FleetShared {
     stats: Arc<StatsCollector>,
     faults: Option<Arc<FaultPlan>>,
     slot: Arc<ModelSlot>,
+    /// The core count the starting thread planned against
+    /// ([`aero_tensor::parallel::effective_cores`]); every worker plans
+    /// against it too.
+    cores: usize,
 }
 
 /// How a worker thread ended, as seen by the supervisor. A thread that
@@ -386,6 +398,7 @@ impl ServeRuntime {
             stats: Arc::clone(&stats),
             faults: faults.clone(),
             slot: Arc::clone(&slot),
+            cores: parallel::effective_cores(),
         };
         let mut fleet: Vec<Vec<Option<JoinHandle<WorkerOutcome>>>> = (0..config.replicas)
             .map(|g| {
@@ -666,9 +679,9 @@ fn spawn_worker(
     shared: FleetShared,
     config: ServeConfig,
 ) -> std::io::Result<JoinHandle<WorkerOutcome>> {
-    std::thread::Builder::new()
-        .name(format!("aero-serve-{group}.{slot}.{generation}"))
-        .spawn(move || worker_loop(&shared, group, config))
+    std::thread::Builder::new().name(format!("aero-serve-{group}.{slot}.{generation}")).spawn(
+        move || parallel::with_assumed_cores(shared.cores, || worker_loop(&shared, group, config)),
+    )
 }
 
 /// Supervises the fleet: joins finished workers, respawns single workers
@@ -784,11 +797,18 @@ struct Replica {
 }
 
 impl Replica {
-    /// Hydrates a fresh replica from `snapshot`. `None` mirrors a failed
-    /// hydration — the snapshot's bytes do not decode, or the reference
-    /// dataset came up empty.
+    /// Hydrates a fresh replica from `snapshot` and trims the worker's
+    /// thread policy to its share of the cores (see the module docs).
+    /// `None` mirrors a failed hydration — the snapshot's bytes do not
+    /// decode, or the reference dataset came up empty.
     fn build(snapshot: &PipelineSnapshot, config: &ServeConfig) -> Option<Replica> {
         let pipeline = snapshot.hydrate().ok()?;
+        let policy = snapshot.parallel();
+        let share = parallel::effective_cores() / config.replicas.saturating_mul(config.workers);
+        parallel::adopt_thread_policy(
+            ParallelConfig::with_threads(share.clamp(1, policy.threads()))
+                .with_backend(policy.backend()),
+        );
         let reference = build_dataset(&DatasetConfig {
             n_scenes: 1,
             image_size: pipeline.config().vision.image_size,

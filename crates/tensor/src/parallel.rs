@@ -213,11 +213,13 @@ pub fn effective_cores() -> usize {
 /// Runs `f` pretending the machine has `cores` cores (clamped to at
 /// least 1), restoring the real value on exit — including on panic.
 ///
-/// Test/bench hook only: it lets the equivalence suite and CI exercise
-/// the parallel dispatch paths on small hosts where the physical-core
-/// clamp would otherwise keep every kernel serial. Production code must
-/// never install an assumption — oversubscribing real cores is exactly
-/// what the clamp exists to prevent.
+/// Test/bench hook: it lets the equivalence suite and CI exercise the
+/// parallel dispatch paths on small hosts where the physical-core clamp
+/// would otherwise keep every kernel serial. Production code never
+/// invents an assumption — oversubscribing real cores is exactly what
+/// the clamp exists to prevent. It only carries one thread's
+/// [`effective_cores`] to threads it starts (the serve runtime's
+/// workers), which without a test scope is the machine's own count.
 pub fn with_assumed_cores<R>(cores: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(usize);
     impl Drop for Restore {

@@ -16,7 +16,11 @@
 #                      temp workspace and asserts the analyzer trips
 #   5. serve smoke   — two NDJSON requests piped through `serve --demo`,
 #                      asserting image replies plus the stats and
-#                      metrics probes; then one line of 100,000 `[`
+#                      metrics probes; the same with one worker per core,
+#                      whose metrics line must not count a guidance
+#                      helper run (`sampler.cfg_parallel`, workers that
+#                      fill the cores never spawn one); then one line of
+#                      100,000 `[`
 #                      followed by a valid request must get a typed
 #                      `bad_request` and then an image (the JSON
 #                      nesting cap); and a non-UTF-8 line plus a line
@@ -144,6 +148,24 @@ echo "$serve_out" | grep -q '"type":"metrics"' \
   || { echo "serve smoke: metrics line missing"; exit 1; }
 echo "$serve_out" | grep -q '"serve.completed":2' \
   || { echo "serve smoke: metrics line missing serve.completed counter"; exit 1; }
+
+echo "== serve smoke: workers that fill the cores never spawn a guidance helper =="
+# Each worker trims its kernel threads to cores / workers, so with one
+# worker per core no guided DDIM step runs its unconditional pass on a
+# helper thread, and the metrics line counts no `sampler.cfg_parallel`.
+fill_out="$(printf '%s\n%s\n%s\n' \
+  '{"type":"generate","id":"ci-w0","prompt":"an aerial view of a park","seed":1}' \
+  '{"type":"generate","id":"ci-w1","prompt":"a parking lot at night","seed":2}' \
+  '{"type":"metrics"}' \
+  | cargo run --offline -q -p aerodiffusion-suite --bin aerodiffusion_cli -- \
+      serve --demo --scenes 3 --workers "$(nproc)" --steps 4)"
+[ "$(echo "$fill_out" | grep -c '"type":"image"')" -eq 2 ] \
+  || { echo "serve smoke: expected 2 image replies with one worker per core"; exit 1; }
+echo "$fill_out" | grep -q '"serve.completed":2' \
+  || { echo "serve smoke: metrics line missing or short of 2 completed"; exit 1; }
+if echo "$fill_out" | grep -Eq '"sampler\.cfg_parallel":[1-9]'; then
+  echo "serve smoke: a worker sharing the cores ran a guidance helper"; exit 1
+fi
 
 echo "== serve smoke: a deeply nested line gets a typed bad_request =="
 # One line of 100,000 `[` would recurse the JSON parser off the reader's
