@@ -6,9 +6,11 @@
 //! - **size** — the f32 and q8 `.amdl` artifacts versus the directory
 //!   save, plus the q8/f32 payload ratio the quantizer achieves on the
 //!   real model;
-//! - **cold-start** — time from bytes-on-disk to a hydrated pipeline:
-//!   artifact read (CRC + mmap) + snapshot hydration, versus
-//!   [`AeroDiffusionPipeline::load`] over the directory format;
+//! - **cold-start** — time from bytes-on-disk to a sample-ready
+//!   pipeline: artifact read (CRC + mmap), building the model from the
+//!   artifact's tensors (`snapshot_from_artifact`) and taking it
+//!   (`hydrate`), versus [`AeroDiffusionPipeline::load`] over the
+//!   directory format;
 //! - **fidelity** — the q8 per-layer quantization-error envelope, and a
 //!   byte-compare proving the f32 artifact round trip is lossless
 //!   end-to-end (same sample bytes as the directory loader).
@@ -94,7 +96,7 @@ fn main() {
         f32_report.artifact_bytes
     );
 
-    // Cold-start: bytes on disk → a hydrated, sample-ready pipeline.
+    // Cold-start: bytes on disk → a sample-ready pipeline.
     let hydrate = |path: &Path| {
         let artifact = ModelArtifact::read(path).expect("artifact read");
         let snap = snapshot_from_artifact(&artifact).expect("snapshot from artifact");
@@ -110,7 +112,7 @@ fn main() {
         let _ = AeroDiffusionPipeline::load(&model_dir, PipelineConfig::smoke())
             .expect("directory load");
     });
-    // Load-only (CRC verify + mmap + header decode, no hydration): the
+    // Load-only (CRC verify + mmap + header decode, no model built): the
     // part the artifact format itself is responsible for.
     let f32_load = median_secs(reps, || {
         let _ = ModelArtifact::read(&f32_path).expect("artifact read");

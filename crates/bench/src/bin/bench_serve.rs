@@ -15,7 +15,7 @@
 //!    the shed rate and asserting every shed is a typed `overloaded`
 //!    reply (and every admitted request is still served).
 //!
-//! A warmup request per prompt runs first so replica hydration and
+//! A warmup request per prompt runs first so worker start-up and
 //! condition encoding are excluded from the measured window.
 //!
 //! Writes `BENCH_serve.json` to the working directory.
@@ -77,7 +77,7 @@ fn measure(
     config.steps = STEPS;
     configure(&mut config);
     let runtime = ServeRuntime::start(snapshot.clone(), config);
-    // Warmup: hydrate every replica and fill the condition caches.
+    // Warmup: start every worker and fill the condition caches.
     for (i, prompt) in PROMPTS.iter().enumerate() {
         let handle = runtime
             .submit(GenerateRequest::new(format!("warm-{i}"), *prompt, 1000 + i as u64))

@@ -28,9 +28,10 @@
 use crate::ablation::AblationVariant;
 use crate::config::PipelineConfig;
 use aero_nn::integrity::{write_atomic, IntegrityError, Manifest};
-use aero_nn::serialize::{encode_params, load_params, LoadWeightsError};
+use aero_nn::serialize::{decode_tensors, encode_params, LoadWeightsError};
+use aero_tensor::Tensor;
 use aero_text::llm::LlmProvider;
-use aero_text::tokenizer::{Tokenizer, Vocabulary};
+use aero_text::tokenizer::Vocabulary;
 use std::error::Error;
 use std::fmt;
 use std::fs;
@@ -191,8 +192,9 @@ pub(crate) fn write_vocab(vocab: &Vocabulary, path: &Path) -> Result<(), Persist
 
 /// Rebuilds a [`Vocabulary`] with identical ids from its word list: the
 /// non-special words are fed with descending artificial frequency so
-/// `Vocabulary::build` preserves order. Shared by the on-disk loader and
-/// the in-memory [`crate::snapshot::PipelineSnapshot`] replica path.
+/// `Vocabulary::build` preserves order. Called by the one pipeline
+/// constructor, so the directory loader, model artifacts and snapshots
+/// all rebuild vocabularies the same way.
 pub(crate) fn vocab_from_words<S: AsRef<str>>(words: &[S]) -> Result<Vocabulary, PersistError> {
     if words.len() < 4 {
         return Err(PersistError::Meta("vocabulary too short".into()));
@@ -219,10 +221,9 @@ pub(crate) fn vocab_from_words<S: AsRef<str>>(words: &[S]) -> Result<Vocabulary,
     Ok(vocab)
 }
 
-pub(crate) fn read_tokenizer(dir: &Path, max_len: usize) -> Result<Tokenizer, PersistError> {
-    let text = fs::read_to_string(dir.join("vocab.txt"))?;
-    let words: Vec<&str> = text.lines().collect();
-    Ok(Tokenizer::new(vocab_from_words(&words)?, max_len))
+/// The vocabulary words of a saved pipeline, in id order.
+pub(crate) fn read_vocab(dir: &Path) -> Result<Vec<String>, PersistError> {
+    Ok(fs::read_to_string(dir.join("vocab.txt"))?.lines().map(str::to_string).collect())
 }
 
 /// The stable on-disk tag for a caption provider, shared by `meta.txt`
@@ -323,9 +324,9 @@ pub(crate) fn save_module(params: &[aero_nn::Var], path: &Path) -> Result<(), Pe
     Ok(())
 }
 
-pub(crate) fn load_module(params: &[aero_nn::Var], path: &Path) -> Result<(), PersistError> {
-    load_params(params, path)?;
-    Ok(())
+/// One saved module's weight tensors, in parameter order.
+pub(crate) fn read_module(path: &Path) -> Result<Vec<Tensor>, PersistError> {
+    Ok(decode_tensors(&fs::read(path)?)?)
 }
 
 /// A convenience: config hash so loads against a different geometry fail
@@ -366,9 +367,9 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let vocab = Vocabulary::build(["the car drives past the tree on the road"], 1);
         write_vocab(&vocab, &dir.join("vocab.txt")).unwrap();
-        let tok = read_tokenizer(&dir, 10).unwrap();
+        let rebuilt = vocab_from_words(&read_vocab(&dir).unwrap()).unwrap();
         for id in 0..vocab.len() {
-            assert_eq!(tok.vocab().word(id), vocab.word(id), "id {id}");
+            assert_eq!(rebuilt.word(id), vocab.word(id), "id {id}");
         }
     }
 

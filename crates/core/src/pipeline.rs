@@ -3,6 +3,7 @@
 use crate::ablation::AblationVariant;
 use crate::condition::{ConditionInputs, ConditionNetwork};
 use crate::config::PipelineConfig;
+use crate::persist::{vocab_from_words, PersistError, PipelineMeta};
 use crate::snapshot::MODULE_NAMES;
 use crate::substrate::{caption_dataset, SubstrateBundle};
 use crate::task::{ConditionSource, TaskSpec};
@@ -11,6 +12,7 @@ use aero_diffusion::{
     SampleOptions, Sampler, StepSink, TrainCursor,
 };
 use aero_nn::optim::Adam;
+use aero_nn::serialize::load_into_params;
 use aero_nn::{Module, Var};
 use aero_obs::span;
 use aero_scene::{AerialDataset, Annotation, DatasetItem, Image, ObjectClass};
@@ -18,6 +20,7 @@ use aero_tensor::Tensor;
 use aero_text::llm::{LlmProvider, SimulatedLlm};
 use aero_text::prompt::PromptTemplate;
 use aero_text::task::{task_caption, TaskCaption};
+use aero_text::tokenizer::Tokenizer;
 use aero_vision::vae::LATENT_CHANNELS;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -711,23 +714,12 @@ impl AeroDiffusionPipeline {
     /// # Errors
     ///
     /// Propagates I/O failures.
-    pub fn save<P: AsRef<std::path::Path>>(
-        &self,
-        dir: P,
-    ) -> Result<(), crate::persist::PersistError> {
+    pub fn save<P: AsRef<std::path::Path>>(&self, dir: P) -> Result<(), PersistError> {
         use crate::persist;
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
         persist::write_vocab(self.bundle.tokenizer.vocab(), &dir.join("vocab.txt"))?;
-        persist::write_meta(
-            &crate::persist::PipelineMeta {
-                max_len: self.bundle.tokenizer.max_len(),
-                latent_scale: self.bundle.vae.latent_scale(),
-                provider: self.provider,
-                variant: self.variant,
-            },
-            &dir.join("meta.txt"),
-        )?;
+        persist::write_meta(&self.meta(), &dir.join("meta.txt"))?;
         aero_nn::integrity::write_atomic(
             &dir.join("config.txt"),
             persist::config_fingerprint(&self.config).as_bytes(),
@@ -750,7 +742,7 @@ impl AeroDiffusionPipeline {
     pub fn load<P: AsRef<std::path::Path>>(
         dir: P,
         config: PipelineConfig,
-    ) -> Result<Self, crate::persist::PersistError> {
+    ) -> Result<Self, PersistError> {
         use crate::persist;
         let dir = dir.as_ref();
         // Integrity first: a bit flip anywhere fails typed before any
@@ -759,21 +751,55 @@ impl AeroDiffusionPipeline {
         persist::verify_manifest(dir)?;
         let fingerprint = std::fs::read_to_string(dir.join("config.txt"))?;
         if fingerprint != persist::config_fingerprint(&config) {
-            return Err(crate::persist::PersistError::Meta(format!(
+            return Err(PersistError::Meta(format!(
                 "config fingerprint mismatch: saved {fingerprint}, requested {}",
                 persist::config_fingerprint(&config)
             )));
         }
         let meta = persist::read_meta(&dir.join("meta.txt"))?;
-        let tokenizer = persist::read_tokenizer(dir, meta.max_len)?;
+        let vocab = persist::read_vocab(dir)?;
+        let mut modules: [Vec<Tensor>; 5] = Default::default();
+        for (tensors, name) in modules.iter_mut().zip(MODULE_NAMES) {
+            *tensors = persist::read_module(&dir.join(format!("{name}.aero")))?;
+        }
+        Self::from_weights(config, &meta, &vocab, modules)
+    }
+
+    /// Builds a trained pipeline from its parts: the untrained skeleton
+    /// for `config` around the rebuilt vocabulary, then each module's
+    /// weights in [`MODULE_NAMES`] order and the latent scale. The one
+    /// constructor behind `load`, `snapshot` and model artifacts.
+    ///
+    /// # Errors
+    ///
+    /// [`PersistError::Meta`] if the vocabulary does not rebuild with the
+    /// same ids, [`PersistError::Weights`] if a module's tensors do not
+    /// fit its parameters in number or shape.
+    pub(crate) fn from_weights<S: AsRef<str>>(
+        config: PipelineConfig,
+        meta: &PipelineMeta,
+        vocab: &[S],
+        modules: [Vec<Tensor>; 5],
+    ) -> Result<Self, PersistError> {
+        let tokenizer = Tokenizer::new(vocab_from_words(vocab)?, meta.max_len);
         let bundle = SubstrateBundle::new_untrained(tokenizer, &config, 0);
         let mut rng = StdRng::seed_from_u64(0);
         let mut pipeline = Self::assemble(config, bundle, meta.provider, meta.variant, &mut rng);
-        for (name, params) in MODULE_NAMES.iter().zip(pipeline.modules()) {
-            persist::load_module(&params, &dir.join(format!("{name}.aero")))?;
+        for (params, tensors) in pipeline.modules().iter().zip(modules) {
+            load_into_params(params, tensors)?;
         }
         pipeline.bundle.vae.set_latent_scale(meta.latent_scale);
         Ok(pipeline)
+    }
+
+    /// The dataset-independent state a save or a snapshot carries.
+    pub(crate) fn meta(&self) -> PipelineMeta {
+        PipelineMeta {
+            max_len: self.bundle.tokenizer.max_len(),
+            latent_scale: self.bundle.vae.latent_scale(),
+            provider: self.provider,
+            variant: self.variant,
+        }
     }
 
     /// The prompt template in use.

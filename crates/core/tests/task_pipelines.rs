@@ -16,9 +16,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::OnceLock;
 
-/// The pipeline itself is intentionally `!Sync` (shared autograd nodes),
-/// so the shared fixture is its `Send + Sync` snapshot; each test
-/// hydrates a private copy — bit-identical to the trained original.
+/// The shared fixture is the trained pipeline's `Send + Sync` snapshot;
+/// every test reads its one shared pipeline — bit-identical to the
+/// trained original.
 fn fixture() -> &'static (PipelineSnapshot, AerialDataset) {
     static FIX: OnceLock<(PipelineSnapshot, AerialDataset)> = OnceLock::new();
     FIX.get_or_init(|| {
@@ -53,13 +53,13 @@ fn image_bits(image: &Image) -> Vec<u32> {
 #[test]
 fn inpaint_preserves_pixels_outside_the_masked_footprint() {
     let (snapshot, ds) = fixture();
-    let pipeline = snapshot.hydrate().expect("snapshot hydrates");
+    let pipeline = snapshot.pipeline();
     let source = ds.items[1].rendered.image.clone();
     let s = pipeline.config().vision.image_size;
     let regions =
         vec![Annotation { class: ObjectClass::ALL[0], bbox: BBox::new(5.0, 5.0, 9.0, 9.0) }];
     let task = TaskSpec::inpaint(source.clone(), regions.clone(), "a truck parked on the lot");
-    let out = pipeline.run_task(&task, &sampler(&pipeline), 21, StepSink::none());
+    let out = pipeline.run_task(&task, &sampler(pipeline), 21, StepSink::none());
 
     let [c, h, w] = pipeline.latent_shape();
     let baseline =
@@ -110,9 +110,9 @@ fn inpaint_preserves_pixels_outside_the_masked_footprint() {
 #[test]
 fn view_and_superres_tasks_are_deterministic_end_to_end() {
     let (snapshot, ds) = fixture();
-    let pipeline = snapshot.hydrate().expect("snapshot hydrates");
+    let pipeline = snapshot.pipeline();
     let s = pipeline.config().vision.image_size;
-    let sampler = sampler(&pipeline);
+    let sampler = sampler(pipeline);
     let source = ds.items[2].rendered.image.clone();
     let homography = Homography::between(
         source.width(),
@@ -163,7 +163,7 @@ proptest! {
     ) {
         let seeds = [s0, s1, s2];
         let (snapshot, ds) = fixture();
-        let pipeline = snapshot.hydrate().expect("snapshot hydrates");
+        let pipeline = snapshot.pipeline();
         let item = &ds.items[0];
         let caption = pipeline.caption_for(item, &mut StdRng::seed_from_u64(0));
         let source = ds.items[1].rendered.image.clone();
@@ -184,7 +184,7 @@ proptest! {
         ];
         specs.rotate_left(rot);
 
-        let sampler = sampler(&pipeline);
+        let sampler = sampler(pipeline);
         let [c, h, w] = pipeline.latent_shape();
         // The same batch call the serving batcher makes: one row per
         // task with its own seeded rng and its inpainting pin parts.

@@ -1,10 +1,13 @@
-//! Pipeline-snapshot export/hydration and the quantization-error report.
+//! Pipeline-snapshot export/import and the quantization-error report.
 //!
 //! A snapshot exports to one artifact: the pipeline configuration
 //! (exact, via the bit-pattern `key=value` codec), metadata, vocabulary
 //! and thread policy land in the key/value section; every module's
 //! weight tensors land in the tensor table as `<module>.<index>` entries,
-//! either dense (`f32`) or block-quantized (`q8`).
+//! either dense (`f32`) or block-quantized (`q8`). Both directions move
+//! tensors directly between the artifact and the snapshot's parameters:
+//! import builds the model once, where the bytes come in, and a tensor
+//! that does not fit its module fails there, typed.
 //!
 //! Export is **byte-stable**: metadata keys are sorted, tensor order is
 //! the fixed module order, and quantization is deterministic — the same
@@ -120,16 +123,10 @@ fn module_count_key(module: &str) -> String {
 
 /// Renders a snapshot to artifact bytes, returning the bytes and the
 /// quantization report. Deterministic: the same snapshot and mode always
-/// produce identical bytes.
-///
-/// # Errors
-///
-/// [`ModelError::Corrupt`] if a snapshot weight blob does not decode
-/// (possible only for corrupted snapshot bytes).
-pub fn export_snapshot(
-    snapshot: &PipelineSnapshot,
-    quant: Quantization,
-) -> Result<(Vec<u8>, QuantReport), ModelError> {
+/// produce identical bytes. Weight tensors are read straight from the
+/// snapshot's parameters.
+#[must_use]
+pub fn export_snapshot(snapshot: &PipelineSnapshot, quant: Quantization) -> (Vec<u8>, QuantReport) {
     let mut builder = ArtifactBuilder::new();
     builder.set(KEY_QUANT, quant.tag());
     builder.set(KEY_CONFIG, &snapshot.config().render_kv());
@@ -146,18 +143,17 @@ pub fn export_snapshot(
     let mut max_abs = 0.0f32;
     let mut err_sum = 0.0f64;
     let mut total_elems = 0usize;
-    for (module, blob) in snapshot.module_blobs() {
-        let tensors = aero_nn::serialize::decode_tensors(blob)
-            .map_err(|e| ModelError::corrupt(format!("snapshot module {module}: {e}")))?;
-        builder.set(&module_count_key(module), &tensors.len().to_string());
-        for (i, t) in tensors.iter().enumerate() {
+    for (module, params) in MODULE_NAMES.into_iter().zip(snapshot.module_params()) {
+        builder.set(&module_count_key(module), &params.len().to_string());
+        for (i, param) in params.iter().enumerate() {
+            let t = param.value();
             let name = format!("{module}.{i}");
             f32_data_bytes += t.numel() * 4;
             match quant {
-                Quantization::F32 => builder.add_f32(&name, t),
+                Quantization::F32 => builder.add_f32(&name, &t),
                 Quantization::Q8 => {
-                    let q = Q8Tensor::quantize(t);
-                    let (layer_max, layer_mean) = q.reconstruction_error(t);
+                    let q = Q8Tensor::quantize(&t);
+                    let (layer_max, layer_mean) = q.reconstruction_error(&t);
                     max_abs = max_abs.max(layer_max);
                     err_sum += f64::from(layer_mean) * t.numel() as f64;
                     total_elems += t.numel();
@@ -189,20 +185,20 @@ pub fn export_snapshot(
         aero_obs::gauge!("model.quant.mean_abs_error").set(f64::from(report.mean_abs_error));
         aero_obs::gauge!("model.quant.size_ratio").set(report.size_ratio());
     }
-    Ok((bytes, report))
+    (bytes, report)
 }
 
 /// Exports a snapshot to an artifact file, crash-safely.
 ///
 /// # Errors
 ///
-/// Propagates [`export_snapshot`] failures and I/O failures.
+/// Propagates I/O failures.
 pub fn write_snapshot(
     snapshot: &PipelineSnapshot,
     quant: Quantization,
     path: &std::path::Path,
 ) -> Result<QuantReport, ModelError> {
-    let (bytes, report) = export_snapshot(snapshot, quant)?;
+    let (bytes, report) = export_snapshot(snapshot, quant);
     aero_nn::integrity::write_atomic(path, &bytes)?;
     Ok(report)
 }
@@ -220,16 +216,18 @@ fn parse_f32_bits(key: &str, value: &str) -> Result<f32, ModelError> {
         .map_err(|e| ModelError::Meta(format!("bad {key}: {e}")))
 }
 
-/// Reassembles a [`PipelineSnapshot`] from a verified artifact. For an
-/// `f32` artifact the snapshot is byte-identical to the one exported —
-/// replicas hydrated from it generate the same images. For a `q8`
-/// artifact the weights carry quantization error; everything else
-/// (config, vocabulary, metadata) is exact.
+/// Builds a [`PipelineSnapshot`] from a verified artifact, passing its
+/// tensors straight to the pipeline constructor. For an `f32` artifact
+/// the snapshot carries the exact weights exported — it generates the
+/// same images. For a `q8` artifact the weights carry quantization
+/// error; everything else (config, vocabulary, metadata) is exact.
 ///
 /// # Errors
 ///
-/// [`ModelError::Meta`] on missing/malformed metadata,
-/// [`ModelError::Corrupt`] on undecodable tensor payloads.
+/// [`ModelError::Meta`] on missing/malformed metadata or a vocabulary
+/// that does not rebuild, [`ModelError::Corrupt`] on undecodable tensor
+/// payloads or tensors that do not fit the configuration's modules — so
+/// nothing that cannot serve ever reaches a serving runtime.
 pub fn snapshot_from_artifact(artifact: &ModelArtifact) -> Result<PipelineSnapshot, ModelError> {
     let config = PipelineConfig::parse_kv(required(artifact, KEY_CONFIG)?)
         .map_err(|e| ModelError::Meta(format!("config: {e}")))?;
@@ -244,29 +242,26 @@ pub fn snapshot_from_artifact(artifact: &ModelArtifact) -> Result<PipelineSnapsh
     let threads: usize = required(artifact, KEY_THREADS)?
         .parse()
         .map_err(|e| ModelError::Meta(format!("bad {KEY_THREADS}: {e}")))?;
-    let vocab: Vec<String> =
-        required(artifact, KEY_VOCAB)?.split('\n').map(str::to_string).collect();
+    let vocab: Vec<&str> = required(artifact, KEY_VOCAB)?.split('\n').collect();
 
-    let mut blobs: [Vec<u8>; 5] = Default::default();
-    for (slot, module) in blobs.iter_mut().zip(MODULE_NAMES) {
+    let mut modules: [Vec<Tensor>; 5] = Default::default();
+    for (tensors, module) in modules.iter_mut().zip(MODULE_NAMES) {
         let count_key = module_count_key(module);
         let count: usize = required(artifact, &count_key)?
             .parse()
             .map_err(|e| ModelError::Meta(format!("bad {count_key}: {e}")))?;
-        let tensors: Vec<Tensor> = (0..count)
+        *tensors = (0..count)
             .map(|i| artifact.tensor(&format!("{module}.{i}")))
             .collect::<Result<_, _>>()?;
-        let refs: Vec<&Tensor> = tensors.iter().collect();
-        *slot = aero_nn::serialize::encode_tensors(&refs).to_vec();
     }
 
-    Ok(PipelineSnapshot::from_parts(
+    Ok(PipelineSnapshot::from_weights(
         config,
-        meta,
+        &meta,
         ParallelConfig::with_threads(threads),
-        vocab,
-        blobs,
-    ))
+        &vocab,
+        modules,
+    )?)
 }
 
 /// End-to-end quality cost of q8 quantization for one snapshot: FID and
@@ -299,8 +294,8 @@ impl QualityDelta {
 }
 
 /// Measures the end-to-end FID/CLIP-score delta of a snapshot's q8
-/// export against its f32 original. Expensive (hydrates two replicas
-/// and generates `scenes` images with each); exports run it only when
+/// export against its f32 original. Expensive (builds the q8 model and
+/// generates `scenes` images with each); exports run it only when
 /// asked.
 ///
 /// Results are published to the `model.quant.fid_delta` and
@@ -308,8 +303,8 @@ impl QualityDelta {
 ///
 /// # Errors
 ///
-/// Propagates export/hydration failures; FID numerical failures surface
-/// as [`ModelError::Meta`].
+/// Propagates q8 reload failures; FID numerical failures surface as
+/// [`ModelError::Meta`].
 ///
 /// # Panics
 ///
@@ -320,7 +315,7 @@ pub fn quality_delta(
     seed: u64,
 ) -> Result<QualityDelta, ModelError> {
     assert!(scenes > 0, "quality_delta needs at least one eval scene");
-    let (bytes, _) = export_snapshot(snapshot, Quantization::Q8)?;
+    let (bytes, _) = export_snapshot(snapshot, Quantization::Q8);
     let q8_snapshot = snapshot_from_artifact(&ModelArtifact::from_bytes(bytes)?)?;
 
     let config = *snapshot.config();
@@ -334,7 +329,7 @@ pub fn quality_delta(
     let extractor = FeatureExtractor::new(config.vision.base_channels.max(4));
 
     let run = |snap: &PipelineSnapshot| -> Result<(f32, f32), ModelError> {
-        let pipeline = snap.hydrate()?;
+        let pipeline = snap.pipeline();
         let images = pipeline.generate_eval(&ds, &mut StdRng::seed_from_u64(seed));
         let gen: Vec<Tensor> = images.iter().map(aero_scene::Image::to_tensor).collect();
         let fid_score = fid(&extractor, &real, &gen)

@@ -11,11 +11,12 @@
 //! The pipeline-level entry points live in [`export`]:
 //! [`write_snapshot`] turns a [`PipelineSnapshot`] into an artifact file
 //! (emitting a per-layer [`QuantReport`] on the way), and
-//! [`snapshot_from_artifact`] turns a loaded artifact back into a
-//! snapshot. An `f32` round trip is **byte-identical**: the artifact
-//! stores the exact weight bits, so a replica hydrated from a reloaded
-//! artifact generates the same images as one hydrated from the original
-//! in-memory snapshot.
+//! [`snapshot_from_artifact`] builds the snapshot's model from a loaded
+//! artifact — once, with every tensor checked against its module, so a
+//! CRC-valid artifact that cannot serve fails typed before a serving
+//! runtime sees it. An `f32` round trip is **byte-identical**: the
+//! artifact stores the exact weight bits, so a model rebuilt from it
+//! generates the same images as the original in-memory snapshot.
 //!
 //! [`PipelineSnapshot`]: aerodiffusion::PipelineSnapshot
 

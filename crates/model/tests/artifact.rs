@@ -1,14 +1,16 @@
 //! End-to-end artifact tests over a real (smoke-trained) pipeline:
 //! f32 round trips are byte-identical down to the sampled image, q8
-//! artifacts hit the size budget, and corrupted files are rejected with
-//! typed errors before any decode.
+//! artifacts hit the size budget, corrupted files are rejected with
+//! typed errors before any decode, and CRC-valid artifacts whose contents
+//! do not describe a model fail typed before any model exists.
 
 use aero_model::{
-    snapshot_from_artifact, write_snapshot, IntegrityState, ModelArtifact, ModelError,
-    ModelRegistry, Quantization,
+    export_snapshot, snapshot_from_artifact, write_snapshot, ArtifactBuilder, IntegrityState,
+    ModelArtifact, ModelError, ModelRegistry, Quantization,
 };
 use aero_scene::{build_dataset, AerialDataset, DatasetConfig, SceneGeneratorConfig};
-use aerodiffusion::{AeroDiffusionPipeline, PipelineConfig, PipelineSnapshot};
+use aero_tensor::Tensor;
+use aerodiffusion::{AeroDiffusionPipeline, PipelineConfig, PipelineSnapshot, MODULE_NAMES};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fs;
@@ -55,16 +57,20 @@ fn f32_artifact_round_trip_samples_byte_identically() {
     assert!(artifact.is_mapped(), "file load should take the mmap path");
     let reloaded = snapshot_from_artifact(&artifact).unwrap();
 
-    // The reassembled snapshot carries the exact weight bytes…
-    for ((name_a, blob_a), (name_b, blob_b)) in
-        snapshot.module_blobs().iter().zip(reloaded.module_blobs().iter())
+    // The rebuilt snapshot carries the exact weight bits…
+    let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for ((name, ours), theirs) in
+        MODULE_NAMES.iter().zip(snapshot.module_params()).zip(reloaded.module_params())
     {
-        assert_eq!(name_a, name_b);
-        assert_eq!(blob_a, blob_b, "module {name_a} must round trip byte-identically");
+        assert_eq!(ours.len(), theirs.len(), "module {name} tensor count");
+        for (a, b) in ours.iter().zip(&theirs) {
+            assert_eq!(a.shape(), b.shape(), "module {name} tensor shape");
+            assert_eq!(bits(&a.value()), bits(&b.value()), "module {name} must round trip");
+        }
     }
 
-    // …so replicas hydrated from either source sample identically.
-    let replica = reloaded.hydrate().unwrap();
+    // …so both sample identically.
+    let replica = reloaded.pipeline();
     let a = pipeline.generate(&ds.items[0], &mut StdRng::seed_from_u64(11));
     let b = replica.generate(&ds.items[0], &mut StdRng::seed_from_u64(11));
     assert_eq!(a, b, "artifact round trip must not change sampling output");
@@ -96,10 +102,10 @@ fn q8_artifact_meets_size_budget_and_hydrates() {
     assert!(report.max_abs_error.is_finite());
     assert!(report.mean_abs_error <= report.max_abs_error);
 
-    // A q8 snapshot is lossy but must still hydrate and sample finitely.
+    // A q8 snapshot is lossy but must still load and sample finitely.
     let artifact = ModelArtifact::read(&q8_path).unwrap();
-    let replica = snapshot_from_artifact(&artifact).unwrap().hydrate().unwrap();
-    let img = replica.generate(&ds.items[0], &mut StdRng::seed_from_u64(3));
+    let replica = snapshot_from_artifact(&artifact).unwrap();
+    let img = replica.pipeline().generate(&ds.items[0], &mut StdRng::seed_from_u64(3));
     let t = img.to_tensor();
     assert!(t.as_slice().iter().all(|v| v.is_finite()));
 }
@@ -166,15 +172,92 @@ fn registry_publishes_and_serves_real_artifacts() {
     let dir = temp_dir("registry");
     let registry = ModelRegistry::open(&dir).unwrap();
 
-    let (bytes, _report) = aero_model::export_snapshot(&snapshot, Quantization::F32).unwrap();
+    let (bytes, _report) = export_snapshot(&snapshot, Quantization::F32);
     let entry = registry.publish("smoke", &bytes).unwrap();
     assert_eq!((entry.name.as_str(), entry.version), ("smoke", 1));
     assert_eq!(registry.verify(&entry).unwrap(), IntegrityState::Verified);
 
     let resolved = registry.resolve("smoke", None).unwrap();
     let artifact = registry.open_artifact(&resolved).unwrap();
-    let replica = snapshot_from_artifact(&artifact).unwrap().hydrate().unwrap();
+    let replica = snapshot_from_artifact(&artifact).unwrap();
     let a = pipeline.generate(&ds.items[0], &mut StdRng::seed_from_u64(29));
-    let b = replica.generate(&ds.items[0], &mut StdRng::seed_from_u64(29));
+    let b = replica.pipeline().generate(&ds.items[0], &mut StdRng::seed_from_u64(29));
     assert_eq!(a, b, "registry-served model must sample like the original");
+}
+
+/// `snapshot`'s f32 artifact copied entry by entry through
+/// [`ArtifactBuilder`], with `kv` and `tensor` free to rewrite any
+/// metadata value or tensor on the way. The copy carries a valid CRC.
+fn rebuilt(
+    snapshot: &PipelineSnapshot,
+    kv: impl Fn(&str, &str) -> String,
+    tensor: impl Fn(&str, Tensor) -> Tensor,
+) -> ModelArtifact {
+    let (bytes, _) = export_snapshot(snapshot, Quantization::F32);
+    let original = ModelArtifact::from_bytes(bytes).unwrap();
+    let mut builder = ArtifactBuilder::new();
+    for (key, value) in original.kv() {
+        builder.set(key, &kv(key, value));
+    }
+    for info in original.tensor_infos() {
+        builder.add_f32(&info.name, &tensor(&info.name, original.tensor(&info.name).unwrap()));
+    }
+    ModelArtifact::from_bytes(builder.to_bytes()).expect("a rebuilt artifact passes its CRC")
+}
+
+#[test]
+fn misfit_artifacts_fail_typed_before_any_model_exists() {
+    let (_ds, _pipeline, snapshot) = trained();
+    let keep_kv = |_: &str, value: &str| value.to_string();
+    let keep_tensor = |_: &str, t: Tensor| t;
+
+    // The untouched copy loads: the rebuild itself changes nothing.
+    snapshot_from_artifact(&rebuilt(&snapshot, keep_kv, keep_tensor)).unwrap();
+
+    // A UNet weight flattened to 1-D: the right element count, the wrong
+    // shape for its parameter.
+    let flat_unet =
+        rebuilt(
+            &snapshot,
+            keep_kv,
+            |name, t| {
+                if name == "unet.0" {
+                    t.reshape(&[t.numel()])
+                } else {
+                    t
+                }
+            },
+        );
+    match snapshot_from_artifact(&flat_unet) {
+        Err(ModelError::Corrupt { detail }) => assert!(detail.contains("shape"), "{detail}"),
+        other => panic!("a misshapen tensor must fail typed as corrupt, got {other:?}"),
+    }
+
+    // A module count one higher than the tensors the artifact holds.
+    let over_count = rebuilt(
+        &snapshot,
+        |key, value| {
+            if key == "aero.module.unet.count" {
+                (value.parse::<usize>().unwrap() + 1).to_string()
+            } else {
+                value.to_string()
+            }
+        },
+        keep_tensor,
+    );
+    match snapshot_from_artifact(&over_count) {
+        Err(ModelError::Meta(detail)) => assert!(detail.contains("unet."), "{detail}"),
+        other => panic!("a missing tensor must fail typed, got {other:?}"),
+    }
+
+    // A vocabulary shorter than the four special tokens.
+    let short_vocab = rebuilt(
+        &snapshot,
+        |key, value| if key == "aero.vocab" { "a\nb\nc".into() } else { value.to_string() },
+        keep_tensor,
+    );
+    match snapshot_from_artifact(&short_vocab) {
+        Err(ModelError::Meta(detail)) => assert!(detail.contains("vocabulary"), "{detail}"),
+        other => panic!("a short vocabulary must fail typed, got {other:?}"),
+    }
 }

@@ -14,9 +14,7 @@ use aero_tensor::Tensor;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::error::Error;
 use std::fmt;
-use std::fs;
 use std::io;
-use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"AERO";
 const VERSION: u32 = 1;
@@ -150,26 +148,6 @@ pub fn load_into_params(params: &[Var], tensors: Vec<Tensor>) -> Result<(), Load
     Ok(())
 }
 
-/// Writes parameters to a file; a convenience over [`encode_params`].
-///
-/// # Errors
-///
-/// Propagates any I/O failure.
-pub fn save_params<P: AsRef<Path>>(params: &[Var], path: P) -> Result<(), LoadWeightsError> {
-    fs::write(path, encode_params(params))?;
-    Ok(())
-}
-
-/// Reads parameters from a file written by [`save_params`].
-///
-/// # Errors
-///
-/// Propagates I/O failures and decode errors.
-pub fn load_params<P: AsRef<Path>>(params: &[Var], path: P) -> Result<(), LoadWeightsError> {
-    let blob = fs::read(path)?;
-    load_into_params(params, decode_tensors(&blob)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,18 +186,5 @@ mod tests {
         let q = Var::parameter(Tensor::ones(&[5]));
         let res = load_into_params(&[q], decode_tensors(&blob).unwrap());
         assert!(matches!(res, Err(LoadWeightsError::Mismatch(_))));
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let dir = std::env::temp_dir().join("aero_nn_serialize_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("weights.aero");
-        let p = Var::parameter(Tensor::from_vec(vec![1.5, -2.5], &[2]));
-        save_params(std::slice::from_ref(&p), &path).unwrap();
-        let q = Var::parameter(Tensor::zeros(&[2]));
-        load_params(std::slice::from_ref(&q), &path).unwrap();
-        assert_eq!(*p.value(), *q.value());
-        let _ = std::fs::remove_file(path);
     }
 }

@@ -146,8 +146,12 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     }
 }
 
-/// The concrete cache the serving runtime shares across workers.
-pub type ConditionCache = LruCache<ConditionKey, Tensor>;
+/// The concrete cache the serving runtime shares across workers, keyed
+/// by the generation of the model that computed an entry and the entry's
+/// [`ConditionKey`]: after a hot-swap, an entry of the outgoing model —
+/// even one a batch still in flight inserts after the swap — never
+/// answers a lookup made for the new one.
+pub type ConditionCache = LruCache<(u64, ConditionKey), Tensor>;
 
 #[cfg(test)]
 mod tests {

@@ -14,9 +14,9 @@
 //!   variant and guidance scale, shared across workers;
 //! - a replica fleet ([`runtime`]): [`ServeConfig::replicas`] worker
 //!   groups, each with its own queue and cache, in which every thread
-//!   hydrates a private replica of the immutable trained pipeline from a
-//!   [`aerodiffusion::PipelineSnapshot`], with a graceful
-//!   drain-and-shutdown;
+//!   serves the one immutable trained pipeline of an
+//!   [`aerodiffusion::PipelineSnapshot`], shared behind an `Arc`, with a
+//!   graceful drain-and-shutdown;
 //! - a rendezvous shard [`router`] placing each request by its
 //!   `(prompt, variant)` key, so repeats of a prompt hit the group that
 //!   already cached its condition embedding, with minimal-disruption
@@ -35,10 +35,12 @@
 //!   driven deterministically in tests by a [`fault::FaultPlan`];
 //! - a registry-backed model control path: the runtime can attach an
 //!   [`aero_model::ModelRegistry`] and hot-swap the worker pool onto any
-//!   published artifact ([`ServeRuntime::swap_from_registry`]) —
-//!   in-flight batches finish on the outgoing replicas, workers
-//!   rehydrate before their next batch, and a corrupt artifact is
-//!   rejected by its CRC with the old model left serving;
+//!   published artifact ([`ServeRuntime::swap_from_registry`]) — the
+//!   artifact is decoded into a model once, a swap installs that model's
+//!   `Arc`, in-flight batches finish on the outgoing model and later
+//!   batches meet the new one; an artifact that fails its CRC or whose
+//!   tensors do not fit is rejected typed with the old model left
+//!   serving;
 //! - an NDJSON [`server`] front-end (request per line in, base64 image
 //!   plus per-stage latency per line out) plus `stats`, `models` and
 //!   `swap` request types;

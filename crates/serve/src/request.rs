@@ -518,7 +518,8 @@ pub enum RejectReason {
     WorkerFailure,
     /// The worker hit a recoverable fault while serving this specific
     /// request (a panic caught mid-request, a non-finite sampler output,
-    /// or a failed replica hydration); other requests were unaffected.
+    /// or a task the model cannot serve), or no live worker was left to
+    /// serve it; other requests were unaffected.
     WorkerError {
         /// Human-readable description of what failed.
         detail: String,

@@ -2,20 +2,24 @@
 //! one immutable trained pipeline, fronted by a rendezvous shard router
 //! and an admission controller.
 //!
-//! The runtime ships a [`PipelineSnapshot`] — plain bytes — to every
-//! worker and each worker hydrates a private replica once at startup.
-//! That is the standard immutable-weights / many-replicas deployment
-//! shape: weights are frozen at snapshot time, so replicas are exact
-//! clones and any worker may serve any request.
+//! Every worker serves one decoded model: the [`PipelineSnapshot`] the
+//! runtime started with, or the last one a hot-swap installed, shared
+//! behind a single `Arc` in the model slot. Weights are frozen at
+//! snapshot time and any number of threads may read them at once, so any
+//! worker may serve any request and no worker keeps a copy of its own.
+//! A hot-swap installs a new `Arc`; a worker takes the slot's `Arc` once
+//! per popped batch, so a batch finishes on the model it started with,
+//! the next one meets the new model, and the outgoing model is freed
+//! when its last batch is done.
 //!
-//! Thread budget: after every hydration a worker trims the snapshot's
-//! kernel thread policy to its share of the cores,
+//! Thread budget: whenever a worker takes the model for a batch it sets
+//! its kernel thread policy to its share of the cores,
 //! `max(1, cores / (replicas × workers))`, capped by the snapshot's own
-//! count. Workers that together fill the cores therefore run one thread
-//! each, and the DDIM sampler spawns no guidance helper for them; a
-//! worker with two cores to itself runs each guided step's two UNet
-//! passes side by side. Workers plan against the core count of the
-//! thread that started the runtime.
+//! count, under the snapshot's backend. Workers that together fill the
+//! cores therefore run one thread each, and the DDIM sampler spawns no
+//! guidance helper for them; a worker with two cores to itself runs each
+//! guided step's two UNet passes side by side. Workers plan against the
+//! core count of the thread that started the runtime.
 //!
 //! Scale-out shape: [`ServeConfig::replicas`] independent *replica
 //! groups*, each with its own bounded queue, its own condition-embedding
@@ -42,7 +46,7 @@
 //!   *that* request with a typed `worker_error` reply while the rest of
 //!   the batch is still served. The worker that caught the panic is
 //!   treated as suspect: it finishes its batch, exits, and the supervisor
-//!   respawns a fresh replica in its place (up to
+//!   respawns a fresh worker in its place (up to
 //!   [`ServeConfig::max_worker_restarts`]).
 //! - A worker that dies outright hands its unserved batch back to the
 //!   front of its group's queue first, so the replacement worker — or any
@@ -52,9 +56,9 @@
 //!   aborts its siblings' pops via the group kill flag, re-routes its
 //!   in-flight batch onto surviving groups, and panics. The supervisor
 //!   then re-routes anything left in the dead group's queue, clears its
-//!   condition cache (the respawned group recomputes, exactly as a swap
-//!   does), respawns every worker from the model slot, and marks the
-//!   group back up — zero requests dropped end to end.
+//!   condition cache (the respawned group recomputes), respawns every
+//!   worker, and marks the group back up — zero requests dropped end to
+//!   end.
 //! - A cancelled request is swept from the queue with a typed `cancelled`
 //!   reply, or — once sampling started — stops the coalesced sampler call
 //!   between DDIM steps as soon as *every* request in the call is
@@ -106,8 +110,8 @@ pub struct ServeConfig {
     /// Independent replica worker groups, each with its own queue and
     /// condition cache, routed over by prompt.
     pub replicas: usize,
-    /// Worker threads *per replica group*, each holding one pipeline
-    /// replica.
+    /// Worker threads *per replica group*, all serving the one shared
+    /// model.
     pub workers: usize,
     /// Most requests coalesced into one sampler call.
     pub max_batch: usize,
@@ -230,47 +234,68 @@ impl ResponseHandle {
     }
 }
 
-/// The hot-swappable model: the snapshot every (re)spawned or swapping
-/// worker hydrates from, plus a generation counter that lets workers
-/// detect a swap with one atomic load per batch.
-///
-/// The swap protocol is drain-free by construction: installing a new
-/// snapshot only changes what *future* hydrations read. A worker that
-/// already popped a batch finishes it on its current replica; it notices
-/// the new generation before the *next* batch and rehydrates then. No
-/// request is ever dropped or re-queued by a swap.
+/// The model every worker serves: the snapshot's shared pipeline plus
+/// the conditioning exemplar and fixed caption G derived from it, built
+/// once per install rather than once per worker.
+#[derive(Debug)]
+struct ServedModel {
+    snapshot: PipelineSnapshot,
+    item: DatasetItem,
+    caption_g: String,
+    /// The slot generation the model was installed as (0 at start). Every
+    /// condition-cache entry carries the generation of the model that
+    /// computed it.
+    generation: u64,
+}
+
+impl ServedModel {
+    /// Runs on the thread that starts the runtime or swaps the model,
+    /// never on a worker.
+    fn from_snapshot(snapshot: PipelineSnapshot, reference_seed: u64) -> ServedModel {
+        let pipeline = snapshot.pipeline();
+        let reference = build_dataset(&DatasetConfig {
+            n_scenes: 1,
+            image_size: pipeline.config().vision.image_size,
+            seed: reference_seed,
+            generator: SceneGeneratorConfig::default(),
+        });
+        let item = reference.items.into_iter().next().expect("a one-scene dataset has an item");
+        // A fixed caption G makes the encode a pure function of the
+        // request's prompt (G'), which is what lets the condition cache
+        // key on it.
+        let caption_g = pipeline.caption_for(&item, &mut StdRng::seed_from_u64(0));
+        ServedModel { snapshot, item, caption_g, generation: 0 }
+    }
+
+    fn pipeline(&self) -> &AeroDiffusionPipeline {
+        self.snapshot.pipeline()
+    }
+}
+
+/// The hot-swappable model. Installing a model replaces the `Arc` the
+/// slot hands out and nothing else (see the module docs for the
+/// drain-free swap contract).
 #[derive(Debug)]
 struct ModelSlot {
-    /// Current snapshot and its generation, updated together.
-    current: Mutex<(Arc<PipelineSnapshot>, u64)>,
-    /// Mirror of the generation inside `current`, readable without the
-    /// lock so the per-batch check stays off the swap mutex.
-    generation: AtomicU64,
+    current: Mutex<Arc<ServedModel>>,
 }
 
 impl ModelSlot {
-    fn new(snapshot: Arc<PipelineSnapshot>) -> ModelSlot {
-        ModelSlot { current: Mutex::new((snapshot, 0)), generation: AtomicU64::new(0) }
+    fn new(model: ServedModel) -> ModelSlot {
+        ModelSlot { current: Mutex::new(Arc::new(model)) }
     }
 
-    /// The latest snapshot and its generation.
-    fn current(&self) -> (Arc<PipelineSnapshot>, u64) {
-        let guard = self.current.lock().unwrap_or_else(PoisonError::into_inner);
-        (Arc::clone(&guard.0), guard.1)
+    /// The latest installed model.
+    fn model(&self) -> Arc<ServedModel> {
+        Arc::clone(&self.current.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Generation of the latest snapshot (lock-free).
-    fn generation(&self) -> u64 {
-        self.generation.load(Ordering::SeqCst)
-    }
-
-    /// Installs a new snapshot and returns its generation.
-    fn install(&self, snapshot: PipelineSnapshot) -> u64 {
-        let mut guard = self.current.lock().unwrap_or_else(PoisonError::into_inner);
-        let generation = guard.1 + 1;
-        *guard = (Arc::new(snapshot), generation);
-        self.generation.store(generation, Ordering::SeqCst);
-        generation
+    /// Installs a new model and returns its generation.
+    fn install(&self, mut model: ServedModel) -> u64 {
+        let mut current = self.current.lock().unwrap_or_else(PoisonError::into_inner);
+        model.generation = current.generation + 1;
+        *current = Arc::new(model);
+        current.generation
     }
 }
 
@@ -305,12 +330,8 @@ struct FleetShared {
 enum WorkerOutcome {
     /// Clean exit: the queue drained out under shutdown.
     Drained,
-    /// The snapshot would not hydrate. Deterministic — the same bytes
-    /// fail the same way — so the supervisor does not burn restarts on
-    /// it.
-    HydrationFailed,
     /// The worker caught an in-request panic, answered it with a typed
-    /// reply, finished its batch, and exited so a fresh replica can take
+    /// reply, finished its batch, and exited so a fresh worker can take
     /// its slot.
     Suspect,
     /// The worker's whole group was killed; it exits without burning a
@@ -323,8 +344,8 @@ enum WorkerOutcome {
 pub struct SwapOutcome {
     /// The registry entry that was installed.
     pub entry: RegistryEntry,
-    /// The model-slot generation the swap produced; workers rehydrate to
-    /// it before their next batch.
+    /// The model-slot generation the swap produced; every batch popped
+    /// after the swap is served on it.
     pub generation: u64,
 }
 
@@ -342,22 +363,21 @@ pub struct ServeRuntime {
     active_model: Mutex<Option<(String, u32)>>,
     next_ordinal: AtomicU64,
     next_swap_ordinal: AtomicU64,
+    /// Seed of the conditioning exemplar every installed model derives.
+    reference_seed: u64,
     supervisor: JoinHandle<()>,
 }
 
 impl ServeRuntime {
     /// Spawns `config.replicas` worker groups of `config.workers` threads
-    /// each, every thread hydrating a replica from the snapshot, plus a
+    /// each, all serving the snapshot's one shared model, plus a
     /// supervisor that respawns dead workers and dead groups, and starts
     /// serving.
     ///
     /// # Panics
     ///
     /// Panics if `config.replicas == 0`, `config.workers == 0`,
-    /// `config.max_batch == 0`, or a thread cannot be spawned. A snapshot
-    /// that fails to hydrate does *not* panic: the affected workers exit
-    /// with a typed failure recorded in stats, and queued requests are
-    /// rejected with `worker_error` once no worker remains.
+    /// `config.max_batch == 0`, or a thread cannot be spawned.
     #[must_use]
     pub fn start(snapshot: PipelineSnapshot, config: ServeConfig) -> Self {
         ServeRuntime::start_with_faults(snapshot, config, None)
@@ -380,7 +400,8 @@ impl ServeRuntime {
         assert!(config.replicas > 0, "serve runtime needs at least one replica group");
         assert!(config.workers > 0, "serve runtime needs at least one worker per group");
         assert!(config.max_batch > 0, "max_batch must be positive");
-        let slot = Arc::new(ModelSlot::new(Arc::new(snapshot)));
+        let slot =
+            Arc::new(ModelSlot::new(ServedModel::from_snapshot(snapshot, config.reference_seed)));
         let router = Arc::new(ShardRouter::new(config.replicas));
         let groups: Arc<Vec<ReplicaGroup>> = Arc::new(
             (0..config.replicas)
@@ -426,6 +447,7 @@ impl ServeRuntime {
             active_model: Mutex::new(None),
             next_ordinal: AtomicU64::new(0),
             next_swap_ordinal: AtomicU64::new(0),
+            reference_seed: config.reference_seed,
             supervisor,
         }
     }
@@ -454,7 +476,7 @@ impl ServeRuntime {
         let id = request.id.clone();
         let deadline = request.deadline.map(|d| now + d);
         let cancel = CancelToken::new();
-        let key = route_key_for(&request, self.slot.current().0.variant());
+        let key = route_key_for(&request, self.slot.model().snapshot.variant());
         // A request whose home group is mid-respawn still lands on *some*
         // queue: survivors if any are alive, otherwise the home group's
         // own queue, which outlives the kill and is served after respawn.
@@ -524,10 +546,10 @@ impl ServeRuntime {
         self.active_model.lock().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
-    /// The model-slot generation workers are converging to.
+    /// The generation of the model the next popped batch is served on.
     #[must_use]
     pub fn model_generation(&self) -> u64 {
-        self.slot.generation()
+        self.slot.model().generation
     }
 
     /// Every model in the attached registry with its integrity state.
@@ -552,34 +574,37 @@ impl ServeRuntime {
         Ok(out)
     }
 
-    /// Installs a new snapshot directly. In-flight batches finish on the
-    /// old replicas; each worker rehydrates before its next batch, so no
-    /// request is dropped. Every replica group's condition cache is
-    /// cleared — its entries were computed by the outgoing model.
+    /// Installs a new snapshot directly: from now on the model slot hands
+    /// out the new model's `Arc`, and nothing else changes. In-flight
+    /// batches finish on the old model and every batch popped afterwards
+    /// is served on the new one, so no request is dropped. Condition-cache
+    /// entries carry the generation of the model that computed them, so
+    /// the outgoing model's entries — even one inserted after this call
+    /// by a batch still in flight — never answer for the new model; they
+    /// age out of the LRU.
     pub fn swap_snapshot(&self, snapshot: PipelineSnapshot) -> u64 {
-        let generation = self.slot.install(snapshot);
-        for group in self.groups.iter() {
-            lock_cache(&group.cache).clear();
-        }
+        let generation =
+            self.slot.install(ServedModel::from_snapshot(snapshot, self.reference_seed));
         aero_obs::counter!("serve.swap.count").inc();
         aero_obs::gauge!("serve.swap.generation").set(generation as f64);
         generation
     }
 
     /// Resolves `name` (optionally pinned to a version) in the attached
-    /// registry, loads and CRC-verifies the artifact, and installs the
-    /// reassembled snapshot via [`ServeRuntime::swap_snapshot`].
+    /// registry, loads and CRC-verifies the artifact, builds its model,
+    /// and installs it via [`ServeRuntime::swap_snapshot`].
     ///
     /// Failure at any point — unknown model, corrupt artifact, malformed
-    /// metadata — leaves the currently installed model serving untouched;
-    /// a swap is atomic from the workers' point of view.
+    /// metadata, tensors that do not fit the model — leaves the currently
+    /// installed model serving untouched; a swap is atomic from the
+    /// workers' point of view.
     ///
     /// # Errors
     ///
-    /// [`ModelError::Meta`] when no registry is attached or the name does
-    /// not resolve; [`ModelError::Corrupt`] /
-    /// [`ModelError::VersionMismatch`] when the artifact fails
-    /// verification.
+    /// [`ModelError::Meta`] when no registry is attached, the name does
+    /// not resolve, or the metadata does not describe a model;
+    /// [`ModelError::Corrupt`] / [`ModelError::VersionMismatch`] when the
+    /// artifact fails verification or its tensors do not fit.
     pub fn swap_from_registry(
         &self,
         name: &str,
@@ -615,8 +640,8 @@ impl ServeRuntime {
                 *byte ^= 0x01;
             }
         }
-        // CRC and structural verification happen here, before anything
-        // reaches the model slot.
+        // CRC, structural and shape verification all happen here, while
+        // the model is built, before anything reaches the model slot.
         let artifact = ModelArtifact::from_bytes(bytes)?;
         let snapshot = snapshot_from_artifact(&artifact)?;
         let generation = self.swap_snapshot(snapshot);
@@ -691,8 +716,8 @@ fn spawn_worker(
 /// fails all queued work with a typed reason so clients never hang on a
 /// dead pool. It also sweeps every queue on a timer, so expired and
 /// cancelled requests get their typed reply even while all workers are
-/// busy sampling. Respawned workers hydrate from the model slot, so they
-/// always come up on the latest installed model.
+/// busy sampling. Respawned workers read the model slot like every other
+/// worker.
 fn supervisor_loop(
     shared: &FleetShared,
     config: ServeConfig,
@@ -709,11 +734,7 @@ fn supervisor_loop(
                 if slot.as_ref().is_some_and(JoinHandle::is_finished) {
                     let Some(handle) = slot.take() else { continue };
                     match handle.join() {
-                        Ok(
-                            WorkerOutcome::Drained
-                            | WorkerOutcome::HydrationFailed
-                            | WorkerOutcome::ReplicaKilled,
-                        ) => {}
+                        Ok(WorkerOutcome::Drained | WorkerOutcome::ReplicaKilled) => {}
                         // A worker that died alone is replaced even
                         // mid-shutdown: its requeued batch still has to be
                         // drained, and the restart budget bounds the loop
@@ -787,58 +808,15 @@ fn supervisor_loop(
     }
 }
 
-/// One worker's private serving state: a hydrated replica plus the
-/// conditioning exemplar and fixed caption it derives from. Rebuilt
-/// whenever the worker adopts a new model-slot generation.
-struct Replica {
-    pipeline: AeroDiffusionPipeline,
-    item: DatasetItem,
-    caption_g: String,
-}
-
-impl Replica {
-    /// Hydrates a fresh replica from `snapshot` and trims the worker's
-    /// thread policy to its share of the cores (see the module docs).
-    /// `None` mirrors a failed hydration — the snapshot's bytes do not
-    /// decode, or the reference dataset came up empty.
-    fn build(snapshot: &PipelineSnapshot, config: &ServeConfig) -> Option<Replica> {
-        let pipeline = snapshot.hydrate().ok()?;
-        let policy = snapshot.parallel();
-        let share = parallel::effective_cores() / config.replicas.saturating_mul(config.workers);
-        parallel::adopt_thread_policy(
-            ParallelConfig::with_threads(share.clamp(1, policy.threads()))
-                .with_backend(policy.backend()),
-        );
-        let reference = build_dataset(&DatasetConfig {
-            n_scenes: 1,
-            image_size: pipeline.config().vision.image_size,
-            seed: config.reference_seed,
-            generator: SceneGeneratorConfig::default(),
-        });
-        let item = reference.items.into_iter().next()?;
-        // A fixed caption G makes the encode a pure function of the
-        // request's prompt (G'), which is what lets the condition cache
-        // key on it.
-        let caption_g = pipeline.caption_for(&item, &mut StdRng::seed_from_u64(0));
-        Some(Replica { pipeline, item, caption_g })
-    }
-}
-
-/// One worker: hydrate a replica from the model slot, then serve its
-/// group's batches until the queue drains out, the group is killed, or
-/// the worker turns suspect. Before each batch the worker compares its
-/// generation against the slot; on a mismatch it rehydrates from the
-/// newly installed snapshot, so a swap never interrupts a batch already
-/// being served.
+/// One worker: serve its group's batches until the queue drains out, the
+/// group is killed, or the worker turns suspect. Each batch is served on
+/// the model the slot holds right after the pop, under the worker's
+/// share of the cores (see the module docs).
 fn worker_loop(shared: &FleetShared, group_idx: usize, config: ServeConfig) -> WorkerOutcome {
     let Some(group) = shared.groups.get(group_idx) else {
         return WorkerOutcome::Drained;
     };
-    let (snapshot, mut generation) = shared.slot.current();
-    let Some(mut replica) = Replica::build(&snapshot, &config) else {
-        shared.stats.record_hydration_failure();
-        return WorkerOutcome::HydrationFailed;
-    };
+    let share = parallel::effective_cores() / config.replicas.saturating_mul(config.workers);
     loop {
         let Some(batch) =
             group.queue.pop_batch_watch(config.max_batch, config.batch_wait, &group.kill)
@@ -855,28 +833,16 @@ fn worker_loop(shared: &FleetShared, group_idx: usize, config: ServeConfig) -> W
             reroute_batch(shared, group_idx, batch);
             return WorkerOutcome::ReplicaKilled;
         }
-        if shared.slot.generation() != generation {
-            let (snapshot, new_generation) = shared.slot.current();
-            match Replica::build(&snapshot, &config) {
-                Some(fresh) => {
-                    replica = fresh;
-                    aero_obs::counter!("serve.swap.worker_rehydrated").inc();
-                }
-                // The new snapshot won't hydrate: keep serving on the old
-                // replica rather than dying with work in hand. Adopting
-                // the generation anyway stops this worker from re-failing
-                // the hydration on every subsequent batch.
-                None => {
-                    shared.stats.record_hydration_failure();
-                    aero_obs::counter!("serve.swap.fallback").inc();
-                }
-            }
-            generation = new_generation;
-        }
-        if !serve_batch(&replica, batch, shared, group_idx, group, &config) {
+        let model = shared.slot.model();
+        let policy = model.snapshot.parallel();
+        parallel::adopt_thread_policy(
+            ParallelConfig::with_threads(share.clamp(1, policy.threads()))
+                .with_backend(policy.backend()),
+        );
+        if !serve_batch(&model, batch, shared, group_idx, group, &config) {
             // An in-request panic was caught and answered, but this
-            // replica's internal state is no longer above suspicion.
-            // Exit after the batch; the supervisor brings up a fresh one.
+            // worker's state is no longer above suspicion. Exit after the
+            // batch; the supervisor brings up a fresh one.
             return WorkerOutcome::Suspect;
         }
     }
@@ -891,11 +857,11 @@ fn reroute_batch(shared: &FleetShared, from: usize, batch: Vec<Pending>) {
         return;
     }
     let n = batch.len();
-    let (snapshot, _) = shared.slot.current();
+    let variant = shared.slot.model().snapshot.variant();
     let mut per_group: Vec<Vec<Pending>> = (0..shared.groups.len()).map(|_| Vec::new()).collect();
     let mut home: Vec<Pending> = Vec::new();
     for pending in batch {
-        let key = route_key_for(&pending.request, snapshot.variant());
+        let key = route_key_for(&pending.request, variant);
         match shared.router.route_excluding(&key, Some(from)) {
             Some(g) => match per_group.get_mut(g) {
                 Some(bucket) => bucket.push(pending),
@@ -988,11 +954,11 @@ struct Job {
     nan_latents: bool,
 }
 
-/// A task request whose conditioning image cannot feed this replica's
+/// A task request whose conditioning image cannot feed the served
 /// pipeline is a client error: it gets a typed `worker_error` reply, not
 /// a panic (which would also retire the worker as suspect).
-fn task_shape_error(replica: &Replica, request: &GenerateRequest) -> Option<String> {
-    let native = replica.pipeline.config().vision.image_size;
+fn task_shape_error(model: &ServedModel, request: &GenerateRequest) -> Option<String> {
+    let native = model.pipeline().config().vision.image_size;
     match &request.task {
         Some(TaskPayload::View { image, .. } | TaskPayload::Inpaint { image, .. })
             if image.width != native || image.height != native =>
@@ -1013,14 +979,14 @@ fn task_shape_error(replica: &Replica, request: &GenerateRequest) -> Option<Stri
 /// decode per request. Returns `false` if the worker caught an in-request
 /// panic and should be replaced after this batch.
 fn serve_batch(
-    replica: &Replica,
+    model: &ServedModel,
     batch: Vec<Pending>,
     shared: &FleetShared,
     group_idx: usize,
     group: &ReplicaGroup,
     config: &ServeConfig,
 ) -> bool {
-    let pipeline = &replica.pipeline;
+    let pipeline = model.pipeline();
     let dequeued = Instant::now();
     shared.stats.set_queue_depth(shared.groups.iter().map(|g| g.queue.len()).sum());
     // Pull this batch's scheduled faults up front. The two kill faults
@@ -1100,7 +1066,7 @@ fn serve_batch(
                 });
                 continue;
             }
-            if let Some(detail) = task_shape_error(replica, &pending.request) {
+            if let Some(detail) = task_shape_error(model, &pending.request) {
                 // The reply handle records the rejection on receipt.
                 let reason = RejectReason::WorkerError { detail };
                 let _ = pending
@@ -1118,7 +1084,7 @@ fn serve_batch(
                 if matches!(fault, Some(Fault::PanicRequest)) {
                     panic!("injected fault: panic while preparing request");
                 }
-                prepare_condition(replica, &pending.request, guidance, fault, group, shared)
+                prepare_condition(model, &pending.request, guidance, fault, group, shared)
             }));
             match prepared {
                 Ok((cond, cache_hit, pin_parts)) => jobs.push(Job {
@@ -1253,20 +1219,23 @@ fn serve_batch(
 /// its typed spec, returning the inpainting pin rows alongside the
 /// condition.
 fn prepare_condition(
-    replica: &Replica,
+    model: &ServedModel,
     request: &GenerateRequest,
     guidance: f32,
     fault: Option<Fault>,
     group: &ReplicaGroup,
     shared: &FleetShared,
 ) -> (Tensor, bool, Option<(Tensor, Tensor)>) {
-    let pipeline = &replica.pipeline;
+    let pipeline = model.pipeline();
     let spec = request.task.as_ref().map(|t| t.to_spec(&request.prompt));
     let (kind, digest) = match &spec {
         None => (TaskKind::Text, 0),
         Some(s) => (s.kind(), s.source_digest()),
     };
-    let key = ConditionKey::for_task(&request.prompt, pipeline.variant(), guidance, kind, digest);
+    let key = (
+        model.generation,
+        ConditionKey::for_task(&request.prompt, pipeline.variant(), guidance, kind, digest),
+    );
     // One lock scope for the whole lookup: matching directly on the
     // locked `get` would keep the guard alive across the arms and
     // self-deadlock on the eviction below.
@@ -1288,13 +1257,13 @@ fn prepare_condition(
     let (cond, cache_hit) = match cached {
         Some(cond) => (cond, true),
         None => {
-            // The fixed replica item + caption G make the text encode a
+            // The model's fixed item + caption G make the text encode a
             // pure function of the prompt; image-conditioned tasks carry
             // their own conditioning source in the spec.
             let cond = match &spec {
                 None => pipeline.encode_task(&TaskSpec::text(
-                    &replica.item,
-                    &replica.caption_g,
+                    &model.item,
+                    &model.caption_g,
                     &request.prompt,
                 )),
                 Some(s) => pipeline.encode_task(s),

@@ -40,7 +40,6 @@ pub struct StatsCollector {
     shed_global: Arc<Counter>,
     worker_panics: Arc<Counter>,
     worker_restarts: Arc<Counter>,
-    hydration_failures: Arc<Counter>,
     nonfinite_outputs: Arc<Counter>,
     cache_corruptions: Arc<Counter>,
     replica_kills: Arc<Counter>,
@@ -83,7 +82,6 @@ impl StatsCollector {
             shed_global: registry.counter("serve.admission.shed_global"),
             worker_panics: registry.counter("serve.fault.worker_panics"),
             worker_restarts: registry.counter("serve.fault.worker_restarts"),
-            hydration_failures: registry.counter("serve.fault.hydration_failures"),
             nonfinite_outputs: registry.counter("serve.fault.nonfinite_outputs"),
             cache_corruptions: registry.counter("serve.fault.cache_corruptions"),
             replica_kills: registry.counter("serve.fault.replica_kills"),
@@ -159,12 +157,6 @@ impl StatsCollector {
     /// Records one worker respawned by the watchdog.
     pub fn record_worker_restart(&self) {
         self.worker_restarts.inc();
-    }
-
-    /// Records one failed snapshot hydration (a worker that could not
-    /// build its replica and exited).
-    pub fn record_hydration_failure(&self) {
-        self.hydration_failures.inc();
     }
 
     /// Records one sampler output rejected for containing non-finite
@@ -244,7 +236,6 @@ impl StatsCollector {
             rejected_cancelled: self.rejected_cancelled.get(),
             worker_panics: self.worker_panics.get(),
             worker_restarts: self.worker_restarts.get(),
-            hydration_failures: self.hydration_failures.get(),
             nonfinite_outputs: self.nonfinite_outputs.get(),
             cache_corruptions: self.cache_corruptions.get(),
             replica_kills: self.replica_kills.get(),
@@ -302,7 +293,8 @@ pub struct StatsReport {
     /// Requests lost to a worker failure.
     pub rejected_worker_failure: u64,
     /// Requests answered with a typed `worker_error` (caught panic,
-    /// non-finite output, or failed hydration).
+    /// non-finite output, a task the model cannot serve, or no live
+    /// worker left).
     pub rejected_worker_error: u64,
     /// Requests shed by admission control (tenant throttle or global
     /// overload gate), each with a `retry_after_ms` hint.
@@ -313,8 +305,6 @@ pub struct StatsReport {
     pub worker_panics: u64,
     /// Workers respawned by the watchdog after dying.
     pub worker_restarts: u64,
-    /// Workers that failed to hydrate a replica from the snapshot.
-    pub hydration_failures: u64,
     /// Sampler outputs rejected for containing NaN/Inf values.
     pub nonfinite_outputs: u64,
     /// Condition-cache entries discarded as corrupt and recomputed.
@@ -381,7 +371,6 @@ impl StatsReport {
                 Json::obj(vec![
                     ("worker_panics", self.worker_panics.into()),
                     ("worker_restarts", self.worker_restarts.into()),
-                    ("hydration_failures", self.hydration_failures.into()),
                     ("nonfinite_outputs", self.nonfinite_outputs.into()),
                     ("cache_corruptions", self.cache_corruptions.into()),
                     ("replica_kills", self.replica_kills.into()),
@@ -427,14 +416,12 @@ mod tests {
         stats.record_worker_panic();
         stats.record_worker_restart();
         stats.record_worker_restart();
-        stats.record_hydration_failure();
         stats.record_nonfinite_output();
         stats.record_cache_corruption();
         stats.record_rejected(&RejectReason::WorkerError { detail: "boom".into() });
         let r = stats.report();
         assert_eq!(r.worker_panics, 1);
         assert_eq!(r.worker_restarts, 2);
-        assert_eq!(r.hydration_failures, 1);
         assert_eq!(r.nonfinite_outputs, 1);
         assert_eq!(r.cache_corruptions, 1);
         assert_eq!(r.rejected_worker_error, 1);

@@ -180,7 +180,7 @@ fn registry_with_alt(tag: &str) -> aero_model::ModelRegistry {
     let _ = std::fs::remove_dir_all(&dir);
     let registry = aero_model::ModelRegistry::open(&dir).unwrap();
     let (bytes, _report) =
-        aero_model::export_snapshot(alt_snapshot(), aero_model::Quantization::F32).unwrap();
+        aero_model::export_snapshot(alt_snapshot(), aero_model::Quantization::F32);
     registry.publish("alt", &bytes).unwrap();
     registry
 }
@@ -217,8 +217,8 @@ fn replica_kill_during_swap_drops_nothing() {
     assert_eq!(stats.replica_kills, 1);
 
     // Post-swap lines meet the new model everywhere — on the survivor
-    // (which rehydrates before its next batch) and on the respawned
-    // group (which hydrates from the swapped-in slot).
+    // and on the respawned group alike, since every batch popped after
+    // the swap reads the swapped-in slot.
     let reference = ServeRuntime::start(alt_snapshot().clone(), fleet_config(1));
     for (i, img) in post_images.iter().enumerate() {
         let expected = image_of(
@@ -249,7 +249,7 @@ fn kill_and_cancel_interleave_cleanly() {
             runtime.submit(GenerateRequest::new(format!("kc{i}"), *prompt, *seed)).unwrap()
         })
         .collect();
-    // Cancel the middle request while the workers are still hydrating:
+    // Cancel the middle request while the workers are still starting:
     // it must resolve as `cancelled`, not an image, whether it was swept
     // from a queue or dropped at the sampler's door after the reroute.
     handles[1].cancel();

@@ -66,8 +66,8 @@ fn batched_output_is_byte_identical_to_batch_one() {
     assert_eq!(stats.completed, 4);
     assert!(reference.iter().all(|img| img.batch_size == 1));
 
-    // Batched run: submit everything up front so the worker (still
-    // hydrating its replica) finds all four waiting and coalesces them.
+    // Batched run: submit everything up front so the worker, lingering
+    // for stragglers, finds all four waiting and coalesces them.
     let mut batched = serve_config();
     batched.max_batch = 8;
     batched.batch_wait = Duration::from_millis(200);
@@ -142,7 +142,7 @@ fn shutdown_drains_queued_work_before_exiting() {
     let handles: Vec<_> = (0..3)
         .map(|i| runtime.submit(GenerateRequest::new(format!("d{i}"), "a harbor", i)).unwrap())
         .collect();
-    // Shutdown begins while the worker may not even have hydrated yet;
+    // Shutdown begins while the worker may not even have popped yet;
     // everything already accepted must still be served.
     let stats = runtime.shutdown();
     assert_eq!(stats.completed, 3);
@@ -268,11 +268,20 @@ fn nonfinite_latents_become_a_typed_reply_not_an_image() {
     assert_eq!(stats.worker_restarts, 0);
 }
 
+/// The supervisor's terminal drain: once every worker is dead and no
+/// restart is left, requests still queued get a typed rejection instead of
+/// hanging their clients.
 #[test]
-fn unhydratable_snapshot_fails_typed_and_never_hangs_clients() {
+fn exhausted_restart_budget_fails_typed_and_never_hangs_clients() {
+    // One request per pop, and a worker death on each of the first two
+    // requests: each kill takes one of the two workers, whichever pops
+    // it, and the budget replaces neither.
+    let plan = Arc::new(FaultPlan::new().inject(0, Fault::KillWorker).inject(1, Fault::KillWorker));
     let mut config = serve_config();
     config.workers = 2;
-    let runtime = ServeRuntime::start(snapshot().with_truncated_unet(), config);
+    config.max_batch = 1;
+    config.max_worker_restarts = 0;
+    let runtime = ServeRuntime::start_with_faults(snapshot().clone(), config, Some(plan));
     let mut handles = Vec::new();
     for i in 0..4 {
         match runtime.submit(GenerateRequest::new(format!("h{i}"), "a plaza", i)) {
@@ -281,22 +290,31 @@ fn unhydratable_snapshot_fails_typed_and_never_hangs_clients() {
             Err(reason) => assert_eq!(reason, RejectReason::ShuttingDown),
         }
     }
-    // Every accepted request must resolve — to a typed error, not a hang.
+    // Every accepted request must resolve — to an image if a worker got
+    // to it first, otherwise to a typed error, never to a hang.
+    let mut rejected = Vec::new();
     for handle in handles {
         match handle.wait() {
+            ServeReply::Image(_) => {}
             ServeReply::Rejected {
+                id,
                 reason:
                     RejectReason::WorkerError { .. }
                     | RejectReason::WorkerFailure
                     | RejectReason::ShuttingDown,
-                ..
-            } => {}
-            other => panic!("expected typed rejection from a dead pool, got {other:?}"),
+            } => rejected.push(id),
+            other => panic!("expected an image or a typed rejection, got {other:?}"),
         }
     }
+    // h0 and h1 each kill the worker that pops them, and a requeued
+    // request goes back to the front, so nothing behind h1 is popped
+    // before it. Whoever pops h1 is the last worker: h1 returns to a queue
+    // nobody pops and is drained typed, and only h0 can have been served,
+    // by the worker that outlived the first kill.
+    assert!(rejected.contains(&"h1".to_string()), "h1 must be drained typed: {rejected:?}");
     let stats = runtime.shutdown();
-    assert_eq!(stats.hydration_failures, 2, "both workers must report the bad snapshot");
-    assert_eq!(stats.completed, 0);
+    assert_eq!(stats.worker_restarts, 0);
+    assert!(stats.completed <= 1, "only h0 can be served, got {}", stats.completed);
 }
 
 #[test]
@@ -523,9 +541,128 @@ fn registry_with_alt(tag: &str) -> aero_model::ModelRegistry {
     let _ = std::fs::remove_dir_all(&dir);
     let registry = aero_model::ModelRegistry::open(&dir).unwrap();
     let (bytes, _report) =
-        aero_model::export_snapshot(alt_snapshot(), aero_model::Quantization::F32).unwrap();
+        aero_model::export_snapshot(alt_snapshot(), aero_model::Quantization::F32);
     registry.publish("alt", &bytes).unwrap();
     registry
+}
+
+/// [`snapshot`]'s f32 artifact with `unet.0` flattened to 1-D: CRC-valid,
+/// every key and element count intact, and a tensor that does not fit
+/// its parameter.
+fn misfit_artifact() -> Vec<u8> {
+    let (bytes, _report) = aero_model::export_snapshot(snapshot(), aero_model::Quantization::F32);
+    let original = aero_model::ModelArtifact::from_bytes(bytes).unwrap();
+    let mut builder = aero_model::ArtifactBuilder::new();
+    for (key, value) in original.kv() {
+        builder.set(key, value);
+    }
+    for info in original.tensor_infos() {
+        let t = original.tensor(&info.name).unwrap();
+        let t = if info.name == "unet.0" { t.reshape(&[t.numel()]) } else { t };
+        builder.add_f32(&info.name, &t);
+    }
+    builder.to_bytes()
+}
+
+#[test]
+fn misfit_artifact_swap_fails_typed_and_the_old_model_keeps_serving() {
+    let prompt = "a plaza";
+    let plan = Arc::new(FaultPlan::new().inject(0, Fault::PanicRequest));
+    let runtime = ServeRuntime::start_with_faults(snapshot().clone(), serve_config(), Some(plan));
+    let registry = registry_with_alt("misfit");
+    registry.publish("bad", &misfit_artifact()).unwrap();
+    runtime.set_registry(registry);
+
+    // The artifact passes its CRC but cannot build a model: the swap
+    // fails typed and nothing reaches the slot.
+    let err = runtime.swap_from_registry("bad", None).unwrap_err();
+    assert!(
+        matches!(err, aero_model::ModelError::Corrupt { .. }),
+        "a misfit artifact must fail typed, got {err:?}"
+    );
+    assert_eq!(runtime.active_model(), None, "the failed swap must not be recorded active");
+    assert_eq!(runtime.model_generation(), 0, "the failed swap must not touch the slot");
+
+    // A caught panic retires its worker; the replacement serves the next
+    // request on the original model.
+    match runtime.submit(GenerateRequest::new("panic", prompt, 5)).unwrap().wait() {
+        ServeReply::Rejected { reason: RejectReason::WorkerError { .. }, .. } => {}
+        other => panic!("the injected panic must get a typed worker_error, got {other:?}"),
+    }
+    let after = image_of(runtime.submit(GenerateRequest::new("after", prompt, 6)).unwrap().wait());
+    let stats = runtime.shutdown();
+    assert_eq!((stats.completed, stats.worker_panics, stats.rejected_shutting_down), (1, 1, 0));
+    assert_eq!(after.rgb8, served_by(snapshot(), prompt, 6), "the original model must serve");
+}
+
+/// The pixels a fresh runtime on `snapshot` serves for one request.
+fn served_by(snapshot: &PipelineSnapshot, prompt: &str, seed: u64) -> Vec<u8> {
+    let runtime = ServeRuntime::start(snapshot.clone(), serve_config());
+    let image = image_of(runtime.submit(GenerateRequest::new("ref", prompt, seed)).unwrap().wait());
+    let _ = runtime.shutdown();
+    image.rgb8
+}
+
+#[test]
+fn a_condition_encoded_across_a_swap_never_answers_for_the_new_model() {
+    let prompt = "a parking lot at night";
+    // The first request stalls between its pop and its encode, so the
+    // swap lands while its batch is in flight on the outgoing model, and
+    // its condition reaches the cache after the swap.
+    let plan = Arc::new(FaultPlan::new().inject(0, Fault::DelayMs(400)));
+    let runtime = ServeRuntime::start_with_faults(snapshot().clone(), serve_config(), Some(plan));
+    runtime.set_registry(registry_with_alt("in_flight"));
+    let pre = runtime.submit(GenerateRequest::new("pre", prompt, 8)).unwrap();
+    // Swap once the worker has popped `pre` and is well into the stall.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while runtime.queue_len() > 0 {
+        assert!(Instant::now() < deadline, "the worker never popped the first request");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(50));
+    runtime.swap_from_registry("alt", None).unwrap();
+    let pre = image_of(pre.wait());
+    let post = image_of(runtime.submit(GenerateRequest::new("post", prompt, 8)).unwrap().wait());
+    let _ = runtime.shutdown();
+    assert!(!post.cache_hit, "the outgoing model's condition must not answer for the new one");
+    assert_eq!(pre.rgb8, served_by(snapshot(), prompt, 8), "pre finishes on the old model");
+    assert_eq!(post.rgb8, served_by(alt_snapshot(), prompt, 8), "post is the new model's");
+}
+
+#[test]
+fn a_swapped_out_model_is_freed_not_pinned_by_workers() {
+    let prompt = "an aerial view of a park";
+    // A model of this test's own: the shared fixture lives for the whole
+    // test binary.
+    let (bytes, _report) = aero_model::export_snapshot(snapshot(), aero_model::Quantization::F32);
+    let fresh =
+        aero_model::snapshot_from_artifact(&aero_model::ModelArtifact::from_bytes(bytes).unwrap())
+            .unwrap();
+    let outgoing = Arc::downgrade(fresh.pipeline());
+    let mut config = serve_config();
+    config.workers = 2;
+    config.max_batch = 1;
+    let runtime = ServeRuntime::start(fresh, config);
+    runtime.set_registry(registry_with_alt("freed"));
+    image_of(runtime.submit(GenerateRequest::new("pre", prompt, 1)).unwrap().wait());
+    runtime.swap_from_registry("alt", None).unwrap();
+    // Enough single-request batches to keep both workers busy.
+    let handles: Vec<_> = (0..4)
+        .map(|i| runtime.submit(GenerateRequest::new(format!("post{i}"), prompt, i)).unwrap())
+        .collect();
+    for handle in handles {
+        image_of(handle.wait());
+    }
+    // A worker lets go of its model when its batch is done, a moment
+    // after the reply went out.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while outgoing.upgrade().is_some() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(outgoing.upgrade().is_none(), "no worker may pin the swapped-out model");
+    let stats = runtime.shutdown();
+    assert_eq!(stats.completed, 5);
+    assert!(outgoing.upgrade().is_none());
 }
 
 #[test]
@@ -552,7 +689,7 @@ fn hot_swap_serves_the_new_model_with_zero_dropped_requests() {
 
     // The post-swap bytes are exactly what a runtime booted from the
     // swap target would serve: the f32 artifact round trip is lossless
-    // and the condition cache was cleared at swap time.
+    // and no condition the outgoing model cached answers for the new one.
     let reference = ServeRuntime::start(alt_snapshot().clone(), serve_config());
     let expected =
         image_of(reference.submit(GenerateRequest::new("ref", prompt, 40)).unwrap().wait());

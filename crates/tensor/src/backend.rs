@@ -39,7 +39,7 @@
 //!
 //! The active backend resolves like the thread policy in
 //! [`crate::parallel`]: thread-local override ([`with_backend`], or
-//! [`crate::parallel::adopt_thread_policy`] on snapshot hydration), then
+//! [`crate::parallel::adopt_thread_policy`] on serving workers), then
 //! the process-global default ([`set_global_backend`], the CLI's
 //! `--backend` flag), then the `AERO_BACKEND` environment variable, and
 //! finally [`BackendKind::Blocked`]. Because both backends are bitwise
@@ -652,7 +652,7 @@ pub fn set_global_backend(kind: BackendKind) {
 }
 
 /// Installs `kind` as the current thread's backend for the rest of the
-/// thread's lifetime (snapshot hydration path; see
+/// thread's lifetime (the serving-worker path; see
 /// [`crate::parallel::adopt_thread_policy`]).
 pub(crate) fn adopt_backend(kind: BackendKind) {
     LOCAL_BACKEND.with(|c| c.set(kind.encode()));

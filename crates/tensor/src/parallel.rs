@@ -6,8 +6,8 @@
 //! first:
 //!
 //! 1. a **thread-local override** installed by [`with_threads`] or
-//!    [`adopt_thread_policy`] (serving workers adopt the policy carried
-//!    by the pipeline snapshot they hydrate),
+//!    [`adopt_thread_policy`] (serving workers adopt their share of the
+//!    policy carried by the pipeline snapshot they serve),
 //! 2. a **process-global default** set once by [`set_global_threads`]
 //!    (the CLI's `--threads` flag),
 //! 3. the **environment default**: `AERO_THREADS` if set and valid,
@@ -141,8 +141,8 @@ pub fn set_global_threads(threads: usize) {
 
 /// Installs `config` as the current thread's kernel policy — thread
 /// count *and* compute backend — for the rest of the thread's lifetime.
-/// Serving workers call this right after hydrating a snapshot so
-/// replicas run under the snapshot's policy.
+/// Serving workers call this whenever they take the served model, with
+/// their share of the snapshot's policy.
 pub fn adopt_thread_policy(config: ParallelConfig) {
     LOCAL_THREADS.with(|c| c.set(config.threads()));
     crate::backend::adopt_backend(config.backend());

@@ -68,6 +68,10 @@
 #                      artifact, inspected (CRC verified), published into
 #                      a registry, and served from it with a sample
 #                      byte-identical to the directory loader's; a
+#                      second model published as `alt` and hot-swapped in
+#                      over the wire must serve exactly what a server
+#                      booted on it serves, and the request before the
+#                      swap exactly what `smoke@1` serves; a
 #                      one-bit-flipped copy must be rejected with a typed
 #                      corruption error; plus a bench_model liveness run
 #                      (BENCH_MODEL_SMOKE=1) asserting q8 < f32 size and
@@ -374,6 +378,32 @@ amdl_img="$(printf '%s\n' "$req" \
   | pixels)"
 [ -n "$dir_img" ] && [ "$dir_img" = "$amdl_img" ] \
   || { echo "model smoke: artifact-served sample differs from directory-served"; exit 1; }
+
+echo "== model smoke: a hot-swap over the wire is byte-identical =="
+# Publish a second smoke model as `alt`, then send one server a generate
+# line, a swap to `alt`, and the same generate line again. The pause
+# lets the first request finish before the swap line is read, so it is
+# served by smoke@1 rather than racing onto the new model.
+cargo run --offline -q -p aerodiffusion-suite --bin aerodiffusion_cli -- \
+  train "$work/alt" --scenes 4 --seed 4 > /dev/null
+cargo run --offline -q -p aerodiffusion-suite --bin aerodiffusion_cli -- \
+  model export "$work/alt" "$work/alt.amdl" --registry "$work/registry" --name alt
+swap_out="$({ printf '%s\n' "$req"; sleep 2; printf '%s\n' '{"type":"swap","name":"alt"}' "$req"; } \
+  | cargo run --offline -q -p aerodiffusion-suite --bin aerodiffusion_cli -- \
+      serve --workers 2 --steps 4 --registry "$work/registry" --model smoke@1)"
+echo "$swap_out" | grep -q '"type":"swap".*"ok":true' \
+  || { echo "model smoke: the swap to alt was not acknowledged"; echo "$swap_out"; exit 1; }
+pre_swap_img="$(echo "$swap_out" | pixels | sed -n 1p)"
+post_swap_img="$(echo "$swap_out" | pixels | sed -n 2p)"
+alt_img="$(printf '%s\n' "$req" \
+  | cargo run --offline -q -p aerodiffusion-suite --bin aerodiffusion_cli -- \
+      serve --workers 2 --steps 4 --registry "$work/registry" --model alt@1 | pixels)"
+[ -n "$pre_swap_img" ] && [ "$pre_swap_img" = "$amdl_img" ] \
+  || { echo "model smoke: the pre-swap request differs from what smoke@1 serves"; exit 1; }
+[ -n "$post_swap_img" ] && [ "$post_swap_img" = "$alt_img" ] \
+  || { echo "model smoke: the post-swap request differs from what alt@1 serves"; exit 1; }
+[ "$pre_swap_img" != "$post_swap_img" ] \
+  || { echo "model smoke: alt serves smoke's pixels, so the swap proves nothing"; exit 1; }
 
 echo "== model smoke: a corrupt artifact is rejected typed =="
 cp "$work/model.amdl" "$work/model-corrupt.amdl"
