@@ -1,5 +1,5 @@
-//! Serving-throughput benchmark: batching, replica scale-out, and
-//! admission under overload.
+//! Serving-throughput benchmark: batching, pool size, and admission
+//! under overload.
 //!
 //! Three sections, all against one smoke-scale trained pipeline:
 //!
@@ -8,9 +8,10 @@
 //!    is purely what coalescing buys: one `[n, c, h, w]` sampler call
 //!    amortises the per-op graph overhead that `n` separate
 //!    `[1, c, h, w]` calls pay `n` times.
-//! 2. **replica fleet** — the burst routed over 1, 2 and 4 replica
-//!    groups (one worker each), measuring what independent groups add on
-//!    a multi-core host.
+//! 2. **worker pool** — the same burst served by a pool of 1, 2 and 4
+//!    workers sharing one queue and one condition cache, measuring what
+//!    more workers add on the host at hand (waiting workers split the
+//!    queue, so a burst spreads over the pool).
 //! 3. **overload** — a burst of 2× the armed queue-depth gate, measuring
 //!    the shed rate and asserting every shed is a typed `overloaded`
 //!    reply (and every admitted request is still served).
@@ -77,7 +78,7 @@ fn measure(
     config.steps = STEPS;
     configure(&mut config);
     let runtime = ServeRuntime::start(snapshot.clone(), config);
-    // Warmup: start every worker and fill the condition caches.
+    // Warmup: start every worker and fill the condition cache.
     for (i, prompt) in PROMPTS.iter().enumerate() {
         let handle = runtime
             .submit(GenerateRequest::new(format!("warm-{i}"), *prompt, 1000 + i as u64))
@@ -154,7 +155,7 @@ fn main() {
     let smoke = std::env::var("BENCH_SERVE_SMOKE").is_ok_and(|v| v == "1");
     let requests = if smoke { 8 } else { 24 };
     let batch_caps: &[usize] = if smoke { &[1, 4] } else { &[1, 4, 8] };
-    let replica_counts: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4] };
+    let worker_counts: &[usize] = if smoke { &[1, 2] } else { &[1, 2, 4] };
     let config = PipelineConfig::smoke();
     println!(
         "bench_serve: training a smoke pipeline once, serving {requests}-request bursts{}…",
@@ -168,21 +169,21 @@ fn main() {
     });
     let snapshot = AeroDiffusionPipeline::fit(&dataset, config, 17).snapshot();
 
-    // Section 1: what coalescing buys, one worker, one replica.
+    // Section 1: what coalescing buys, one worker.
     let batch_runs: Vec<Run> = batch_caps
         .iter()
         .map(|&b| measure(&snapshot, "max_batch", b, requests, |c| c.max_batch = b))
         .collect();
-    // Section 2: what replica groups buy, one worker per group.
-    let fleet_runs: Vec<Run> = replica_counts
+    // Section 2: what more workers in the one pool buy.
+    let pool_runs: Vec<Run> = worker_counts
         .iter()
-        .map(|&r| measure(&snapshot, "replicas", r, requests, |c| c.replicas = r))
+        .map(|&w| measure(&snapshot, "workers", w, requests, |c| c.workers = w))
         .collect();
     println!(
         "{:>10} {:>6} {:>12} {:>10} {:>10} {:>11}",
         "knob", "value", "req/sec", "p50 ms", "p95 ms", "mean batch"
     );
-    for run in batch_runs.iter().chain(&fleet_runs) {
+    for run in batch_runs.iter().chain(&pool_runs) {
         println!(
             "{:>10} {:>6} {:>12.2} {:>10.2} {:>10.2} {:>11.2}",
             run.label, run.knob, run.req_per_sec, run.p50_ms, run.p95_ms, run.mean_batch
@@ -225,7 +226,7 @@ fn main() {
         ("steps", STEPS.into()),
         ("workers", 1u64.into()),
         ("results", Json::Arr(batch_runs.iter().map(run_json).collect())),
-        ("fleet", Json::Arr(fleet_runs.iter().map(run_json).collect())),
+        ("pool", Json::Arr(pool_runs.iter().map(run_json).collect())),
         (
             "overload",
             Json::obj(vec![

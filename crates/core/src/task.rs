@@ -6,10 +6,10 @@
 //! The pipeline lowers a spec to a [`ConditionSource`] (the image, source
 //! caption `G`, target description `G'`, and region set that feed
 //! `ConditionNetwork::build_batch`) and encodes it with
-//! `AeroDiffusionPipeline::encode_task`; serving derives its cache and
-//! router keys from [`TaskSpec::kind`] and [`TaskSpec::source_digest`] so
-//! two requests share an encoded condition only when every conditioning
-//! input matches.
+//! `AeroDiffusionPipeline::encode_task`; serving derives its cache keys
+//! from [`TaskSpec::kind`] and [`TaskSpec::source_digest`] so two
+//! requests share an encoded condition only when every conditioning input
+//! matches.
 //!
 //! The text-to-image variant carries the reference item + caption pair
 //! the pre-task positional encode took, so routing it through the task
@@ -18,7 +18,7 @@
 
 use aero_scene::{Annotation, DatasetItem, Homography, Image};
 
-/// Discriminant of a [`TaskSpec`], used in cache/router keys and the
+/// Discriminant of a [`TaskSpec`], used in cache keys and the
 /// serve/CLI `task` vocabulary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskKind {

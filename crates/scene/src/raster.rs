@@ -244,7 +244,7 @@ impl Homography {
     }
 
     /// A stable 64-bit fingerprint of the matrix (FNV-1a over the f32 bit
-    /// patterns), used in condition-cache and shard-router keys.
+    /// patterns), used in condition-cache keys.
     pub fn digest(&self) -> u64 {
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         for row in &self.m {

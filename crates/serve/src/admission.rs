@@ -9,7 +9,7 @@
 //!   (`rate` tokens/second, `burst` capacity), so one chatty client
 //!   cannot starve the rest;
 //! - the **global** layer sheds when the live `aero_obs` signals say the
-//!   fleet is past its knee: total queue depth at or above
+//!   server is past its knee: queue depth at or above
 //!   `shed_queue_depth`, or served p95 end-to-end latency at or above
 //!   `shed_p95_us`.
 //!
@@ -33,8 +33,8 @@ pub struct AdmissionConfig {
     /// Token-bucket capacity: the burst a tenant may spend above its
     /// sustained rate.
     pub tenant_burst: f64,
-    /// Shed new work while total queued requests (across all replica
-    /// groups) is at or above this. `0` disables the depth gate.
+    /// Shed new work while the queued requests are at or above this.
+    /// `0` disables the depth gate.
     pub shed_queue_depth: usize,
     /// Shed new work while the served p95 end-to-end latency is at or
     /// above this many microseconds. `0` disables the latency gate.
@@ -131,9 +131,9 @@ impl AdmissionController {
         &self.config
     }
 
-    /// Decides admission for one request. `queue_depth` is the total
-    /// across all replica groups; `p95_us` is the served end-to-end p95
-    /// (0 until enough requests completed).
+    /// Decides admission for one request. `queue_depth` is the number of
+    /// requests waiting in the queue; `p95_us` is the served end-to-end
+    /// p95 (0 until enough requests completed).
     ///
     /// # Errors
     ///

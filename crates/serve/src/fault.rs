@@ -26,8 +26,9 @@ pub enum Fault {
     PanicRequest,
     /// Kill the whole worker thread while it holds this request's batch.
     /// The worker requeues the *entire* batch (including this request)
-    /// before dying, so a respawned worker serves every one of them —
-    /// the fault fires once, so the retry goes through clean.
+    /// at the front of the queue before dying, so a surviving peer or the
+    /// respawned worker serves every one of them — the fault fires once,
+    /// so the retry goes through clean.
     KillWorker,
     /// Overwrite this request's sampled latents with NaN. The worker's
     /// output guard must detect the non-finite tensor and answer with a
@@ -40,17 +41,9 @@ pub enum Fault {
     /// Stall this request's preparation for the given number of
     /// milliseconds (exercises deadline expiry and batch coalescing).
     DelayMs(u64),
-    /// Kill the *entire replica group* serving this request: the worker
-    /// that draws the fault marks the group down in the router, flips the
-    /// group's kill flag (aborting its sibling workers' pops), re-routes
-    /// its own in-flight batch onto surviving groups, and dies. The
-    /// supervisor then drains stragglers, clears the group's condition
-    /// cache, respawns every worker from the snapshot, and marks the
-    /// group back up — with zero dropped requests throughout.
-    KillReplica,
-    /// Poison this replica group's condition-cache mutex (a helper thread
-    /// takes the lock and panics while holding it). Workers recover the
-    /// poisoned lock and keep serving; the router never stalls.
+    /// Poison the condition-cache mutex (a helper thread takes the lock
+    /// and panics while holding it). Workers recover the poisoned lock
+    /// and keep serving; the pool never stalls.
     PoisonCacheLock,
 }
 
@@ -141,18 +134,6 @@ impl FaultPlan {
         self.faults.lock().expect("fault plan lock").remove(&ordinal)
     }
 
-    /// Builder: schedules a [`Fault::KillReplica`] for the request with
-    /// this submission ordinal — shorthand for the most common
-    /// fleet-robustness scenario.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan mutex was poisoned.
-    #[must_use]
-    pub fn inject_replica_kill(self, ordinal: u64) -> Self {
-        self.inject(ordinal, Fault::KillReplica)
-    }
-
     /// Builder: schedules `fault` for the swap attempt with this ordinal
     /// (the Nth call to the runtime's swap entry point, from 0).
     ///
@@ -199,13 +180,6 @@ mod tests {
         assert_eq!(plan.take(3), Some(Fault::PanicRequest));
         assert_eq!(plan.take(3), None, "a taken fault must not re-fire");
         assert_eq!(plan.remaining(), 0);
-    }
-
-    #[test]
-    fn inject_replica_kill_is_a_one_shot_kill_replica() {
-        let plan = FaultPlan::new().inject_replica_kill(2);
-        assert_eq!(plan.take(2), Some(Fault::KillReplica));
-        assert_eq!(plan.take(2), None, "replica kills must not re-fire on the retry");
     }
 
     #[test]

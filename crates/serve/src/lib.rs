@@ -9,18 +9,15 @@
 //! - a dynamic micro-batcher ([`RequestQueue::pop_batch`]) that coalesces
 //!   concurrent requests into one `[n, c, h, w]` sampler call, where each
 //!   request's seed drives a private noise stream so its image is
-//!   byte-identical whether it ran at batch 1 or batch 8;
+//!   byte-identical whether it ran at batch 1 or batch 8, and workers
+//!   that wait together split the waiting requests, each popping its
+//!   share rather than one taking all of them;
 //! - an LRU condition-embedding [`cache`] keyed by prompt, ablation
 //!   variant and guidance scale, shared across workers;
-//! - a replica fleet ([`runtime`]): [`ServeConfig::replicas`] worker
-//!   groups, each with its own queue and cache, in which every thread
-//!   serves the one immutable trained pipeline of an
-//!   [`aerodiffusion::PipelineSnapshot`], shared behind an `Arc`, with a
-//!   graceful drain-and-shutdown;
-//! - a rendezvous shard [`router`] placing each request by its
-//!   `(prompt, variant)` key, so repeats of a prompt hit the group that
-//!   already cached its condition embedding, with minimal-disruption
-//!   re-routing when a group is down;
+//! - a supervised worker pool ([`runtime`]): [`ServeConfig::workers`]
+//!   threads over the one queue and the one cache, each serving the one
+//!   immutable trained pipeline of an [`aerodiffusion::PipelineSnapshot`],
+//!   shared behind an `Arc`, with a graceful drain-and-shutdown;
 //! - [`admission`] control: per-tenant token buckets plus a global
 //!   shed gate on live queue-depth and p95-latency signals, answering
 //!   with typed `overloaded` replies carrying a `retry_after_ms` hint;
@@ -28,11 +25,12 @@
 //!   swept from the queue with a typed reply, and a coalesced sampler
 //!   call stops between DDIM steps once every rider is cancelled;
 //! - optional streaming of quantized intermediate-latent previews
-//!   (`"stream": true` per request, or fleet-wide via config);
+//!   (`"stream": true` per request, or for every request via config);
 //! - per-request panic isolation, non-finite output guards, cache
-//!   corruption recovery and a supervisor that respawns dead workers —
-//!   and whole killed replica groups, with zero dropped requests — all
-//!   driven deterministically in tests by a [`fault::FaultPlan`];
+//!   corruption recovery and a supervisor that respawns dead workers,
+//!   whose unserved batches go back to the front of the queue, with zero
+//!   dropped requests — all driven deterministically in tests by a
+//!   [`fault::FaultPlan`];
 //! - a registry-backed model control path: the runtime can attach an
 //!   [`aero_model::ModelRegistry`] and hot-swap the worker pool onto any
 //!   published artifact ([`ServeRuntime::swap_from_registry`]) — the
@@ -59,7 +57,6 @@ pub mod json;
 pub mod lint;
 pub mod queue;
 pub mod request;
-pub mod router;
 pub mod runtime;
 pub mod server;
 pub mod stats;
@@ -75,7 +72,6 @@ pub use request::{
     GenerateRequest, GeneratedImage, ImagePayload, LatentPreview, OverloadScope, RejectReason,
     ServeReply, StageLatency, TaskPayload,
 };
-pub use router::ShardRouter;
 pub use runtime::{ResponseHandle, ServeConfig, ServeRuntime, SwapOutcome};
 pub use server::serve_ndjson;
 pub use stats::{StatsCollector, StatsReport};

@@ -1,5 +1,9 @@
 //! The bounded, deadline-aware request queue feeding the worker pool.
 //!
+//! A pop takes the caller's share of the waiting requests, so workers
+//! that wait together split a burst between them rather than one worker
+//! batching all of it while the others idle.
+//!
 //! Backpressure is explicit: a full queue rejects new work with a typed
 //! [`RejectReason::QueueFull`] instead of blocking the submitter forever,
 //! so callers can shed load or retry with jitter. Requests that sit past
@@ -11,7 +15,6 @@
 use crate::request::{GenerateRequest, RejectReason, ServeReply};
 use aero_diffusion::CancelToken;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -48,6 +51,8 @@ impl Pending {
 struct State {
     items: VecDeque<Pending>,
     shutting_down: bool,
+    /// Callers currently blocked in [`RequestQueue::pop_batch`].
+    waiting: usize,
 }
 
 /// The bounded MPMC queue between submitters and workers.
@@ -68,7 +73,7 @@ impl RequestQueue {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
         RequestQueue {
-            state: Mutex::new(State { items: VecDeque::new(), shutting_down: false }),
+            state: Mutex::new(State { items: VecDeque::new(), shutting_down: false, waiting: 0 }),
             available: Condvar::new(),
             capacity,
         }
@@ -125,48 +130,28 @@ impl RequestQueue {
         Ok(())
     }
 
-    /// Blocks until work is available, then returns up to `max_batch`
-    /// requests. When fewer than `max_batch` are waiting, lingers up to
-    /// `coalesce_wait` for stragglers to batch with (dynamic batching);
-    /// a drain skips the linger. Expired and cancelled requests are
-    /// rejected here, not returned. Returns `None` when shutting down
-    /// with an empty queue — the worker's signal to exit.
+    /// Blocks until work is available, then returns this caller's share
+    /// of it: the waiting requests divided by the callers blocked in
+    /// `pop_batch` (this one included), rounded up, and never more than
+    /// `max_batch`, so a lone caller may take `max_batch`. When fewer
+    /// than `max_batch` are waiting, lingers up to `coalesce_wait` for
+    /// stragglers to batch with (dynamic batching); a drain skips the
+    /// linger. Expired and cancelled requests are rejected here, not
+    /// returned. Returns `None` when shutting down with an empty queue —
+    /// the worker's signal to exit.
     ///
     /// # Panics
     ///
     /// Panics if the queue mutex was poisoned by a panicking worker.
     pub fn pop_batch(&self, max_batch: usize, coalesce_wait: Duration) -> Option<Vec<Pending>> {
-        static NEVER: AtomicBool = AtomicBool::new(false);
-        self.pop_batch_watch(max_batch, coalesce_wait, &NEVER)
-    }
-
-    /// [`pop_batch`](RequestQueue::pop_batch) that additionally returns
-    /// `None` as soon as `abort` reads true — the replica-kill path: a
-    /// dying group's peers must stop popping *without* draining the
-    /// queue or marking it shut down, so the supervisor can re-route
-    /// what is left and respawn against the same queue. Pair an `abort`
-    /// store with [`wake_all`](RequestQueue::wake_all) so blocked
-    /// workers notice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queue mutex was poisoned by a panicking worker.
-    pub fn pop_batch_watch(
-        &self,
-        max_batch: usize,
-        coalesce_wait: Duration,
-        abort: &AtomicBool,
-    ) -> Option<Vec<Pending>> {
         let max_batch = max_batch.max(1);
         let mut state = self.state.lock().expect("queue lock");
-        loop {
-            if abort.load(Ordering::SeqCst) {
-                return None;
-            }
+        state.waiting += 1;
+        let batch = loop {
             sweep_items(&mut state.items);
             if state.items.is_empty() {
                 if state.shutting_down {
-                    return None;
+                    break None;
                 }
                 let (s, _) = self
                     .available
@@ -177,10 +162,7 @@ impl RequestQueue {
             }
             if state.items.len() < max_batch && !state.shutting_down {
                 let coalesce_until = Instant::now() + coalesce_wait;
-                while state.items.len() < max_batch
-                    && !state.shutting_down
-                    && !abort.load(Ordering::SeqCst)
-                {
+                while state.items.len() < max_batch && !state.shutting_down {
                     let left = coalesce_until.saturating_duration_since(Instant::now());
                     if left.is_zero() {
                         break;
@@ -188,23 +170,16 @@ impl RequestQueue {
                     let (s, _) = self.available.wait_timeout(state, left).expect("queue lock");
                     state = s;
                 }
-                if abort.load(Ordering::SeqCst) {
-                    return None;
-                }
                 sweep_items(&mut state.items);
                 if state.items.is_empty() {
                     continue;
                 }
             }
-            let n = state.items.len().min(max_batch);
-            return Some(state.items.drain(..n).collect());
-        }
-    }
-
-    /// Wakes every thread blocked in a pop. Used together with an abort
-    /// flag or after flipping external state the poppers should observe.
-    pub fn wake_all(&self) {
-        self.available.notify_all();
+            let share = state.items.len().div_ceil(state.waiting).min(max_batch);
+            break Some(state.items.drain(..share).collect());
+        };
+        state.waiting -= 1;
+        batch
     }
 
     /// Rejects every expired or cancelled entry in place, with a typed
@@ -434,26 +409,33 @@ mod tests {
     }
 
     #[test]
-    fn pop_batch_watch_returns_none_on_abort_without_draining() {
-        let q = std::sync::Arc::new(RequestQueue::new(4));
-        let (a, _ra) = pending("a", None);
-        q.push(a).unwrap();
-        let abort = std::sync::Arc::new(AtomicBool::new(false));
-        std::thread::scope(|scope| {
-            let (wq, wa) = (q.clone(), abort.clone());
-            let worker = scope.spawn(move || {
-                // Batch bigger than the queue + a long linger: only the
-                // abort flag can end this pop early.
-                wq.pop_batch_watch(8, Duration::from_secs(5), &wa)
-            });
-            std::thread::sleep(Duration::from_millis(10));
-            abort.store(true, Ordering::SeqCst);
-            q.wake_all();
-            assert!(worker.join().unwrap().is_none());
+    fn waiting_callers_split_what_arrives() {
+        let q = RequestQueue::new(16);
+        let mut replies = Vec::new();
+        let mut takes: Vec<usize> = std::thread::scope(|scope| {
+            let poppers: Vec<_> = (0..2)
+                .map(|_| {
+                    let q = &q;
+                    scope.spawn(move || {
+                        q.pop_batch(8, Duration::from_millis(200)).map_or(0, |batch| batch.len())
+                    })
+                })
+                .collect();
+            // Push only once both callers are blocked, so each take sees
+            // the other caller waiting.
+            while q.state.lock().unwrap().waiting < 2 {
+                std::thread::yield_now();
+            }
+            for i in 0..8 {
+                let (p, rx) = pending(&format!("r{i}"), None);
+                q.push(p).unwrap();
+                replies.push(rx);
+            }
+            q.begin_shutdown();
+            poppers.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        // The queued request was not consumed or rejected: it is still
-        // there for the supervisor to re-route.
-        assert_eq!(q.len(), 1);
+        takes.sort_unstable();
+        assert_eq!(takes, vec![4, 4], "two waiting callers must split eight requests evenly");
     }
 
     #[test]

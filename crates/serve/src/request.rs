@@ -486,7 +486,7 @@ pub enum OverloadScope {
     /// The submitting tenant's token bucket ran dry; other tenants are
     /// unaffected.
     Tenant,
-    /// The whole fleet is past its load-shedding threshold (queue depth
+    /// The whole server is past its load-shedding threshold (queue depth
     /// or p95 latency).
     Global,
 }

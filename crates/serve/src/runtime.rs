@@ -1,6 +1,6 @@
-//! The serving runtime: a supervised fleet of replica worker groups over
-//! one immutable trained pipeline, fronted by a rendezvous shard router
-//! and an admission controller.
+//! The serving runtime: one supervised pool of worker threads over one
+//! request queue and one condition-embedding cache, fronted by an
+//! admission controller.
 //!
 //! Every worker serves one decoded model: the [`PipelineSnapshot`] the
 //! runtime started with, or the last one a hot-swap installed, shared
@@ -14,20 +14,20 @@
 //!
 //! Thread budget: whenever a worker takes the model for a batch it sets
 //! its kernel thread policy to its share of the cores,
-//! `max(1, cores / (replicas × workers))`, capped by the snapshot's own
-//! count, under the snapshot's backend. Workers that together fill the
-//! cores therefore run one thread each, and the DDIM sampler spawns no
-//! guidance helper for them; a worker with two cores to itself runs each
-//! guided step's two UNet passes side by side. Workers plan against the
-//! core count of the thread that started the runtime.
+//! `max(1, cores / workers)`, capped by the snapshot's own count, under
+//! the snapshot's backend. Workers that together fill the cores therefore
+//! run one thread each, and the DDIM sampler spawns no guidance helper
+//! for them; a worker with two cores to itself runs each guided step's
+//! two UNet passes side by side. Workers plan against the core count of
+//! the thread that started the runtime.
 //!
-//! Scale-out shape: [`ServeConfig::replicas`] independent *replica
-//! groups*, each with its own bounded queue, its own condition-embedding
-//! cache, and [`ServeConfig::workers`] worker threads. The
-//! [`ShardRouter`] places each request by its `(prompt, variant)` key, so
-//! repeats of a prompt land on the group that already cached its
-//! embedding; the [`AdmissionController`] sheds work *before* it touches
-//! any queue, with a typed `overloaded` reply carrying a
+//! Pool shape: [`ServeConfig::workers`] threads pop from one bounded
+//! [`RequestQueue`] and share one condition-embedding cache, so a repeated
+//! prompt hits the cache whichever worker serves it. A pop takes the
+//! caller's share of the waiting requests ([`RequestQueue::pop_batch`]),
+//! so workers that wait together split a burst instead of one of them
+//! batching all of it. The [`AdmissionController`] sheds work *before* it
+//! touches the queue, with a typed `overloaded` reply carrying a
 //! `retry_after_ms` hint.
 //!
 //! Determinism contract: a request's image depends only on its own
@@ -35,12 +35,11 @@
 //! (and, for inpainting, its pin-noise stream) is drawn from a private
 //! `StdRng` seeded with the request seed, and the DDIM reverse process is
 //! row-independent, so coalescing requests into one `[n, c, h, w]`
-//! sampler call — even a heterogeneous text/view/inpaint mix — or moving
-//! a request between replica groups changes throughput, never bytes.
+//! sampler call — even a heterogeneous text/view/inpaint mix — or
+//! serving a request on another worker changes throughput, never bytes.
 //!
 //! Fault-tolerance contract: one bad request must never take the service
-//! down, one dead worker must never strand queued work, and one dead
-//! *replica group* must never drop a request.
+//! down, and one dead worker must never strand queued work.
 //!
 //! - Per-request preparation runs under `catch_unwind`; a panic answers
 //!   *that* request with a typed `worker_error` reply while the rest of
@@ -48,17 +47,10 @@
 //!   treated as suspect: it finishes its batch, exits, and the supervisor
 //!   respawns a fresh worker in its place (up to
 //!   [`ServeConfig::max_worker_restarts`]).
-//! - A worker that dies outright hands its unserved batch back to the
-//!   front of its group's queue first, so the replacement worker — or any
-//!   surviving peer — finishes it with zero dropped replies.
-//! - A *replica kill* ([`Fault::KillReplica`]) takes a whole group down
-//!   mid-batch: the dying worker marks the group down in the router,
-//!   aborts its siblings' pops via the group kill flag, re-routes its
-//!   in-flight batch onto surviving groups, and panics. The supervisor
-//!   then re-routes anything left in the dead group's queue, clears its
-//!   condition cache (the respawned group recomputes), respawns every
-//!   worker, and marks the group back up — zero requests dropped end to
-//!   end.
+//! - A worker that dies outright ([`Fault::KillWorker`]) hands its
+//!   unserved batch back to the front of the queue first, so the
+//!   replacement worker — or any surviving peer — finishes it with zero
+//!   dropped replies.
 //! - A cancelled request is swept from the queue with a typed `cancelled`
 //!   reply, or — once sampling started — stops the coalesced sampler call
 //!   between DDIM steps as soon as *every* request in the call is
@@ -68,9 +60,9 @@
 //! - Cached condition embeddings are validated on every hit; a corrupt
 //!   entry is evicted, counted, and recomputed. A *poisoned* cache lock
 //!   ([`Fault::PoisonCacheLock`]) is recovered, never propagated.
-//! - If every worker in every group is gone and no restarts remain, the
-//!   supervisor drains the queues and rejects each request with a typed
-//!   reason instead of hanging the clients forever.
+//! - If every worker is gone and no restarts remain, the supervisor
+//!   drains the queue and rejects each request with a typed reason
+//!   instead of hanging the clients forever.
 //!
 //! All of these paths are driven deterministically in tests by a
 //! [`FaultPlan`] (see [`crate::fault`]); production runtimes pass none.
@@ -83,7 +75,6 @@ use crate::request::{
     GenerateRequest, GeneratedImage, LatentPreview, RejectReason, ServeReply, StageLatency,
     TaskPayload,
 };
-use crate::router::ShardRouter;
 use crate::stats::{StatsCollector, StatsReport};
 use aero_diffusion::{CancelSignal, CancelToken, DdimSampler, StepEvent, StepSink};
 use aero_model::{
@@ -98,7 +89,7 @@ use aerodiffusion::{
 use rand::{rngs::StdRng, SeedableRng};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -107,20 +98,15 @@ use std::time::{Duration, Instant};
 /// Serving runtime knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
-    /// Independent replica worker groups, each with its own queue and
-    /// condition cache, routed over by prompt.
-    pub replicas: usize,
-    /// Worker threads *per replica group*, all serving the one shared
-    /// model.
+    /// Worker threads in the pool, all serving the one shared model.
     pub workers: usize,
     /// Most requests coalesced into one sampler call.
     pub max_batch: usize,
-    /// Bounded queue capacity *per replica group*; beyond it submissions
-    /// are rejected.
+    /// Bounded queue capacity; beyond it submissions are rejected.
     pub queue_capacity: usize,
     /// How long a worker lingers for stragglers to fill a batch.
     pub batch_wait: Duration,
-    /// Condition-embedding LRU capacity (entries, per replica group).
+    /// Condition-embedding LRU capacity (entries).
     pub cache_capacity: usize,
     /// Default DDIM steps (requests may override per call).
     pub steps: usize,
@@ -129,8 +115,7 @@ pub struct ServeConfig {
     /// Seed of the reference scene used as the conditioning exemplar.
     pub reference_seed: u64,
     /// Total worker respawns the supervisor may perform over the
-    /// runtime's life before it stops replacing dead workers. A whole
-    /// replica-group respawn counts as one restart.
+    /// runtime's life before it stops replacing dead workers.
     pub max_worker_restarts: usize,
     /// Admission-control knobs (tenant token buckets + global shed
     /// gates). The default admits everything.
@@ -146,7 +131,6 @@ impl ServeConfig {
     #[must_use]
     pub fn for_pipeline(config: &PipelineConfig) -> Self {
         ServeConfig {
-            replicas: 1,
             workers: aero_tensor::parallel::suggested_threads(2),
             max_batch: 8,
             queue_capacity: 32,
@@ -299,23 +283,11 @@ impl ModelSlot {
     }
 }
 
-/// One replica worker group: its own queue, its own condition cache, and
-/// a kill flag its workers watch between pops.
-#[derive(Debug)]
-struct ReplicaGroup {
+/// Everything a worker shares with its peers and the supervisor.
+#[derive(Clone)]
+struct PoolShared {
     queue: Arc<RequestQueue>,
     cache: Arc<Mutex<ConditionCache>>,
-    /// Set by the worker that draws a [`Fault::KillReplica`]; aborts the
-    /// sibling workers' pops and gates the supervisor's group respawn.
-    kill: AtomicBool,
-}
-
-/// Everything a worker shares with its peers, the router, and the
-/// supervisor.
-#[derive(Clone)]
-struct FleetShared {
-    groups: Arc<Vec<ReplicaGroup>>,
-    router: Arc<ShardRouter>,
     stats: Arc<StatsCollector>,
     faults: Option<Arc<FaultPlan>>,
     slot: Arc<ModelSlot>,
@@ -334,9 +306,6 @@ enum WorkerOutcome {
     /// reply, finished its batch, and exited so a fresh worker can take
     /// its slot.
     Suspect,
-    /// The worker's whole group was killed; it exits without burning a
-    /// restart and the supervisor respawns the group as a unit.
-    ReplicaKilled,
 }
 
 /// Outcome of a successful registry-backed model swap.
@@ -349,12 +318,11 @@ pub struct SwapOutcome {
     pub generation: u64,
 }
 
-/// The running replica fleet. Dropping it without [`ServeRuntime::shutdown`]
+/// The running worker pool. Dropping it without [`ServeRuntime::shutdown`]
 /// leaks the workers; always shut down for a graceful drain.
 #[derive(Debug)]
 pub struct ServeRuntime {
-    groups: Arc<Vec<ReplicaGroup>>,
-    router: Arc<ShardRouter>,
+    queue: Arc<RequestQueue>,
     admission: AdmissionController,
     stats: Arc<StatsCollector>,
     slot: Arc<ModelSlot>,
@@ -369,15 +337,14 @@ pub struct ServeRuntime {
 }
 
 impl ServeRuntime {
-    /// Spawns `config.replicas` worker groups of `config.workers` threads
-    /// each, all serving the snapshot's one shared model, plus a
-    /// supervisor that respawns dead workers and dead groups, and starts
-    /// serving.
+    /// Spawns `config.workers` worker threads, all serving the
+    /// snapshot's one shared model, plus a supervisor that respawns dead
+    /// workers, and starts serving.
     ///
     /// # Panics
     ///
-    /// Panics if `config.replicas == 0`, `config.workers == 0`,
-    /// `config.max_batch == 0`, or a thread cannot be spawned.
+    /// Panics if `config.workers == 0`, `config.max_batch == 0`, or a
+    /// thread cannot be spawned.
     #[must_use]
     pub fn start(snapshot: PipelineSnapshot, config: ServeConfig) -> Self {
         ServeRuntime::start_with_faults(snapshot, config, None)
@@ -385,8 +352,7 @@ impl ServeRuntime {
 
     /// [`ServeRuntime::start`], plus a deterministic [`FaultPlan`] the
     /// workers consult per request. Tests use this to trigger panics,
-    /// worker deaths, replica kills, NaN outputs and cache corruption on
-    /// exact requests.
+    /// worker deaths, NaN outputs and cache corruption on exact requests.
     ///
     /// # Panics
     ///
@@ -397,48 +363,29 @@ impl ServeRuntime {
         config: ServeConfig,
         faults: Option<Arc<FaultPlan>>,
     ) -> Self {
-        assert!(config.replicas > 0, "serve runtime needs at least one replica group");
-        assert!(config.workers > 0, "serve runtime needs at least one worker per group");
+        assert!(config.workers > 0, "serve runtime needs at least one worker");
         assert!(config.max_batch > 0, "max_batch must be positive");
         let slot =
             Arc::new(ModelSlot::new(ServedModel::from_snapshot(snapshot, config.reference_seed)));
-        let router = Arc::new(ShardRouter::new(config.replicas));
-        let groups: Arc<Vec<ReplicaGroup>> = Arc::new(
-            (0..config.replicas)
-                .map(|_| ReplicaGroup {
-                    queue: Arc::new(RequestQueue::new(config.queue_capacity)),
-                    cache: Arc::new(Mutex::new(ConditionCache::new(config.cache_capacity))),
-                    kill: AtomicBool::new(false),
-                })
-                .collect(),
-        );
+        let queue = Arc::new(RequestQueue::new(config.queue_capacity));
         let stats = Arc::new(StatsCollector::new());
-        let shared = FleetShared {
-            groups: Arc::clone(&groups),
-            router: Arc::clone(&router),
+        let shared = PoolShared {
+            queue: Arc::clone(&queue),
+            cache: Arc::new(Mutex::new(ConditionCache::new(config.cache_capacity))),
             stats: Arc::clone(&stats),
             faults: faults.clone(),
             slot: Arc::clone(&slot),
             cores: parallel::effective_cores(),
         };
-        let mut fleet: Vec<Vec<Option<JoinHandle<WorkerOutcome>>>> = (0..config.replicas)
-            .map(|g| {
-                (0..config.workers)
-                    .map(|i| {
-                        let handle = spawn_worker(g, i, 0, shared.clone(), config)
-                            .expect("spawn serve worker");
-                        Some(handle)
-                    })
-                    .collect()
-            })
+        let mut pool: Vec<Option<JoinHandle<WorkerOutcome>>> = (0..config.workers)
+            .map(|i| Some(spawn_worker(i, 0, shared.clone(), config).expect("spawn serve worker")))
             .collect();
         let supervisor = std::thread::Builder::new()
             .name("aero-serve-supervisor".into())
-            .spawn(move || supervisor_loop(&shared, config, &mut fleet))
+            .spawn(move || supervisor_loop(&shared, config, &mut pool))
             .expect("spawn serve supervisor");
         ServeRuntime {
-            groups,
-            router,
+            queue,
             admission: AdmissionController::new(config.admission),
             stats,
             slot,
@@ -454,7 +401,7 @@ impl ServeRuntime {
 
     /// Enqueues a request, returning a handle for its reply. The request
     /// first passes admission (tenant token bucket + global shed gates),
-    /// then routes to its `(prompt, variant)` home replica group.
+    /// then joins the queue.
     ///
     /// # Errors
     ///
@@ -476,16 +423,6 @@ impl ServeRuntime {
         let id = request.id.clone();
         let deadline = request.deadline.map(|d| now + d);
         let cancel = CancelToken::new();
-        let key = route_key_for(&request, self.slot.model().snapshot.variant());
-        // A request whose home group is mid-respawn still lands on *some*
-        // queue: survivors if any are alive, otherwise the home group's
-        // own queue, which outlives the kill and is served after respawn.
-        let group_idx = self.router.route(&key).unwrap_or_else(|| home_group(&key, &self.router));
-        let Some(group) = self.groups.get(group_idx) else {
-            let reason = RejectReason::WorkerError { detail: "no such replica group".into() };
-            self.stats.record_rejected(&reason);
-            return Err(reason);
-        };
         let pending = Pending {
             request,
             ordinal,
@@ -494,7 +431,7 @@ impl ServeRuntime {
             cancel: cancel.clone(),
             responder: tx,
         };
-        match group.queue.push(pending) {
+        match self.queue.push(pending) {
             Ok(()) => {
                 self.stats.set_queue_depth(self.queue_len());
                 Ok(ResponseHandle { id, rx, cancel, stats: Arc::clone(&self.stats) })
@@ -506,17 +443,10 @@ impl ServeRuntime {
         }
     }
 
-    /// Requests currently waiting, summed across every replica group's
-    /// queue.
+    /// Requests currently waiting in the queue.
     #[must_use]
     pub fn queue_len(&self) -> usize {
-        self.groups.iter().map(|g| g.queue.len()).sum()
-    }
-
-    /// Replica groups currently alive in the router.
-    #[must_use]
-    pub fn alive_replicas(&self) -> usize {
-        self.router.alive()
+        self.queue.len()
     }
 
     /// A point-in-time statistics report.
@@ -535,12 +465,20 @@ impl ServeRuntime {
 
     /// Attaches (or replaces) the model registry backing
     /// [`ServeRuntime::swap_from_registry`] and [`ServeRuntime::list_models`].
-    pub fn set_registry(&self, registry: ModelRegistry) {
+    /// `booted` is the registry entry the runtime's boot snapshot was built
+    /// from, if any: it is recorded as the active model as it stands, at
+    /// generation 0, without reading or building the artifact again.
+    pub fn set_registry(&self, registry: ModelRegistry, booted: Option<&RegistryEntry>) {
         *self.registry.lock().unwrap_or_else(PoisonError::into_inner) = Some(registry);
+        if let Some(entry) = booted {
+            *self.active_model.lock().unwrap_or_else(PoisonError::into_inner) =
+                Some((entry.name.clone(), entry.version));
+        }
     }
 
     /// The registry model currently serving, as `(name, version)`. `None`
-    /// when the runtime still serves its boot snapshot.
+    /// while the runtime serves a boot snapshot that did not come from
+    /// the registry.
     #[must_use]
     pub fn active_model(&self) -> Option<(String, u32)> {
         self.active_model.lock().unwrap_or_else(PoisonError::into_inner).clone()
@@ -654,153 +592,67 @@ impl ServeRuntime {
     /// everything already queued, joins them, and returns final stats.
     #[must_use]
     pub fn shutdown(self) -> StatsReport {
-        for group in self.groups.iter() {
-            group.queue.begin_shutdown();
-        }
+        self.queue.begin_shutdown();
         let _ = self.supervisor.join();
         self.stats.report()
     }
 }
 
-/// The routing key: the same `(prompt, variant)` pair the condition
-/// cache keys on, so routing locality *is* cache locality.
-fn route_key(prompt: &str, variant: impl std::fmt::Debug) -> String {
-    format!("{prompt}\u{1f}{variant:?}")
-}
-
-/// The routing key of a whole request: the text key, extended with the
-/// task discriminant and source-image digest for image-conditioned
-/// tasks — mirroring [`ConditionKey::for_task`], so task requests that
-/// share a conditioning image also share a condition cache. Text
-/// requests keep the exact pre-task key string.
-fn route_key_for(request: &GenerateRequest, variant: impl std::fmt::Debug) -> String {
-    let base = route_key(&request.prompt, variant);
-    match &request.task {
-        None => base,
-        Some(payload) => {
-            let spec = payload.to_spec(&request.prompt);
-            format!("{base}\u{1f}{}\u{1f}{:016x}", spec.kind().as_str(), spec.source_digest())
-        }
-    }
-}
-
-/// The group `key` would route to if every group were alive — the
-/// fallback target while the whole fleet is mid-respawn.
-fn home_group(key: &str, router: &ShardRouter) -> usize {
-    let mut best = (ShardRouter::weight(key, 0), 0);
-    for group in 1..router.groups() {
-        let w = ShardRouter::weight(key, group);
-        if w > best.0 {
-            best = (w, group);
-        }
-    }
-    best.1
-}
-
 fn spawn_worker(
-    group: usize,
     slot: usize,
     generation: usize,
-    shared: FleetShared,
+    shared: PoolShared,
     config: ServeConfig,
 ) -> std::io::Result<JoinHandle<WorkerOutcome>> {
-    std::thread::Builder::new().name(format!("aero-serve-{group}.{slot}.{generation}")).spawn(
-        move || parallel::with_assumed_cores(shared.cores, || worker_loop(&shared, group, config)),
-    )
+    std::thread::Builder::new()
+        .name(format!("aero-serve-{slot}.{generation}"))
+        .spawn(move || parallel::with_assumed_cores(shared.cores, || worker_loop(&shared, config)))
 }
 
-/// Supervises the fleet: joins finished workers, respawns single workers
-/// that died suspect (panic) while restarts remain, respawns *whole
-/// replica groups* after a kill — re-routing anything stranded in the
-/// dead group's queue first — and, once no worker is left anywhere,
-/// fails all queued work with a typed reason so clients never hang on a
-/// dead pool. It also sweeps every queue on a timer, so expired and
+/// Supervises the pool: joins finished workers, respawns workers that
+/// died or turned suspect while restarts remain, and, once no worker is
+/// left, fails all queued work with a typed reason so clients never hang
+/// on a dead pool. It also sweeps the queue on a timer, so expired and
 /// cancelled requests get their typed reply even while all workers are
 /// busy sampling. Respawned workers read the model slot like every other
 /// worker.
 fn supervisor_loop(
-    shared: &FleetShared,
+    shared: &PoolShared,
     config: ServeConfig,
-    fleet: &mut [Vec<Option<JoinHandle<WorkerOutcome>>>],
+    pool: &mut [Option<JoinHandle<WorkerOutcome>>],
 ) {
     let mut restarts = 0usize;
-    let mut generation = 0usize;
     loop {
-        let mut live = 0usize;
-        for (g, slots) in fleet.iter_mut().enumerate() {
-            let Some(group) = shared.groups.get(g) else { continue };
-            group.queue.sweep();
-            for (i, slot) in slots.iter_mut().enumerate() {
-                if slot.as_ref().is_some_and(JoinHandle::is_finished) {
-                    let Some(handle) = slot.take() else { continue };
-                    match handle.join() {
-                        Ok(WorkerOutcome::Drained | WorkerOutcome::ReplicaKilled) => {}
-                        // A worker that died alone is replaced even
-                        // mid-shutdown: its requeued batch still has to be
-                        // drained, and the restart budget bounds the loop
-                        // either way. While the group is kill-flagged the
-                        // slot stays empty — the group respawns as a unit
-                        // below. A failed respawn leaves the slot empty;
-                        // the live count then treats it like any other
-                        // dead worker.
-                        Ok(WorkerOutcome::Suspect) | Err(_) => {
-                            if !group.kill.load(Ordering::SeqCst)
-                                && restarts < config.max_worker_restarts
-                            {
-                                if let Ok(replacement) =
-                                    spawn_worker(g, i, generation + 1, shared.clone(), config)
-                                {
-                                    restarts += 1;
-                                    generation += 1;
-                                    shared.stats.record_worker_restart();
-                                    *slot = Some(replacement);
-                                }
-                            }
-                        }
-                    }
-                }
+        shared.queue.sweep();
+        for (i, slot) in pool.iter_mut().enumerate() {
+            if !slot.as_ref().is_some_and(JoinHandle::is_finished) {
+                continue;
             }
-            // A killed group respawns as a unit once its last worker is
-            // joined: re-route stragglers its dying workers left behind,
-            // drop the cache (the kill may have left it poisoned or
-            // half-written), bring up a full set of fresh workers, and
-            // only then mark the group routable again.
-            if group.kill.load(Ordering::SeqCst) && slots.iter().all(Option::is_none) {
-                let stranded = group.queue.drain_all();
-                reroute_batch(shared, g, stranded);
-                lock_cache(&group.cache).clear();
-                if restarts < config.max_worker_restarts {
+            let Some(handle) = slot.take() else { continue };
+            // A worker that died is replaced even mid-shutdown: its
+            // requeued batch still has to be drained, and the restart
+            // budget bounds the loop either way. A failed respawn leaves
+            // the slot empty, like any other dead worker.
+            if !matches!(handle.join(), Ok(WorkerOutcome::Drained))
+                && restarts < config.max_worker_restarts
+            {
+                if let Ok(replacement) = spawn_worker(i, restarts + 1, shared.clone(), config) {
                     restarts += 1;
-                    generation += 1;
-                    let mut respawned = 0usize;
-                    for (i, slot) in slots.iter_mut().enumerate() {
-                        if let Ok(handle) = spawn_worker(g, i, generation, shared.clone(), config) {
-                            *slot = Some(handle);
-                            respawned += 1;
-                        }
-                    }
-                    if respawned > 0 {
-                        group.kill.store(false, Ordering::SeqCst);
-                        shared.router.mark_up(g);
-                        shared.stats.record_replica_respawn();
-                        shared.stats.record_worker_restart();
-                    }
+                    shared.stats.record_worker_restart();
+                    *slot = Some(replacement);
                 }
             }
-            live += slots.iter().filter(|slot| slot.is_some()).count();
         }
-        if live == 0 {
+        if pool.iter().all(Option::is_none) {
             // Nobody will ever pop again. On a graceful shutdown the
-            // queues are already drained and this is a no-op; on a
-            // collapsed fleet it converts every stranded request into a
+            // queue is already drained and this is a no-op; on a
+            // collapsed pool it converts every stranded request into a
             // typed rejection.
-            for group in shared.groups.iter() {
-                group.queue.begin_shutdown();
-                for pending in group.queue.drain_all() {
-                    pending.reject(RejectReason::WorkerError {
-                        detail: "no live serving workers remain".into(),
-                    });
-                }
+            shared.queue.begin_shutdown();
+            for pending in shared.queue.drain_all() {
+                pending.reject(RejectReason::WorkerError {
+                    detail: "no live serving workers remain".into(),
+                });
             }
             return;
         }
@@ -808,82 +660,27 @@ fn supervisor_loop(
     }
 }
 
-/// One worker: serve its group's batches until the queue drains out, the
-/// group is killed, or the worker turns suspect. Each batch is served on
-/// the model the slot holds right after the pop, under the worker's
-/// share of the cores (see the module docs).
-fn worker_loop(shared: &FleetShared, group_idx: usize, config: ServeConfig) -> WorkerOutcome {
-    let Some(group) = shared.groups.get(group_idx) else {
-        return WorkerOutcome::Drained;
-    };
-    let share = parallel::effective_cores() / config.replicas.saturating_mul(config.workers);
-    loop {
-        let Some(batch) =
-            group.queue.pop_batch_watch(config.max_batch, config.batch_wait, &group.kill)
-        else {
-            return if group.kill.load(Ordering::SeqCst) {
-                WorkerOutcome::ReplicaKilled
-            } else {
-                WorkerOutcome::Drained
-            };
-        };
-        // A sibling drew a replica kill after this pop won the race: hand
-        // the batch to survivors and die with the group.
-        if group.kill.load(Ordering::SeqCst) {
-            reroute_batch(shared, group_idx, batch);
-            return WorkerOutcome::ReplicaKilled;
-        }
+/// One worker: serve batches until the queue drains out or the worker
+/// turns suspect. Each batch is served on the model the slot holds right
+/// after the pop, under the worker's share of the cores (see the module
+/// docs).
+fn worker_loop(shared: &PoolShared, config: ServeConfig) -> WorkerOutcome {
+    let share = parallel::effective_cores() / config.workers;
+    while let Some(batch) = shared.queue.pop_batch(config.max_batch, config.batch_wait) {
         let model = shared.slot.model();
         let policy = model.snapshot.parallel();
         parallel::adopt_thread_policy(
             ParallelConfig::with_threads(share.clamp(1, policy.threads()))
                 .with_backend(policy.backend()),
         );
-        if !serve_batch(&model, batch, shared, group_idx, group, &config) {
+        if !serve_batch(&model, batch, shared, &config) {
             // An in-request panic was caught and answered, but this
             // worker's state is no longer above suspicion. Exit after the
             // batch; the supervisor brings up a fresh one.
             return WorkerOutcome::Suspect;
         }
     }
-}
-
-/// Re-routes a dying group's in-flight requests onto surviving groups,
-/// or — when no survivor exists — back onto the dying group's own queue,
-/// which outlives the kill and is served after respawn. Either way no
-/// request is dropped.
-fn reroute_batch(shared: &FleetShared, from: usize, batch: Vec<Pending>) {
-    if batch.is_empty() {
-        return;
-    }
-    let n = batch.len();
-    let variant = shared.slot.model().snapshot.variant();
-    let mut per_group: Vec<Vec<Pending>> = (0..shared.groups.len()).map(|_| Vec::new()).collect();
-    let mut home: Vec<Pending> = Vec::new();
-    for pending in batch {
-        let key = route_key_for(&pending.request, variant);
-        match shared.router.route_excluding(&key, Some(from)) {
-            Some(g) => match per_group.get_mut(g) {
-                Some(bucket) => bucket.push(pending),
-                None => home.push(pending),
-            },
-            None => home.push(pending),
-        }
-    }
-    for (g, bucket) in per_group.into_iter().enumerate() {
-        if bucket.is_empty() {
-            continue;
-        }
-        if let Some(group) = shared.groups.get(g) {
-            group.queue.requeue(bucket);
-        }
-    }
-    if !home.is_empty() {
-        if let Some(group) = shared.groups.get(from) {
-            group.queue.requeue(home);
-        }
-    }
-    shared.stats.record_reroute(n);
+    WorkerOutcome::Drained
 }
 
 /// Locks the condition cache, recovering from poison: the cache holds
@@ -975,32 +772,23 @@ fn task_shape_error(model: &ServedModel, request: &GenerateRequest) -> Option<St
 }
 
 /// Serves one popped batch: group by sampler settings, encode through the
-/// group's cache, run one coalesced cancellable sampler call per lane,
+/// shared cache, run one coalesced cancellable sampler call per lane,
 /// decode per request. Returns `false` if the worker caught an in-request
 /// panic and should be replaced after this batch.
 fn serve_batch(
     model: &ServedModel,
     batch: Vec<Pending>,
-    shared: &FleetShared,
-    group_idx: usize,
-    group: &ReplicaGroup,
+    shared: &PoolShared,
     config: &ServeConfig,
 ) -> bool {
     let pipeline = model.pipeline();
     let dequeued = Instant::now();
-    shared.stats.set_queue_depth(shared.groups.iter().map(|g| g.queue.len()).sum());
-    // Pull this batch's scheduled faults up front. The two kill faults
-    // must fire before any request is served, so the whole batch is
-    // finished by someone else; any other faults taken with them are
-    // re-scheduled for the retry, and the worker dies the way a real
-    // crash would — an uncaught panic.
-    //
-    // KillReplica: mark the group down and kill-flagged first, so the
-    // router stops placing new work here and sibling workers abort their
-    // pops; then hand the in-flight batch to survivors.
-    //
-    // KillWorker: requeue to this group's own queue — the group survives,
-    // only this thread dies.
+    shared.stats.set_queue_depth(shared.queue.len());
+    // Pull this batch's scheduled faults up front. A KillWorker must fire
+    // before any request is served, so the whole batch goes back to the
+    // front of the queue for another worker to finish; any other faults
+    // taken with it are re-scheduled for the retry, and the worker dies
+    // the way a real crash would — an uncaught panic.
     let mut batch_faults: HashMap<u64, Fault> = HashMap::new();
     if let Some(plan) = &shared.faults {
         for pending in &batch {
@@ -1008,26 +796,13 @@ fn serve_batch(
                 batch_faults.insert(pending.ordinal, fault);
             }
         }
-        if batch_faults.values().any(|f| matches!(f, Fault::KillReplica)) {
-            for (ordinal, fault) in batch_faults {
-                if !matches!(fault, Fault::KillReplica) {
-                    plan.schedule(ordinal, fault);
-                }
-            }
-            shared.stats.record_replica_kill();
-            shared.router.mark_down(group_idx);
-            group.kill.store(true, Ordering::SeqCst);
-            group.queue.wake_all();
-            reroute_batch(shared, group_idx, batch);
-            panic!("injected fault: replica group killed mid-batch");
-        }
         if batch_faults.values().any(|f| matches!(f, Fault::KillWorker)) {
             for (ordinal, fault) in batch_faults {
                 if !matches!(fault, Fault::KillWorker) {
                     plan.schedule(ordinal, fault);
                 }
             }
-            group.queue.requeue(batch);
+            shared.queue.requeue(batch);
             panic!("injected fault: worker killed mid-batch");
         }
     }
@@ -1054,7 +829,7 @@ fn serve_batch(
                 std::thread::sleep(Duration::from_millis(ms));
             }
             if matches!(fault, Some(Fault::PoisonCacheLock)) {
-                poison_cache(&group.cache);
+                poison_cache(&shared.cache);
             }
             // A request cancelled while queued or popped never reaches
             // the sampler; its slot in the coalesced call goes to live
@@ -1084,7 +859,7 @@ fn serve_batch(
                 if matches!(fault, Some(Fault::PanicRequest)) {
                     panic!("injected fault: panic while preparing request");
                 }
-                prepare_condition(model, &pending.request, guidance, fault, group, shared)
+                prepare_condition(model, &pending.request, guidance, fault, shared)
             }));
             match prepared {
                 Ok((cond, cache_hit, pin_parts)) => jobs.push(Job {
@@ -1126,8 +901,8 @@ fn serve_batch(
             .map(|(i, j)| (i, j.pending.request.id.clone(), j.pending.responder.clone()))
             .collect();
         // Each request's private noise stream: same seed, same bytes,
-        // whatever else rides in the batch — or whichever replica group
-        // serves it.
+        // whatever else rides in the batch — or whichever worker serves
+        // it.
         let mut rngs: Vec<StdRng> =
             jobs.iter().map(|j| StdRng::seed_from_u64(j.pending.request.seed)).collect();
         let pins: Vec<Option<(Tensor, Tensor)>> =
@@ -1213,7 +988,7 @@ fn serve_batch(
     healthy
 }
 
-/// Resolves one request's condition embedding through the group's cache,
+/// Resolves one request's condition embedding through the shared cache,
 /// validating cached entries and applying a [`Fault::CorruptCacheEntry`]
 /// injection after the fact. Also lowers the request's task (if any) to
 /// its typed spec, returning the inpainting pin rows alongside the
@@ -1223,8 +998,7 @@ fn prepare_condition(
     request: &GenerateRequest,
     guidance: f32,
     fault: Option<Fault>,
-    group: &ReplicaGroup,
-    shared: &FleetShared,
+    shared: &PoolShared,
 ) -> (Tensor, bool, Option<(Tensor, Tensor)>) {
     let pipeline = model.pipeline();
     let spec = request.task.as_ref().map(|t| t.to_spec(&request.prompt));
@@ -1240,7 +1014,7 @@ fn prepare_condition(
     // locked `get` would keep the guard alive across the arms and
     // self-deadlock on the eviction below.
     let cached = {
-        let mut cache = lock_cache(&group.cache);
+        let mut cache = lock_cache(&shared.cache);
         match cache.get(&key) {
             Some(cond) if tensor_is_finite(&cond) => Some(cond),
             Some(_) => {
@@ -1268,12 +1042,12 @@ fn prepare_condition(
                 )),
                 Some(s) => pipeline.encode_task(s),
             };
-            lock_cache(&group.cache).insert(key.clone(), cond.clone());
+            lock_cache(&shared.cache).insert(key.clone(), cond.clone());
             (cond, false)
         }
     };
     if matches!(fault, Some(Fault::CorruptCacheEntry)) {
-        lock_cache(&group.cache).insert(key, Tensor::full(cond.shape(), f32::NAN));
+        lock_cache(&shared.cache).insert(key, Tensor::full(cond.shape(), f32::NAN));
     }
     (cond, cache_hit, spec.and_then(|s| pipeline.pin_parts(&s)))
 }
@@ -1292,29 +1066,11 @@ mod tests {
         let sc = ServeConfig::for_pipeline(&pc);
         assert_eq!(sc.steps, pc.diffusion.ddim_steps);
         assert_eq!(sc.guidance_scale, pc.diffusion.guidance_scale);
-        assert_eq!(sc.replicas, 1);
         assert!(!sc.stream_previews);
         assert_eq!(sc.admission, AdmissionConfig::default());
         assert!(sc.workers >= 1);
         assert!(sc.max_batch >= 1);
         assert!(sc.max_worker_restarts >= 1);
-    }
-
-    #[test]
-    fn route_key_separates_prompt_from_variant() {
-        // The unit separator keeps ("a", "Xb") and ("aX", "b") shaped
-        // prompts/variants from colliding.
-        assert_ne!(route_key("a park", "Full"), route_key("a park", "BaseSd"));
-        assert_ne!(route_key("a", "bc"), route_key("ab", "c"));
-    }
-
-    #[test]
-    fn home_group_matches_router_with_everything_alive() {
-        let router = ShardRouter::new(4);
-        for i in 0..32 {
-            let key = format!("prompt-{i}");
-            assert_eq!(Some(home_group(&key, &router)), router.route(&key));
-        }
     }
 
     #[test]

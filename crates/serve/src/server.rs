@@ -180,7 +180,7 @@ fn models_json(runtime: &ServeRuntime) -> Json {
 /// Executes a `{"type":"swap","name":…[,"version":…]}` control line
 /// against the registry. The swap is synchronous from the front-end's
 /// point of view: every request on a later input line is served by the
-/// new model (in-flight ones finish on the old replicas).
+/// new model (in-flight batches finish on the old one).
 fn swap_json(runtime: &ServeRuntime, v: &Json, fallback_id: &str) -> Json {
     let Some(name) = v.get("name").and_then(Json::as_str) else {
         return bad_request(fallback_id, "swap requires a \"name\" field");
@@ -304,9 +304,9 @@ fn read_loop(
                 "metrics" => Entry::Metrics,
                 "models" => Entry::Immediate(models_json(runtime)),
                 // The swap runs here, in line order: requests on earlier
-                // lines were already submitted (they finish on whichever
-                // replica pops them), requests on later lines meet the
-                // swapped-in model.
+                // lines were already submitted (they are served on the
+                // model the slot holds when a worker pops them), requests
+                // on later lines meet the swapped-in model.
                 "swap" => Entry::Immediate(swap_json(runtime, &v, &fallback_id)),
                 // The cancel takes effect here, as soon as the reader
                 // sees the line — only the acknowledgement waits for its

@@ -42,9 +42,6 @@ pub struct StatsCollector {
     worker_restarts: Arc<Counter>,
     nonfinite_outputs: Arc<Counter>,
     cache_corruptions: Arc<Counter>,
-    replica_kills: Arc<Counter>,
-    replica_respawns: Arc<Counter>,
-    rerouted: Arc<Counter>,
     sampler_aborts: Arc<Counter>,
     previews: Arc<Counter>,
     cache_hits: Arc<Counter>,
@@ -84,9 +81,6 @@ impl StatsCollector {
             worker_restarts: registry.counter("serve.fault.worker_restarts"),
             nonfinite_outputs: registry.counter("serve.fault.nonfinite_outputs"),
             cache_corruptions: registry.counter("serve.fault.cache_corruptions"),
-            replica_kills: registry.counter("serve.fault.replica_kills"),
-            replica_respawns: registry.counter("serve.fault.replica_respawns"),
-            rerouted: registry.counter("serve.fault.rerouted_requests"),
             sampler_aborts: registry.counter("serve.cancel.sampler_aborts"),
             previews: registry.counter("serve.stream.previews"),
             cache_hits: registry.counter("serve.cache.hits"),
@@ -171,23 +165,6 @@ impl StatsCollector {
         self.cache_corruptions.inc();
     }
 
-    /// Records one replica group killed (injected or real).
-    pub fn record_replica_kill(&self) {
-        self.replica_kills.inc();
-    }
-
-    /// Records one replica group respawned by the supervisor after a
-    /// kill.
-    pub fn record_replica_respawn(&self) {
-        self.replica_respawns.inc();
-    }
-
-    /// Records `n` in-flight requests re-routed off a dying replica group
-    /// onto survivors.
-    pub fn record_reroute(&self, n: usize) {
-        self.rerouted.add(u64::try_from(n).unwrap_or(u64::MAX));
-    }
-
     /// Records one sampler call stopped early by cancellation (at least
     /// one DDIM step was skipped).
     pub fn record_sampler_abort(&self) {
@@ -238,9 +215,6 @@ impl StatsCollector {
             worker_restarts: self.worker_restarts.get(),
             nonfinite_outputs: self.nonfinite_outputs.get(),
             cache_corruptions: self.cache_corruptions.get(),
-            replica_kills: self.replica_kills.get(),
-            replica_respawns: self.replica_respawns.get(),
-            rerouted_requests: self.rerouted.get(),
             sampler_aborts: self.sampler_aborts.get(),
             previews_streamed: self.previews.get(),
             cache_hit_rate: if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 },
@@ -309,12 +283,6 @@ pub struct StatsReport {
     pub nonfinite_outputs: u64,
     /// Condition-cache entries discarded as corrupt and recomputed.
     pub cache_corruptions: u64,
-    /// Replica groups killed (injected faults or real crashes).
-    pub replica_kills: u64,
-    /// Replica groups respawned whole by the supervisor.
-    pub replica_respawns: u64,
-    /// In-flight requests re-routed off dying replica groups.
-    pub rerouted_requests: u64,
     /// Sampler calls stopped early by cancellation.
     pub sampler_aborts: u64,
     /// Intermediate-latent preview replies streamed.
@@ -373,9 +341,6 @@ impl StatsReport {
                     ("worker_restarts", self.worker_restarts.into()),
                     ("nonfinite_outputs", self.nonfinite_outputs.into()),
                     ("cache_corruptions", self.cache_corruptions.into()),
-                    ("replica_kills", self.replica_kills.into()),
-                    ("replica_respawns", self.replica_respawns.into()),
-                    ("rerouted_requests", self.rerouted_requests.into()),
                 ]),
             ),
             ("sampler_aborts", self.sampler_aborts.into()),
@@ -437,9 +402,6 @@ mod tests {
     #[test]
     fn fleet_counters_survive_to_the_wire_form() {
         let stats = StatsCollector::new();
-        stats.record_replica_kill();
-        stats.record_replica_respawn();
-        stats.record_reroute(3);
         stats.record_sampler_abort();
         stats.record_preview();
         stats.record_preview();
@@ -453,9 +415,6 @@ mod tests {
         });
         stats.record_rejected(&RejectReason::Cancelled);
         let r = stats.report();
-        assert_eq!(r.replica_kills, 1);
-        assert_eq!(r.replica_respawns, 1);
-        assert_eq!(r.rerouted_requests, 3);
         assert_eq!(r.sampler_aborts, 1);
         assert_eq!(r.previews_streamed, 2);
         assert_eq!(r.rejected_overloaded, 2);
@@ -464,9 +423,6 @@ mod tests {
         let rej = v.get("rejected").expect("rejected object");
         assert_eq!(rej.get("overloaded").and_then(Json::as_u64), Some(2));
         assert_eq!(rej.get("cancelled").and_then(Json::as_u64), Some(1));
-        let faults = v.get("faults").expect("faults object");
-        assert_eq!(faults.get("replica_kills").and_then(Json::as_u64), Some(1));
-        assert_eq!(faults.get("rerouted_requests").and_then(Json::as_u64), Some(3));
         assert_eq!(v.get("sampler_aborts").and_then(Json::as_u64), Some(1));
         assert_eq!(v.get("previews_streamed").and_then(Json::as_u64), Some(2));
         let snap = stats.metrics_snapshot();

@@ -1,13 +1,13 @@
-//! Fleet-level end-to-end tests: replica-kill fault tolerance, admission
+//! Pool-level end-to-end tests: worker-kill fault tolerance, admission
 //! control, cancellation and streamed previews against a real
 //! (smoke-scale) trained pipeline.
 //!
 //! The headline contracts under test:
 //!
-//! - **zero dropped requests** when an entire replica group is killed
-//!   mid-batch — survivors absorb the rerouted work, the supervisor
-//!   respawns the group, and every reply is **byte-identical** to an
-//!   unfaulted single-replica baseline;
+//! - **zero dropped requests** when a worker is killed mid-batch — its
+//!   batch goes back to the front of the queue, a peer or the respawned
+//!   worker serves it, and every reply is **byte-identical** to an
+//!   unfaulted one-worker baseline;
 //! - admission sheds with a *typed* `overloaded` reply (never a hang),
 //!   and a retry after the pressure clears succeeds;
 //! - a cancelled request provably stops sampling before its final step.
@@ -36,12 +36,11 @@ fn snapshot() -> &'static PipelineSnapshot {
     })
 }
 
-/// A fleet config: `replicas` groups of one worker each, batching wide
-/// enough that a whole submission burst rides one sampler call per group.
-fn fleet_config(replicas: usize) -> ServeConfig {
+/// A pool of `workers` workers, batching wide enough that a whole
+/// submission burst rides one sampler call per worker.
+fn pool_config(workers: usize) -> ServeConfig {
     let mut config = ServeConfig::for_pipeline(snapshot().config());
-    config.replicas = replicas;
-    config.workers = 1;
+    config.workers = workers;
     config.steps = 4; // keep sampling cheap; determinism is what's under test
     config.batch_wait = Duration::from_millis(100);
     config
@@ -66,10 +65,10 @@ fn await_stats(runtime: &ServeRuntime, probe: impl Fn(&aero_serve::StatsReport) 
     }
 }
 
-/// Serves `(prompt, seed)` pairs on an unfaulted single-replica runtime —
-/// the baseline every fault-tolerance test compares bytes against.
+/// Serves `(prompt, seed)` pairs on an unfaulted one-worker runtime — the
+/// baseline every fault-tolerance test compares bytes against.
 fn baseline_images(jobs: &[(&str, u64)]) -> Vec<Vec<u8>> {
-    let runtime = ServeRuntime::start(snapshot().clone(), fleet_config(1));
+    let runtime = ServeRuntime::start(snapshot().clone(), pool_config(1));
     let images = jobs
         .iter()
         .enumerate()
@@ -87,11 +86,11 @@ fn baseline_images(jobs: &[(&str, u64)]) -> Vec<Vec<u8>> {
     images
 }
 
-/// The headline fault-tolerance contract: killing a whole replica group
-/// while it holds a popped batch drops nothing, and every reply is
-/// byte-identical to the unfaulted single-replica baseline.
+/// The headline fault-tolerance contract: killing a worker while it
+/// holds a popped batch drops nothing, and every reply is byte-identical
+/// to the unfaulted one-worker baseline.
 #[test]
-fn replica_kill_mid_batch_drops_nothing_and_stays_byte_identical() {
+fn worker_kill_mid_batch_drops_nothing_and_stays_byte_identical() {
     let jobs: Vec<(&str, u64)> = vec![
         ("an aerial view of a park", 40),
         ("a parking lot at night", 41),
@@ -102,10 +101,10 @@ fn replica_kill_mid_batch_drops_nothing_and_stays_byte_identical() {
     ];
     let baseline = baseline_images(&jobs);
 
-    // Kill fires when the batch holding submission #0 is popped; its
-    // whole group dies holding that batch.
-    let plan = Arc::new(FaultPlan::new().inject_replica_kill(0));
-    let runtime = ServeRuntime::start_with_faults(snapshot().clone(), fleet_config(2), Some(plan));
+    // The kill fires when the batch holding submission #0 is popped; its
+    // worker dies holding that batch.
+    let plan = Arc::new(FaultPlan::new().inject(0, Fault::KillWorker));
+    let runtime = ServeRuntime::start_with_faults(snapshot().clone(), pool_config(2), Some(plan));
     let handles: Vec<_> = jobs
         .iter()
         .enumerate()
@@ -117,46 +116,17 @@ fn replica_kill_mid_batch_drops_nothing_and_stays_byte_identical() {
     for (i, (img, expected)) in images.iter().zip(&baseline).enumerate() {
         assert_eq!(
             &img.rgb8, expected,
-            "request {i}: a replica kill must not change a single output byte"
+            "request {i}: a worker kill must not change a single output byte"
         );
     }
 
-    // The supervisor respawns the killed group on its own schedule.
-    await_stats(&runtime, |s| s.replica_respawns >= 1);
-    assert_eq!(runtime.alive_replicas(), 2, "the killed group must come back up");
+    // The supervisor respawns the killed worker on its own schedule.
+    await_stats(&runtime, |s| s.worker_restarts >= 1);
     let stats = runtime.shutdown();
-    assert_eq!(stats.completed, 6, "zero dropped requests under a replica kill");
-    assert_eq!(stats.replica_kills, 1);
-    assert!(stats.replica_respawns >= 1);
-    assert!(stats.rerouted_requests >= 1, "the killed batch must have been rerouted");
+    assert_eq!(stats.completed, 6, "zero dropped requests under a worker kill");
+    assert!(stats.worker_restarts >= 1);
     assert_eq!(stats.rejected_worker_failure, 0);
     assert_eq!(stats.rejected_worker_error, 0);
-}
-
-/// With a single replica group there is no survivor to absorb the batch:
-/// the dying group requeues onto its own (still-live) queue and the
-/// respawned workers serve everything.
-#[test]
-fn single_replica_kill_requeues_home_and_respawns() {
-    let jobs: Vec<(&str, u64)> = vec![("a harbor", 1), ("a plaza", 2), ("a harbor", 3)];
-    let baseline = baseline_images(&jobs);
-    let plan = Arc::new(FaultPlan::new().inject_replica_kill(0));
-    let runtime = ServeRuntime::start_with_faults(snapshot().clone(), fleet_config(1), Some(plan));
-    let handles: Vec<_> = jobs
-        .iter()
-        .enumerate()
-        .map(|(i, (prompt, seed))| {
-            runtime.submit(GenerateRequest::new(format!("h{i}"), *prompt, *seed)).unwrap()
-        })
-        .collect();
-    for (i, (handle, expected)) in handles.into_iter().zip(&baseline).enumerate() {
-        assert_eq!(image_of(handle.wait()).rgb8, *expected, "request {i} changed bytes");
-    }
-    let stats = runtime.shutdown();
-    assert_eq!(stats.completed, 3);
-    assert_eq!(stats.replica_kills, 1);
-    assert_eq!(stats.replica_respawns, 1);
-    assert!(stats.worker_restarts >= 1, "the group respawn consumes one restart");
 }
 
 /// A second trained model, distinct from [`snapshot`], for swap targets.
@@ -185,15 +155,15 @@ fn registry_with_alt(tag: &str) -> aero_model::ModelRegistry {
     registry
 }
 
-/// A replica kill racing a hot swap: pre-swap requests may land on either
+/// A worker kill racing a hot swap: pre-swap requests may land on either
 /// model (the drain-free swap contract), but nothing is dropped, and
 /// requests submitted after the swap are served by the new model.
 #[test]
-fn replica_kill_during_swap_drops_nothing() {
+fn worker_kill_during_swap_drops_nothing() {
     let prompt = "an aerial view of a park";
-    let plan = Arc::new(FaultPlan::new().inject_replica_kill(1));
-    let runtime = ServeRuntime::start_with_faults(snapshot().clone(), fleet_config(2), Some(plan));
-    runtime.set_registry(registry_with_alt("kill_during_swap"));
+    let plan = Arc::new(FaultPlan::new().inject(1, Fault::KillWorker));
+    let runtime = ServeRuntime::start_with_faults(snapshot().clone(), pool_config(2), Some(plan));
+    runtime.set_registry(registry_with_alt("kill_during_swap"), None);
 
     let pre: Vec<_> = (0..3)
         .map(|i| {
@@ -214,12 +184,12 @@ fn replica_kill_during_swap_drops_nothing() {
     let post_images: Vec<_> = post.into_iter().map(|h| image_of(h.wait())).collect();
     let stats = runtime.shutdown();
     assert_eq!(stats.completed, 6, "zero dropped requests across kill + swap");
-    assert_eq!(stats.replica_kills, 1);
+    assert!(stats.worker_restarts >= 1);
 
-    // Post-swap lines meet the new model everywhere — on the survivor
-    // and on the respawned group alike, since every batch popped after
-    // the swap reads the swapped-in slot.
-    let reference = ServeRuntime::start(alt_snapshot().clone(), fleet_config(1));
+    // Post-swap lines meet the new model everywhere — on the surviving
+    // worker and on the respawned one alike, since every batch popped
+    // after the swap reads the swapped-in slot.
+    let reference = ServeRuntime::start(alt_snapshot().clone(), pool_config(1));
     for (i, img) in post_images.iter().enumerate() {
         let expected = image_of(
             reference
@@ -233,15 +203,15 @@ fn replica_kill_during_swap_drops_nothing() {
 }
 
 /// A kill and a cancellation in the same burst: the cancelled request
-/// resolves to a typed `cancelled` reply, the rest ride the reroute and
+/// resolves to a typed `cancelled` reply, the rest ride the requeue and
 /// keep their exact bytes.
 #[test]
 fn kill_and_cancel_interleave_cleanly() {
     let jobs: Vec<(&str, u64)> =
         vec![("a parking lot at night", 8), ("a plaza", 9), ("a dense downtown block", 10)];
     let baseline = baseline_images(&jobs);
-    let plan = Arc::new(FaultPlan::new().inject_replica_kill(0));
-    let runtime = ServeRuntime::start_with_faults(snapshot().clone(), fleet_config(2), Some(plan));
+    let plan = Arc::new(FaultPlan::new().inject(0, Fault::KillWorker));
+    let runtime = ServeRuntime::start_with_faults(snapshot().clone(), pool_config(2), Some(plan));
     let handles: Vec<_> = jobs
         .iter()
         .enumerate()
@@ -251,7 +221,7 @@ fn kill_and_cancel_interleave_cleanly() {
         .collect();
     // Cancel the middle request while the workers are still starting:
     // it must resolve as `cancelled`, not an image, whether it was swept
-    // from a queue or dropped at the sampler's door after the reroute.
+    // from the queue or dropped at the sampler's door after the requeue.
     handles[1].cancel();
     let replies: Vec<_> = handles.into_iter().map(aero_serve::ResponseHandle::wait).collect();
     for (i, reply) in replies.into_iter().enumerate() {
@@ -268,15 +238,15 @@ fn kill_and_cancel_interleave_cleanly() {
     let stats = runtime.shutdown();
     assert_eq!(stats.completed, 2);
     assert_eq!(stats.rejected_cancelled, 1);
-    assert_eq!(stats.replica_kills, 1);
+    assert!(stats.worker_restarts >= 1);
 }
 
 /// The global depth gate sheds a burst with typed `overloaded` replies
 /// carrying the configured backoff hint — and admits again once the
-/// queues drain.
+/// queue drains.
 #[test]
 fn overload_sheds_typed_and_recovers() {
-    let mut config = fleet_config(1);
+    let mut config = pool_config(1);
     config.admission.shed_queue_depth = 2;
     config.admission.retry_after_ms = 25;
     let runtime = ServeRuntime::start(snapshot().clone(), config);
@@ -302,7 +272,7 @@ fn overload_sheds_typed_and_recovers() {
     for handle in accepted {
         image_of(handle.wait());
     }
-    // With the queues drained, a well-behaved retry (the client waited
+    // With the queue drained, a well-behaved retry (the client waited
     // out the hint) is admitted and served.
     let retry = runtime.submit(GenerateRequest::new("o-retry", "a plaza", 99)).unwrap();
     image_of(retry.wait());
@@ -316,7 +286,7 @@ fn overload_sheds_typed_and_recovers() {
 /// through.
 #[test]
 fn tenant_buckets_isolate_tenants() {
-    let mut config = fleet_config(1);
+    let mut config = pool_config(1);
     config.admission.tenant_rate = 0.001; // effectively no refill in test time
     config.admission.tenant_burst = 2.0;
     let runtime = ServeRuntime::start(snapshot().clone(), config);
@@ -350,7 +320,7 @@ fn tenant_buckets_isolate_tenants() {
 #[test]
 fn cancel_mid_sample_stops_before_the_final_step() {
     let steps = 32;
-    let runtime = ServeRuntime::start(snapshot().clone(), fleet_config(1));
+    let runtime = ServeRuntime::start(snapshot().clone(), pool_config(1));
     let mut request = GenerateRequest::new("c0", "a stadium from above", 5);
     request.steps = Some(steps);
     request.stream = true;
@@ -386,44 +356,43 @@ fn cancel_mid_sample_stops_before_the_final_step() {
     assert!(stats.previews_streamed >= 1);
 }
 
-/// A respawned group starts from a cold condition cache (the kill clears
-/// it), then warms back up.
+/// The condition cache belongs to the pool, not to a worker: a worker
+/// respawned after a kill serves the requeued request from the cache its
+/// predecessor warmed.
 #[test]
-fn respawned_group_recomputes_conditions() {
+fn respawned_worker_hits_the_shared_warm_cache() {
     let prompt = "a river through farmland";
-    let plan = Arc::new(FaultPlan::new().inject_replica_kill(2));
-    let runtime = ServeRuntime::start_with_faults(snapshot().clone(), fleet_config(1), Some(plan));
+    let plan = Arc::new(FaultPlan::new().inject(2, Fault::KillWorker));
+    let runtime = ServeRuntime::start_with_faults(snapshot().clone(), pool_config(1), Some(plan));
     let r0 = image_of(runtime.submit(GenerateRequest::new("r0", prompt, 1)).unwrap().wait());
     let r1 = image_of(runtime.submit(GenerateRequest::new("r1", prompt, 2)).unwrap().wait());
-    // Submission #2 triggers the kill; after the respawn it is served
-    // against a cleared cache.
+    // Submission #2 kills the only worker; its respawn serves the request.
     let r2 = image_of(runtime.submit(GenerateRequest::new("r2", prompt, 3)).unwrap().wait());
     let r3 = image_of(runtime.submit(GenerateRequest::new("r3", prompt, 4)).unwrap().wait());
     assert!(!r0.cache_hit, "first encode of a prompt cannot hit");
     assert!(r1.cache_hit, "warm cache before the kill");
-    assert!(!r2.cache_hit, "the kill must clear the group's condition cache");
-    assert!(r3.cache_hit, "the recomputed entry is cached again");
+    assert!(r2.cache_hit, "the respawned worker must find the entry its predecessor cached");
+    assert!(r3.cache_hit);
     let stats = runtime.shutdown();
     assert_eq!(stats.completed, 4);
-    assert_eq!(stats.replica_kills, 1);
-    assert_eq!(stats.replica_respawns, 1);
+    assert_eq!(stats.worker_restarts, 1);
 }
 
-/// A poisoned condition-cache lock on one group neither loses the entry
-/// nor stalls the fleet: the lock is recovered, the insert sticks, and
-/// other requests keep flowing.
+/// A poisoned condition-cache lock neither loses the entry nor stalls the
+/// pool: the lock is recovered, the insert sticks, and other requests
+/// keep flowing.
 #[test]
 fn poisoned_cache_lock_recovers_without_stalling() {
     let prompt = "an aerial view of a park";
     let plan = Arc::new(FaultPlan::new().inject(0, Fault::PoisonCacheLock));
-    let runtime = ServeRuntime::start_with_faults(snapshot().clone(), fleet_config(2), Some(plan));
+    let runtime = ServeRuntime::start_with_faults(snapshot().clone(), pool_config(2), Some(plan));
     let x0 = image_of(runtime.submit(GenerateRequest::new("x0", prompt, 1)).unwrap().wait());
     let x1 = image_of(runtime.submit(GenerateRequest::new("x1", prompt, 2)).unwrap().wait());
-    // Same prompt routes to the same group, so the hit proves the insert
-    // went through the recovered (previously poisoned) lock.
+    // Every worker reads the one shared cache, so the hit proves the
+    // insert went through the recovered (previously poisoned) lock.
     assert!(!x0.cache_hit);
     assert!(x1.cache_hit, "a recovered lock must still cache the computed condition");
-    // The rest of the fleet is untouched.
+    // The rest of the pool is untouched.
     let y0 = image_of(
         runtime.submit(GenerateRequest::new("y0", "a parking lot at night", 3)).unwrap().wait(),
     );
@@ -433,13 +402,13 @@ fn poisoned_cache_lock_recovers_without_stalling() {
     assert_eq!(stats.worker_restarts, 0, "a poisoned lock must not cost a worker");
 }
 
-/// Fleet-wide preview streaming: every step emits a decodable quantized
+/// Preview streaming for every request: every step emits a decodable quantized
 /// latent before the terminal image, and streaming never changes the
 /// image bytes.
 #[test]
 fn streamed_previews_precede_the_terminal_image() {
     let prompt = "a dense downtown block";
-    let mut config = fleet_config(1);
+    let mut config = pool_config(1);
     config.stream_previews = true;
     let runtime = ServeRuntime::start(snapshot().clone(), config);
     let handle = runtime.submit(GenerateRequest::new("s0", prompt, 21)).unwrap();
@@ -468,7 +437,7 @@ fn streamed_previews_precede_the_terminal_image() {
     assert_eq!(stats.previews_streamed, 8);
 
     // And the bytes match a runtime that never streamed at all.
-    let reference = ServeRuntime::start(snapshot().clone(), fleet_config(1));
+    let reference = ServeRuntime::start(snapshot().clone(), pool_config(1));
     let expected =
         image_of(reference.submit(GenerateRequest::new("ref", prompt, 21)).unwrap().wait());
     let _ = reference.shutdown();
@@ -488,7 +457,7 @@ fn ndjson_stream_and_cancel_lines() {
         r#"{"type":"stats"}"#,
         "\n",
     );
-    let runtime = ServeRuntime::start(snapshot().clone(), fleet_config(1));
+    let runtime = ServeRuntime::start(snapshot().clone(), pool_config(1));
     let mut output = Vec::new();
     let stats = serve_ndjson(runtime, Cursor::new(input), &mut output).unwrap();
     assert_eq!(stats.completed, 1);
@@ -605,7 +574,7 @@ fn resolved_requests_leave_no_cancel_token_behind() {
         r#"{"type":"cancel","id":"r2"}"#,
         "\n",
     );
-    let runtime = ServeRuntime::start(snapshot().clone(), fleet_config(1));
+    let runtime = ServeRuntime::start(snapshot().clone(), pool_config(1));
     let lines = serve_gated(runtime, head, 3, tail);
     assert_eq!(lines.len(), 6, "3 images + 3 cancel acks");
     for (i, line) in lines.iter().take(3).enumerate() {
@@ -633,7 +602,7 @@ fn resolving_an_older_request_keeps_a_reused_ids_token() {
     // cancel line arrives, after the first one's reply.
     let plan = Arc::new(FaultPlan::new());
     plan.schedule(1, Fault::DelayMs(400));
-    let runtime = ServeRuntime::start_with_faults(snapshot().clone(), fleet_config(1), Some(plan));
+    let runtime = ServeRuntime::start_with_faults(snapshot().clone(), pool_config(1), Some(plan));
     let lines = serve_gated(runtime, head, 1, tail);
     assert_eq!(lines.len(), 3, "image + cancelled + cancel ack");
     assert_eq!(lines[0].get("type").and_then(Json::as_str), Some("image"));

@@ -571,7 +571,7 @@ fn misfit_artifact_swap_fails_typed_and_the_old_model_keeps_serving() {
     let runtime = ServeRuntime::start_with_faults(snapshot().clone(), serve_config(), Some(plan));
     let registry = registry_with_alt("misfit");
     registry.publish("bad", &misfit_artifact()).unwrap();
-    runtime.set_registry(registry);
+    runtime.set_registry(registry, None);
 
     // The artifact passes its CRC but cannot build a model: the swap
     // fails typed and nothing reaches the slot.
@@ -611,7 +611,7 @@ fn a_condition_encoded_across_a_swap_never_answers_for_the_new_model() {
     // its condition reaches the cache after the swap.
     let plan = Arc::new(FaultPlan::new().inject(0, Fault::DelayMs(400)));
     let runtime = ServeRuntime::start_with_faults(snapshot().clone(), serve_config(), Some(plan));
-    runtime.set_registry(registry_with_alt("in_flight"));
+    runtime.set_registry(registry_with_alt("in_flight"), None);
     let pre = runtime.submit(GenerateRequest::new("pre", prompt, 8)).unwrap();
     // Swap once the worker has popped `pre` and is well into the stall.
     let deadline = Instant::now() + Duration::from_secs(5);
@@ -643,7 +643,7 @@ fn a_swapped_out_model_is_freed_not_pinned_by_workers() {
     config.workers = 2;
     config.max_batch = 1;
     let runtime = ServeRuntime::start(fresh, config);
-    runtime.set_registry(registry_with_alt("freed"));
+    runtime.set_registry(registry_with_alt("freed"), None);
     image_of(runtime.submit(GenerateRequest::new("pre", prompt, 1)).unwrap().wait());
     runtime.swap_from_registry("alt", None).unwrap();
     // Enough single-request batches to keep both workers busy.
@@ -669,7 +669,7 @@ fn a_swapped_out_model_is_freed_not_pinned_by_workers() {
 fn hot_swap_serves_the_new_model_with_zero_dropped_requests() {
     let prompt = "an aerial view of a park";
     let runtime = ServeRuntime::start(snapshot().clone(), serve_config());
-    runtime.set_registry(registry_with_alt("hot_swap"));
+    runtime.set_registry(registry_with_alt("hot_swap"), None);
     assert_eq!(runtime.active_model(), None);
     assert_eq!(runtime.model_generation(), 0);
 
@@ -705,7 +705,7 @@ fn corrupt_artifact_swap_is_rejected_and_the_old_model_keeps_serving() {
     config.max_batch = 2;
     let runtime =
         ServeRuntime::start_with_faults(snapshot().clone(), config, Some(Arc::clone(&plan)));
-    runtime.set_registry(registry_with_alt("corrupt_swap"));
+    runtime.set_registry(registry_with_alt("corrupt_swap"), None);
 
     // Load the pool, then yank the swap lever while requests are in
     // flight: the corrupt artifact must be rejected by its CRC and every
@@ -746,6 +746,31 @@ fn corrupt_artifact_swap_is_rejected_and_the_old_model_keeps_serving() {
     assert_eq!(before.rgb8, expected.rgb8, "old model must keep serving after a failed swap");
 }
 
+/// A runtime booted from a registry entry records that entry as active
+/// as it stands, without building it again: the boot model is generation
+/// 0 and the first swap makes generation 1.
+#[test]
+fn registry_boot_is_active_at_generation_zero() {
+    let registry = registry_with_alt("boot");
+    let entry = registry.resolve("alt", None).unwrap();
+    let booted =
+        aero_model::snapshot_from_artifact(&registry.open_artifact(&entry).unwrap()).unwrap();
+    let runtime = ServeRuntime::start(booted, serve_config());
+    runtime.set_registry(registry, Some(&entry));
+    assert_eq!(runtime.active_model(), Some(("alt".to_string(), 1)));
+    assert_eq!(runtime.model_generation(), 0);
+    let input = concat!(r#"{"type":"models"}"#, "\n", r#"{"type":"swap","name":"alt"}"#, "\n");
+    let mut output = Vec::new();
+    let _ = serve_ndjson(runtime, Cursor::new(input), &mut output).unwrap();
+    let lines: Vec<Json> =
+        String::from_utf8(output).unwrap().lines().map(|l| Json::parse(l).unwrap()).collect();
+    assert_eq!(lines.len(), 2);
+    assert_eq!(lines[0].get("active").and_then(Json::as_str), Some("alt@1"));
+    assert_eq!(lines[0].get("generation").and_then(Json::as_u64), Some(0));
+    assert_eq!(lines[1].get("ok").and_then(Json::as_bool), Some(true));
+    assert_eq!(lines[1].get("generation").and_then(Json::as_u64), Some(1));
+}
+
 #[test]
 fn ndjson_models_and_swap_lines_drive_the_registry() {
     let input = concat!(
@@ -763,7 +788,7 @@ fn ndjson_models_and_swap_lines_drive_the_registry() {
         "\n",
     );
     let runtime = ServeRuntime::start(snapshot().clone(), serve_config());
-    runtime.set_registry(registry_with_alt("ndjson"));
+    runtime.set_registry(registry_with_alt("ndjson"), None);
     let mut output = Vec::new();
     let stats = serve_ndjson(runtime, Cursor::new(input), &mut output).unwrap();
     assert_eq!(stats.completed, 2);

@@ -12,12 +12,12 @@
 //!                          [--scale …] [--threads N] [--backend reference|blocked]
 //! aerodiffusion_cli profile <model-dir> [--seed S] [--ndjson FILE] [--scale …] [--threads N]
 //!                          [--backend reference|blocked]
-//! aerodiffusion_cli serve  <model-dir>|--demo [--replicas N] [--workers N] [--max-batch N]
+//! aerodiffusion_cli serve  <model-dir>|--demo [--workers N] [--max-batch N]
 //!                          [--scale …] [--threads N] [--backend reference|blocked]
 //!                          [--registry DIR [--model name[@version]]]
 //!                          [--tenant-rate RPS [--tenant-burst N]] [--shed-queue-depth N]
 //!                          [--shed-p95-ms MS] [--stream] [--max-worker-restarts N]
-//!                          [--inject-panic-at N[,N…]] [--inject-replica-kill-at N[,N…]]
+//!                          [--inject-panic-at N[,N…]] [--inject-worker-kill-at N[,N…]]
 //! aerodiffusion_cli info   <model-dir>
 //! aerodiffusion_cli lint   [--scale smoke|small|paper] [--all]
 //! aerodiffusion_cli model export  <model-dir> <out.amdl> [--q8] [--scale …]
@@ -56,14 +56,13 @@
 //! `--inject-panic-at` schedules a deterministic in-worker panic on the
 //! Nth submitted request (0-based): the request is answered with a typed
 //! `worker_error` reply, everything else is still served, and the
-//! watchdog respawns the worker. `--inject-replica-kill-at` goes further
-//! and kills the whole replica group holding the Nth request's batch —
-//! survivors absorb the rerouted work, the supervisor respawns the
-//! group, and no request is dropped.
+//! watchdog respawns the worker. `--inject-worker-kill-at` goes further
+//! and kills the worker thread holding the Nth request's batch — the
+//! batch goes back to the front of the queue, a surviving or respawned
+//! worker serves it, and no request is dropped.
 //!
-//! `--replicas` shards the worker pool into N independent replica groups
-//! (own queue, own condition cache), routed by `(prompt, variant)` so
-//! repeated prompts keep hitting a warm cache. `--tenant-rate`/
+//! `--workers` sets the size of the one worker pool, which shares one
+//! queue and one condition cache. `--tenant-rate`/
 //! `--tenant-burst` arm per-tenant token buckets; `--shed-queue-depth`
 //! and `--shed-p95-ms` arm the global load-shedding gates — shed
 //! requests get a typed `overloaded` reply with a `retry_after_ms` hint.
@@ -172,13 +171,13 @@ fn main() -> ExitCode {
                  \n         [--source-view A,P,H] [--target-view A,P,H] [--box label,x0,y0,x1,y1]…\n\
                  \n  profile <dir> [--seed S] [--ndjson FILE] [--scale …] [--threads N]\n\
                  \n         [--backend reference|blocked]\n\
-                 \n  serve  <dir>|--demo [--replicas N] [--workers N] [--max-batch N] [--queue N]\n\
+                 \n  serve  <dir>|--demo [--workers N] [--max-batch N] [--queue N]\n\
                  \n         [--batch-wait-ms MS] [--cache N] [--steps N] [--guidance G] [--scale …]\n\
                  \n         [--threads N] [--backend reference|blocked]\n\
                  \n         [--registry DIR [--model name[@version]]]\n\
                  \n         [--tenant-rate RPS [--tenant-burst N]] [--shed-queue-depth N]\n\
                  \n         [--shed-p95-ms MS] [--stream] [--max-worker-restarts N]\n\
-                 \n         [--inject-panic-at N[,N…]] [--inject-replica-kill-at N[,N…]]\n\
+                 \n         [--inject-panic-at N[,N…]] [--inject-worker-kill-at N[,N…]]\n\
                  \n  info   <dir>\n\
                  \n  lint   [--scale smoke|small|paper] [--all] [--source-root DIR]\n\
                  \n         [--baseline FILE | --write-baseline FILE]\n\
@@ -520,21 +519,18 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn Error>> {
         .map(|dir| ModelRegistry::open(std::path::Path::new(&dir)))
         .transpose()?;
     let model_spec = parse_flag(args, "--model");
-    let snapshot = match (&registry, &model_spec) {
+    let (snapshot, boot_entry) = match (&registry, &model_spec) {
         (Some(registry), Some(spec)) => {
             // Boot straight from the registry artifact (CRC-verified).
             let (name, version) = parse_model_spec(spec)?;
             let entry = registry.resolve(name, version)?;
             eprintln!("booting registry model {}@{}", entry.name, entry.version);
-            snapshot_from_artifact(&registry.open_artifact(&entry)?)?
+            (snapshot_from_artifact(&registry.open_artifact(&entry)?)?, Some(entry))
         }
         (None, Some(_)) => return Err("--model requires --registry".into()),
-        _ => serve_snapshot(args, scale_config(args))?,
+        _ => (serve_snapshot(args, scale_config(args))?, None),
     };
     let mut serve = ServeConfig::for_pipeline(snapshot.config());
-    if let Some(v) = parse_flag(args, "--replicas") {
-        serve.replicas = v.parse()?;
-    }
     if let Some(v) = parse_flag(args, "--workers") {
         serve.workers = v.parse()?;
     }
@@ -584,11 +580,11 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn Error>> {
         eprintln!("fault injection armed: worker panic on request(s) {list}");
         armed = true;
     }
-    if let Some(list) = parse_flag(args, "--inject-replica-kill-at") {
+    if let Some(list) = parse_flag(args, "--inject-worker-kill-at") {
         for ordinal in list.split(',') {
-            plan = plan.inject_replica_kill(ordinal.trim().parse()?);
+            plan = plan.inject(ordinal.trim().parse()?, Fault::KillWorker);
         }
-        eprintln!("fault injection armed: replica kill on request(s) {list}");
+        eprintln!("fault injection armed: worker kill on request(s) {list}");
         armed = true;
     }
     let faults = armed.then(|| std::sync::Arc::new(plan));
@@ -598,24 +594,19 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn Error>> {
         return Err("serving configuration failed the static lint".into());
     }
     eprintln!(
-        "serving NDJSON on stdin → stdout ({} replica(s) × {} worker(s), max batch {}, queue {})",
-        serve.replicas, serve.workers, serve.max_batch, serve.queue_capacity
+        "serving NDJSON on stdin → stdout ({} worker(s), max batch {}, queue {})",
+        serve.workers, serve.max_batch, serve.queue_capacity
     );
     let runtime = ServeRuntime::start_with_faults(snapshot, serve, faults);
     if let Some(registry) = registry {
-        runtime.set_registry(registry);
-        // Record the boot model as active so `models`/`swap` replies and
-        // later hot-swaps line up with what is actually serving.
-        if let Some(spec) = &model_spec {
-            let (name, version) = parse_model_spec(spec)?;
-            runtime.swap_from_registry(name, version)?;
-        }
+        // The boot entry is recorded as active so `models`/`swap` replies
+        // and later hot-swaps line up with what is actually serving.
+        runtime.set_registry(registry, boot_entry.as_ref());
     }
     let stats = serve_ndjson(runtime, std::io::stdin().lock(), std::io::stdout())?;
     eprintln!(
         "drained: {} served, {} rejected ({} shed, {} cancelled), cache hit rate {:.0}%, \
-         {} worker panic(s) caught, {} worker restart(s), \
-         {} replica kill(s) / {} respawn(s), {} rerouted",
+         {} worker panic(s) caught, {} worker restart(s)",
         stats.completed,
         stats.rejected_queue_full
             + stats.rejected_deadline
@@ -628,10 +619,7 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn Error>> {
         stats.rejected_cancelled,
         stats.cache_hit_rate * 100.0,
         stats.worker_panics,
-        stats.worker_restarts,
-        stats.replica_kills,
-        stats.replica_respawns,
-        stats.rerouted_requests
+        stats.worker_restarts
     );
     Ok(())
 }

@@ -31,9 +31,10 @@
 #                      final loss, and a serve run with an injected
 #                      per-request worker panic that still answers every
 #                      request and restarts the worker
-#   6b. fleet smokes — a 2-replica serve run with an injected replica-group
-#                      kill must answer every request with bytes identical
-#                      to a 1-replica unfaulted baseline; a tenant-bucket
+#   6b. fleet smokes — a 2-worker serve run with an injected worker kill
+#                      must answer every request with bytes identical to
+#                      a 1-worker unfaulted baseline and report a worker
+#                      restart; a tenant-bucket
 #                      overload run must shed typed `overloaded` replies
 #                      with a retry_after_ms hint and admit the retry after
 #                      the bucket refills; a cancelled streaming request
@@ -247,10 +248,11 @@ grep -Eq '[1-9][0-9]* worker restart' "$work/serve_fault.log" \
   || { echo "fault smoke: expected a nonzero worker restart count"; \
        cat "$work/serve_fault.log"; exit 1; }
 
-echo "== fleet smoke: replica kill is byte-identical to the unfaulted baseline =="
-# Three requests served by one unfaulted replica, then the same three by a
-# two-replica fleet whose first popped batch kills its whole group: the
-# survivors plus the respawned group must produce the exact same bytes.
+echo "== fleet smoke: worker kill is byte-identical to the unfaulted baseline =="
+# Three requests served by one unfaulted worker, then the same three by a
+# two-worker pool whose first popped batch kills the worker holding it:
+# the batch goes back to the front of the queue, and the surviving and
+# respawned workers must produce the exact same bytes.
 fleet_reqs="$(printf '%s\n%s\n%s\n' \
   '{"type":"generate","id":"fl-0","prompt":"an aerial view of a park","seed":21}' \
   '{"type":"generate","id":"fl-1","prompt":"a parking lot at night","seed":22}' \
@@ -261,14 +263,14 @@ base_px="$(printf '%s\n' "$fleet_reqs" \
       serve "$work/model" --workers 1 --steps 4 | pixels)"
 kill_px="$(printf '%s\n' "$fleet_reqs" \
   | cargo run --offline -q -p aerodiffusion-suite --bin aerodiffusion_cli -- \
-      serve "$work/model" --replicas 2 --workers 1 --steps 4 \
-      --inject-replica-kill-at 0 2>"$work/serve_kill.log" | pixels)"
+      serve "$work/model" --workers 2 --steps 4 \
+      --inject-worker-kill-at 0 2>"$work/serve_kill.log" | pixels)"
 [ "$(printf '%s\n' "$base_px" | wc -l)" -eq 3 ] \
   || { echo "fleet smoke: baseline did not serve 3 images"; exit 1; }
 [ "$base_px" = "$kill_px" ] \
-  || { echo "fleet smoke: replica kill changed output bytes"; exit 1; }
-grep -Eq '[1-9][0-9]* replica kill' "$work/serve_kill.log" \
-  || { echo "fleet smoke: expected a nonzero replica kill count"; \
+  || { echo "fleet smoke: worker kill changed output bytes"; exit 1; }
+grep -Eq '[1-9][0-9]* worker restart' "$work/serve_kill.log" \
+  || { echo "fleet smoke: expected a nonzero worker restart count"; \
        cat "$work/serve_kill.log"; exit 1; }
 
 echo "== fleet smoke: tenant overload sheds typed and the retry succeeds =="
