@@ -34,10 +34,14 @@
 //! with its work estimate and its median time at 1 and 2 threads,
 //! recorded under `fanout_sweep`. The times are recorded, not gated.
 //!
-//! Also measures span-tracing overhead: the DDIM workload is re-timed
-//! inside an [`aero_obs::span::collect`] scope and the relative cost is
-//! recorded as `tracing_overhead_pct` (target <2%; recorded, not gated —
-//! single-core CI containers are too noisy to assert on).
+//! Also measures span-tracing overhead: the DDIM workload is timed in
+//! interleaved pairs, one run with the collector off and one inside an
+//! [`aero_obs::span::collect`] scope, the order alternating pair by pair,
+//! and the median per-pair relative cost is recorded as
+//! `tracing_overhead_pct` with its pair count (target <2%; recorded, not
+//! gated — shared CI hosts are too noisy to assert on). The file also
+//! records the commit it measured (`git rev-parse HEAD`, marked `-dirty`
+//! when tracked files differ from it, or `unknown` outside a checkout).
 //!
 //! `BENCH_KERNELS_SMOKE=1` shrinks every workload to smoke size and
 //! skips the file write — used by CI as a threshold-free liveness check.
@@ -150,12 +154,13 @@ fn time_1t_2t(samples: usize, f: &dyn Fn() -> Tensor) -> (f64, f64) {
             per_call[threads - 1].push(started.elapsed().as_secs_f64() * 1e6 / reps as f64);
         }
     }
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    let [mut one, mut two] = per_call;
-    (median(&mut one), median(&mut two))
+    let [one, two] = per_call;
+    (median(one), median(two))
+}
+
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
 }
 
 /// The fan-out half of the 1- vs 2-thread sweep behind the dispatcher's
@@ -216,12 +221,14 @@ fn fanout_sweep(smoke: bool, rng: &mut StdRng) -> Vec<SweepRow> {
     rows
 }
 
-/// Best-of-`reps` wall time of `f` in microseconds. With `traced`, each
-/// run executes inside a span-collection scope (and the run is checked
-/// to have actually recorded spans, so the overhead number is honest).
-fn best_us<F: Fn() -> Tensor>(reps: usize, traced: bool, f: &F) -> u64 {
-    let mut best = u64::MAX;
-    for _ in 0..reps {
+/// Span-tracing overhead on `f` from `pairs` interleaved pairs: each pair
+/// times one run with the collector off and one inside a collection
+/// scope, off first on even pairs and on first on odd ones, so host drift
+/// hits both sides. Returns the median off and on wall times in µs and
+/// the median per-pair overhead in percent. Each traced run is checked to
+/// have recorded spans, so the number is honest.
+fn tracing_overhead<F: Fn() -> Tensor>(pairs: usize, f: &F) -> (f64, f64, f64) {
+    let time_us = |traced: bool| {
         let started = Instant::now();
         if traced {
             let (_, trace) = aero_obs::span::collect(f);
@@ -229,9 +236,40 @@ fn best_us<F: Fn() -> Tensor>(reps: usize, traced: bool, f: &F) -> u64 {
         } else {
             f();
         }
-        best = best.min(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX));
+        started.elapsed().as_secs_f64() * 1e6
+    };
+    let (mut off, mut on, mut pct) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..pairs {
+        let (off_us, on_us) = if pair % 2 == 0 {
+            let off_us = time_us(false);
+            (off_us, time_us(true))
+        } else {
+            let on_us = time_us(true);
+            (time_us(false), on_us)
+        };
+        off.push(off_us);
+        on.push(on_us);
+        pct.push((on_us - off_us) / off_us * 100.0);
     }
-    best
+    (median(off), median(on), median(pct))
+}
+
+/// The commit the working tree is at, marked `-dirty` when tracked files
+/// differ from it, or `unknown` outside a git checkout.
+fn commit_id() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    match (git(&["rev-parse", "HEAD"]), git(&["status", "--porcelain", "--untracked-files=no"])) {
+        (Some(head), Some(changes)) if !changes.is_empty() => format!("{head}-dirty"),
+        (Some(head), _) => head,
+        _ => "unknown".to_string(),
+    }
 }
 
 fn main() {
@@ -290,10 +328,10 @@ fn main() {
         }
     }
 
-    // Span-tracing overhead on the DDIM workload: best-of-N with the
-    // thread-local collector off vs. installed. Recorded, not gated —
+    // Span-tracing overhead on the DDIM workload: interleaved pairs with
+    // the thread-local collector off vs. installed. Recorded, not gated —
     // the <2% target is meaningful on quiet hosts only.
-    let trace_reps = if smoke { 2 } else { 8 };
+    let trace_pairs = if smoke { 2 } else { 15 };
     let ddim_run = || {
         Sampler::Ddim(sampler).run(
             &unet,
@@ -302,14 +340,11 @@ fn main() {
         )
     };
     ddim_run(); // warmup
-    let tracing_off_us = best_us(trace_reps, false, &ddim_run);
-    let tracing_on_us = best_us(trace_reps, true, &ddim_run);
-    let tracing_overhead_pct = (tracing_on_us as f64 - tracing_off_us as f64).max(0.0)
-        / tracing_off_us.max(1) as f64
-        * 100.0;
+    let (tracing_off_us, tracing_on_us, tracing_overhead_pct) =
+        tracing_overhead(trace_pairs, &ddim_run);
     println!(
-        "tracing overhead on ddim_sample: {tracing_overhead_pct:.2}% \
-         ({tracing_off_us} µs off, {tracing_on_us} µs on; target <2%)"
+        "tracing overhead on ddim_sample: {tracing_overhead_pct:.2}%, median of {trace_pairs} \
+         pairs ({tracing_off_us:.0} µs off, {tracing_on_us:.0} µs on; target <2%)"
     );
 
     let sweep = fanout_sweep(smoke, &mut rng);
@@ -347,6 +382,7 @@ fn main() {
     }
     let json = Json::obj(vec![
         ("bench", "kernels".into()),
+        ("commit", commit_id().into()),
         ("available_parallelism", (cores as u64).into()),
         ("thread_counts", Json::Arr(THREAD_COUNTS.iter().map(|&t| (t as u64).into()).collect())),
         ("backends", Json::Arr(BackendKind::ALL.iter().map(|b| b.as_str().into()).collect())),
@@ -357,6 +393,7 @@ fn main() {
         ("tracing_off_us", tracing_off_us.into()),
         ("tracing_on_us", tracing_on_us.into()),
         ("tracing_overhead_pct", tracing_overhead_pct.into()),
+        ("tracing_pairs", trace_pairs.into()),
         (
             "fanout_sweep",
             Json::Arr(

@@ -17,7 +17,10 @@
 //!    reply (and every admitted request is still served).
 //!
 //! A warmup request per prompt runs first so worker start-up and
-//! condition encoding are excluded from the measured window.
+//! condition encoding are excluded from the measured window. Each row of
+//! sections 1 and 2 is the median-throughput burst of five, the rows'
+//! order alternating round by round, so one scheduler stall on a short
+//! burst cannot decide a comparison.
 //!
 //! Writes `BENCH_serve.json` to the working directory.
 //! `BENCH_SERVE_SMOKE=1` shrinks the workload and skips the file write —
@@ -39,6 +42,8 @@ const PROMPTS: [&str; 8] = [
     "an industrial rail yard",
 ];
 const STEPS: usize = 4;
+/// Bursts per measured row; the row reports the median one.
+const ROUNDS: usize = 5;
 
 struct Run {
     label: &'static str,
@@ -116,6 +121,36 @@ fn measure(
     }
 }
 
+/// Measures one row per knob value as the median-throughput burst of
+/// [`ROUNDS`], running the values in ascending order on even rounds and
+/// descending on odd ones, so host drift hits every row alike.
+fn measure_rows(
+    snapshot: &PipelineSnapshot,
+    label: &'static str,
+    knobs: &[usize],
+    requests: usize,
+    configure: impl Fn(&mut ServeConfig, usize),
+) -> Vec<Run> {
+    let mut bursts: Vec<Vec<Run>> = knobs.iter().map(|_| Vec::with_capacity(ROUNDS)).collect();
+    for round in 0..ROUNDS {
+        let mut order: Vec<usize> = (0..knobs.len()).collect();
+        if round % 2 == 1 {
+            order.reverse();
+        }
+        for i in order {
+            let knob = knobs[i];
+            bursts[i].push(measure(snapshot, label, knob, requests, |c| configure(c, knob)));
+        }
+    }
+    bursts
+        .into_iter()
+        .map(|mut runs| {
+            runs.sort_by(|a, b| a.req_per_sec.total_cmp(&b.req_per_sec));
+            runs.swap_remove(ROUNDS / 2)
+        })
+        .collect()
+}
+
 /// Floods a depth-gated runtime with 2× its shed threshold and measures
 /// the typed shed rate; every admitted request must still be served.
 fn measure_overload(snapshot: &PipelineSnapshot, shed_depth: usize) -> (usize, usize, f64) {
@@ -170,15 +205,13 @@ fn main() {
     let snapshot = AeroDiffusionPipeline::fit(&dataset, config, 17).snapshot();
 
     // Section 1: what coalescing buys, one worker.
-    let batch_runs: Vec<Run> = batch_caps
-        .iter()
-        .map(|&b| measure(&snapshot, "max_batch", b, requests, |c| c.max_batch = b))
-        .collect();
+    let batch_runs = measure_rows(&snapshot, "max_batch", batch_caps, requests, |c, b| {
+        c.max_batch = b;
+    });
     // Section 2: what more workers in the one pool buy.
-    let pool_runs: Vec<Run> = worker_counts
-        .iter()
-        .map(|&w| measure(&snapshot, "workers", w, requests, |c| c.workers = w))
-        .collect();
+    let pool_runs = measure_rows(&snapshot, "workers", worker_counts, requests, |c, w| {
+        c.workers = w;
+    });
     println!(
         "{:>10} {:>6} {:>12} {:>10} {:>10} {:>11}",
         "knob", "value", "req/sec", "p50 ms", "p95 ms", "mean batch"
@@ -223,6 +256,7 @@ fn main() {
     let json = Json::obj(vec![
         ("bench", "serve".into()),
         ("requests", requests.into()),
+        ("rounds", ROUNDS.into()),
         ("steps", STEPS.into()),
         ("workers", 1u64.into()),
         ("results", Json::Arr(batch_runs.iter().map(run_json).collect())),

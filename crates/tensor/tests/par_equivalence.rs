@@ -426,12 +426,23 @@ fn elementwise_map_and_zip_fan_out_bit_identically() {
     let mut rng = StdRng::seed_from_u64(10);
     let a = Tensor::randn(&[len], &mut rng);
     let b = Tensor::randn(&[len], &mut rng);
-    let elems = || (a.map(|v| (v * 1.7).tanh()), a.mul(&b));
+    // A broadcasting zip of the same size: the full-shape operand is read
+    // in place on either side, and the closure is non-commutative.
+    let full = Tensor::randn(&[4, 16, 256, 256], &mut rng);
+    let channel = Tensor::randn(&[1, 16, 1, 1], &mut rng);
+    assert_eq!(full.numel(), len);
+    let skew = |x: f32, y: f32| x - 2.0 * y;
+    let elems = || {
+        [a.map(|v| (v * 1.7).tanh()), a.mul(&b), full.zip(&channel, skew), channel.zip(&full, skew)]
+    };
     let reference = with_threads(1, elems);
     for threads in [2, 4, 8] {
         let got = with_assumed_cores(8, || with_threads(threads, elems));
-        assert_bitwise_eq(&got.0, &reference.0, "map");
-        assert_bitwise_eq(&got.1, &reference.1, "zip");
+        for (what, (got, want)) in
+            ["map", "zip", "zip left full", "zip right full"].iter().zip(got.iter().zip(&reference))
+        {
+            assert_bitwise_eq(got, want, what);
+        }
     }
 }
 
