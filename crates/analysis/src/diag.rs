@@ -2,44 +2,23 @@
 //!
 //! Every problem the analyzer can detect has a stable `AD`-prefixed code so
 //! that CI scripts and docs can refer to it unambiguously. Codes in the
-//! `AD00xx` range come from the static shape pass; codes in the `AD01xx`
-//! range come from the autograd-graph linter and the kernel-callsite
-//! scans; codes in the `AD02xx` range come from the token-level
-//! concurrency and determinism analyses.
+//! `AD00xx` range come from running a model on a tiny input
+//! (`aerodiffusion::lint`) and from the integrity self-check; codes in
+//! the `AD01xx` range come from the kernel-callsite scans; codes in the
+//! `AD02xx` range come from the token-level concurrency and determinism
+//! analyses.
 
 use std::fmt;
 
 /// Stable identifier for one class of problem the analyzer detects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DiagCode {
-    /// `AD0001`: two tensor shapes that must agree (matmul inner dims,
-    /// conv channels, declared vs. inferred dimensions) do not.
+    /// `AD0001`: a model stage panicked or returned an output whose
+    /// shape is not the one its configuration implies.
     ShapeMismatch,
-    /// `AD0002`: elementwise operands cannot be broadcast together.
-    BroadcastConflict,
-    /// `AD0003`: a reshape changes the (symbolic) element count.
-    ReshapeMismatch,
-    /// `AD0004`: a dimension must divide another (attention heads,
-    /// pooling windows, token splits) but does not.
-    DivisibilityViolation,
-    /// `AD0005`: a configuration value is unusable before any shape
-    /// algebra runs (zero channels, zero image size, ...).
+    /// `AD0005`: a value is unusable before anything runs (a batch size
+    /// of zero, a broken integrity primitive).
     InvalidConfig,
-    /// `AD0101`: a declared trainable parameter is unreachable from the
-    /// loss — `backward()` will never populate its gradient.
-    DetachedParameter,
-    /// `AD0102`: gradient flow is explicitly severed (a `detach` node or
-    /// a root that does not require gradients).
-    DetachedSubgraph,
-    /// `AD0103`: `ln` applied to values at or below zero / without a
-    /// safe clamp margin.
-    UnclampedLn,
-    /// `AD0104`: NaN-prone arithmetic — division by a near-zero
-    /// denominator or `sqrt` of non-positive input.
-    NanProneOp,
-    /// `AD0105`: a multiplication by an all-zero constant makes an
-    /// entire differentiable branch dead.
-    DeadBranch,
     /// `AD0111`: long-lived serving code (`aero-serve`, the core
     /// pipeline crate) calls a panicking tensor kernel directly instead
     /// of its `try_*` variant. A shape mismatch there must surface as a
@@ -82,15 +61,7 @@ impl DiagCode {
     pub fn code(self) -> &'static str {
         match self {
             DiagCode::ShapeMismatch => "AD0001",
-            DiagCode::BroadcastConflict => "AD0002",
-            DiagCode::ReshapeMismatch => "AD0003",
-            DiagCode::DivisibilityViolation => "AD0004",
             DiagCode::InvalidConfig => "AD0005",
-            DiagCode::DetachedParameter => "AD0101",
-            DiagCode::DetachedSubgraph => "AD0102",
-            DiagCode::UnclampedLn => "AD0103",
-            DiagCode::NanProneOp => "AD0104",
-            DiagCode::DeadBranch => "AD0105",
             DiagCode::PanickingKernelCall => "AD0111",
             DiagCode::BackendBypass => "AD0112",
             DiagCode::LockOrderCycle => "AD0200",
@@ -105,15 +76,7 @@ impl DiagCode {
     pub fn title(self) -> &'static str {
         match self {
             DiagCode::ShapeMismatch => "shape mismatch",
-            DiagCode::BroadcastConflict => "broadcast conflict",
-            DiagCode::ReshapeMismatch => "reshape changes element count",
-            DiagCode::DivisibilityViolation => "divisibility violation",
             DiagCode::InvalidConfig => "invalid configuration",
-            DiagCode::DetachedParameter => "parameter never receives gradients",
-            DiagCode::DetachedSubgraph => "gradient flow severed",
-            DiagCode::UnclampedLn => "ln of unclamped input",
-            DiagCode::NanProneOp => "NaN-prone arithmetic",
-            DiagCode::DeadBranch => "dead differentiable branch",
             DiagCode::PanickingKernelCall => "panicking tensor kernel called on a serving path",
             DiagCode::BackendBypass => {
                 "concrete compute backend hard-wired outside the tensor crate"
@@ -127,27 +90,18 @@ impl DiagCode {
         }
     }
 
-    /// Default severity: structural problems are errors, value-dependent
-    /// numerical hazards are warnings.
+    /// Default severity: problems that break a run are errors, patterns
+    /// that need a justification are warnings.
     #[must_use]
     pub fn default_severity(self) -> Severity {
         match self {
             DiagCode::ShapeMismatch
-            | DiagCode::BroadcastConflict
-            | DiagCode::ReshapeMismatch
-            | DiagCode::DivisibilityViolation
             | DiagCode::InvalidConfig
-            | DiagCode::DetachedParameter
             | DiagCode::PanickingKernelCall
             | DiagCode::BackendBypass
             | DiagCode::LockOrderCycle
             | DiagCode::PanicInWorker => Severity::Error,
-            DiagCode::DetachedSubgraph
-            | DiagCode::UnclampedLn
-            | DiagCode::NanProneOp
-            | DiagCode::DeadBranch
-            | DiagCode::AtomicOrderingAudit
-            | DiagCode::NondeterministicPath => Severity::Warning,
+            DiagCode::AtomicOrderingAudit | DiagCode::NondeterministicPath => Severity::Warning,
         }
     }
 }
@@ -214,17 +168,6 @@ impl Report {
         });
     }
 
-    /// Appends a diagnostic with an explicit severity.
-    pub fn push_with_severity(
-        &mut self,
-        code: DiagCode,
-        severity: Severity,
-        site: impl Into<String>,
-        message: impl Into<String>,
-    ) {
-        self.diags.push(Diagnostic { code, severity, site: site.into(), message: message.into() });
-    }
-
     /// Absorbs another report's diagnostics.
     pub fn merge(&mut self, other: Report) {
         self.diags.extend(other.diags);
@@ -288,15 +231,7 @@ mod tests {
     fn codes_are_stable_and_unique() {
         let all = [
             DiagCode::ShapeMismatch,
-            DiagCode::BroadcastConflict,
-            DiagCode::ReshapeMismatch,
-            DiagCode::DivisibilityViolation,
             DiagCode::InvalidConfig,
-            DiagCode::DetachedParameter,
-            DiagCode::DetachedSubgraph,
-            DiagCode::UnclampedLn,
-            DiagCode::NanProneOp,
-            DiagCode::DeadBranch,
             DiagCode::PanickingKernelCall,
             DiagCode::BackendBypass,
             DiagCode::LockOrderCycle,
@@ -315,10 +250,10 @@ mod tests {
     fn report_renders_rustc_style() {
         let mut r = Report::new();
         r.push(DiagCode::ShapeMismatch, "unet.conv_in", "input has 3 channels, weight expects 4");
-        r.push(DiagCode::UnclampedLn, "node#7(ln)", "ln input minimum is 0");
+        r.push(DiagCode::NondeterministicPath, "crates/core/src/x.rs:7", "wall clock read");
         let text = r.render();
         assert!(text.contains("error[AD0001]"));
-        assert!(text.contains("warning[AD0103]"));
+        assert!(text.contains("warning[AD0202]"));
         assert!(text.contains("--> unet.conv_in"));
         assert!(text.contains("1 error(s), 1 warning(s)"));
         assert!(!r.is_clean());

@@ -25,6 +25,7 @@ use aero_metrics::{fid, FeatureExtractor};
 use aero_scene::{build_dataset, DatasetConfig, SceneGeneratorConfig};
 use aero_tensor::parallel::ParallelConfig;
 use aero_tensor::{Q8Tensor, Tensor};
+use aerodiffusion::lint::check_pipeline;
 use aerodiffusion::{
     parse_provider_tag, parse_variant_tag, provider_tag, variant_tag, PipelineConfig, PipelineMeta,
     PipelineSnapshot, MODULE_NAMES,
@@ -222,12 +223,18 @@ fn parse_f32_bits(key: &str, value: &str) -> Result<f32, ModelError> {
 /// same images. For a `q8` artifact the weights carry quantization
 /// error; everything else (config, vocabulary, metadata) is exact.
 ///
+/// The artifact's configuration comes from outside the program, so the
+/// built model is run once through [`check_pipeline`] at batch 1 before
+/// it is returned.
+///
 /// # Errors
 ///
-/// [`ModelError::Meta`] on missing/malformed metadata or a vocabulary
-/// that does not rebuild, [`ModelError::Corrupt`] on undecodable tensor
-/// payloads or tensors that do not fit the configuration's modules — so
-/// nothing that cannot serve ever reaches a serving runtime.
+/// [`ModelError::Meta`] on missing/malformed metadata, a vocabulary
+/// that does not rebuild, or a model that fails the check (the message
+/// carries the rendered report); [`ModelError::Corrupt`] on undecodable
+/// tensor payloads or tensors that do not fit the configuration's
+/// modules — so nothing that cannot serve ever reaches a serving
+/// runtime.
 pub fn snapshot_from_artifact(artifact: &ModelArtifact) -> Result<PipelineSnapshot, ModelError> {
     let config = PipelineConfig::parse_kv(required(artifact, KEY_CONFIG)?)
         .map_err(|e| ModelError::Meta(format!("config: {e}")))?;
@@ -255,13 +262,18 @@ pub fn snapshot_from_artifact(artifact: &ModelArtifact) -> Result<PipelineSnapsh
             .collect::<Result<_, _>>()?;
     }
 
-    Ok(PipelineSnapshot::from_weights(
+    let snapshot = PipelineSnapshot::from_weights(
         config,
         &meta,
         ParallelConfig::with_threads(threads),
         &vocab,
         modules,
-    )?)
+    )?;
+    let report = check_pipeline(snapshot.pipeline(), &[1]);
+    if !report.is_clean() {
+        return Err(ModelError::Meta(format!("the model does not run:\n{}", report.render())));
+    }
+    Ok(snapshot)
 }
 
 /// End-to-end quality cost of q8 quantization for one snapshot: FID and

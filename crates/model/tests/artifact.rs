@@ -260,4 +260,28 @@ fn misfit_artifacts_fail_typed_before_any_model_exists() {
         Err(ModelError::Meta(detail)) => assert!(detail.contains("vocabulary"), "{detail}"),
         other => panic!("a short vocabulary must fail typed, got {other:?}"),
     }
+
+    // A 17-pixel image size: every tensor still fits (17 / 4 == 16 / 4),
+    // but the image encoder's stride-2 stages give 5×5, not 4×4, so the
+    // model cannot encode.
+    let odd_size = rebuilt(
+        &snapshot,
+        |key, value| {
+            if key == "aero.config" {
+                value.replace("vision.image_size=16", "vision.image_size=17")
+            } else {
+                value.to_string()
+            }
+        },
+        keep_tensor,
+    );
+    match snapshot_from_artifact(&odd_size) {
+        Err(ModelError::Meta(detail)) => {
+            assert!(
+                detail.contains("AD0001") && detail.contains("pipeline.encode_task"),
+                "{detail}"
+            );
+        }
+        other => panic!("a model that cannot run must fail typed, got {other:?}"),
+    }
 }

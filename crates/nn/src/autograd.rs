@@ -72,7 +72,6 @@ struct Node {
     id: usize,
     /// Name of the operation that produced this node (`"parameter"`,
     /// `"constant"`, `"detach"`, or the method name for interior ops).
-    /// Consumed by `aero-analysis` when linting a built graph.
     op: &'static str,
     value: Value,
     grad: Mutex<Option<Tensor>>,
@@ -304,15 +303,6 @@ impl Var {
     /// Whether `self` and `other` are handles on the same node.
     fn same_node(&self, other: &Var) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
-    }
-
-    /// Name of the operation that produced this node.
-    ///
-    /// Leaves report `"parameter"`, `"constant"`, or `"detach"`; interior
-    /// nodes report the producing method (`"matmul"`, `"ln"`, ...). This is
-    /// the hook the `aero-analysis` graph linter walks.
-    pub fn op(&self) -> &'static str {
-        self.inner.op
     }
 
     /// Clones the parent handles of this node.

@@ -34,7 +34,6 @@ pub mod layers;
 pub mod optim;
 pub mod serialize;
 
-pub use aero_tensor::sym::{Dim, ShapeSpec};
 pub use autograd::{no_grad, Var};
 
 /// Trait for anything that owns trainable parameters.
@@ -55,33 +54,5 @@ pub trait Module {
         for p in self.params() {
             p.zero_grad();
         }
-    }
-
-    /// A short human-readable description of the module's geometry, used
-    /// by `aero-analysis` diagnostics (e.g. `"Linear(64 -> 32)"`).
-    fn describe(&self) -> String {
-        "<module>".to_string()
-    }
-
-    /// Symbolic output shape of the module's primary forward pass for a
-    /// symbolic input shape (the static shape-inference hook consumed by
-    /// `aero-analysis`).
-    ///
-    /// The default declines inference; layers with well-defined unary
-    /// forward geometry override it. Modules with multi-input forwards
-    /// (e.g. cross-attention) document which input the spec describes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError`](aero_tensor::TensorError) when the input
-    /// spec is inconsistent with the module's geometry, or when the module
-    /// does not support static inference.
-    fn infer_shape(&self, input: &ShapeSpec) -> aero_tensor::Result<ShapeSpec> {
-        Err(aero_tensor::TensorError::DimensionMismatch {
-            detail: format!(
-                "{} does not support static shape inference (input {input})",
-                self.describe()
-            ),
-        })
     }
 }

@@ -36,14 +36,12 @@
 //!   published artifact ([`ServeRuntime::swap_from_registry`]) — the
 //!   artifact is decoded into a model once, a swap installs that model's
 //!   `Arc`, in-flight batches finish on the outgoing model and later
-//!   batches meet the new one; an artifact that fails its CRC or whose
-//!   tensors do not fit is rejected typed with the old model left
-//!   serving;
+//!   batches meet the new one; an artifact that fails its CRC, whose
+//!   tensors do not fit, or whose model does not run is rejected typed
+//!   with the old model left serving;
 //! - an NDJSON [`server`] front-end (request per line in, base64 image
 //!   plus per-stage latency per line out) plus `stats`, `models` and
-//!   `swap` request types;
-//! - a static shape [`lint`] extending `aero-analysis` with the batcher's
-//!   coalesced-condition contract against the UNet configuration.
+//!   `swap` request types.
 //!
 //! The vendored dependency set has no serde or base64, so [`json`] and
 //! [`base64`] are small self-contained implementations of exactly the
@@ -54,7 +52,6 @@ pub mod base64;
 pub mod cache;
 pub mod fault;
 pub mod json;
-pub mod lint;
 pub mod queue;
 pub mod request;
 pub mod runtime;
@@ -66,7 +63,6 @@ pub use aero_diffusion::CancelToken;
 pub use cache::{ConditionCache, ConditionKey, LruCache};
 pub use fault::{Fault, FaultPlan, SwapFault};
 pub use json::Json;
-pub use lint::lint_serve;
 pub use queue::{Pending, RequestQueue};
 pub use request::{
     GenerateRequest, GeneratedImage, ImagePayload, LatentPreview, OverloadScope, RejectReason,

@@ -533,14 +533,15 @@ impl ServeRuntime {
     /// and installs it via [`ServeRuntime::swap_snapshot`].
     ///
     /// Failure at any point — unknown model, corrupt artifact, malformed
-    /// metadata, tensors that do not fit the model — leaves the currently
-    /// installed model serving untouched; a swap is atomic from the
-    /// workers' point of view.
+    /// metadata, tensors that do not fit the model, a model that does not
+    /// run — leaves the currently installed model serving untouched; a
+    /// swap is atomic from the workers' point of view.
     ///
     /// # Errors
     ///
     /// [`ModelError::Meta`] when no registry is attached, the name does
-    /// not resolve, or the metadata does not describe a model;
+    /// not resolve, the metadata does not describe a model, or the built
+    /// model fails its check run;
     /// [`ModelError::Corrupt`] / [`ModelError::VersionMismatch`] when the
     /// artifact fails verification or its tensors do not fit.
     pub fn swap_from_registry(
@@ -578,8 +579,9 @@ impl ServeRuntime {
                 *byte ^= 0x01;
             }
         }
-        // CRC, structural and shape verification all happen here, while
-        // the model is built, before anything reaches the model slot.
+        // CRC, structural and shape verification, and one run of the
+        // built model, all happen here, before anything reaches the model
+        // slot.
         let artifact = ModelArtifact::from_bytes(bytes)?;
         let snapshot = snapshot_from_artifact(&artifact)?;
         let generation = self.swap_snapshot(snapshot);

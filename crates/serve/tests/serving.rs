@@ -7,6 +7,7 @@ use aero_serve::{
     serve_ndjson, Fault, FaultPlan, GenerateRequest, Json, RejectReason, ServeConfig, ServeReply,
     ServeRuntime,
 };
+use aero_tensor::Tensor;
 use aerodiffusion::{AeroDiffusionPipeline, PipelineConfig, PipelineSnapshot};
 use std::io::Cursor;
 use std::sync::{Arc, OnceLock};
@@ -546,20 +547,21 @@ fn registry_with_alt(tag: &str) -> aero_model::ModelRegistry {
     registry
 }
 
-/// [`snapshot`]'s f32 artifact with `unet.0` flattened to 1-D: CRC-valid,
-/// every key and element count intact, and a tensor that does not fit
-/// its parameter.
-fn misfit_artifact() -> Vec<u8> {
+/// [`snapshot`]'s f32 artifact copied entry by entry, with `kv` and
+/// `tensor` free to rewrite any metadata value or tensor on the way. The
+/// copy carries a valid CRC.
+fn rebuilt_artifact(
+    kv: impl Fn(&str, &str) -> String,
+    tensor: impl Fn(&str, Tensor) -> Tensor,
+) -> Vec<u8> {
     let (bytes, _report) = aero_model::export_snapshot(snapshot(), aero_model::Quantization::F32);
     let original = aero_model::ModelArtifact::from_bytes(bytes).unwrap();
     let mut builder = aero_model::ArtifactBuilder::new();
     for (key, value) in original.kv() {
-        builder.set(key, value);
+        builder.set(key, &kv(key, value));
     }
     for info in original.tensor_infos() {
-        let t = original.tensor(&info.name).unwrap();
-        let t = if info.name == "unet.0" { t.reshape(&[t.numel()]) } else { t };
-        builder.add_f32(&info.name, &t);
+        builder.add_f32(&info.name, &tensor(&info.name, original.tensor(&info.name).unwrap()));
     }
     builder.to_bytes()
 }
@@ -570,18 +572,43 @@ fn misfit_artifact_swap_fails_typed_and_the_old_model_keeps_serving() {
     let plan = Arc::new(FaultPlan::new().inject(0, Fault::PanicRequest));
     let runtime = ServeRuntime::start_with_faults(snapshot().clone(), serve_config(), Some(plan));
     let registry = registry_with_alt("misfit");
-    registry.publish("bad", &misfit_artifact()).unwrap();
+    // Every key and element count intact, and `unet.0` flattened to 1-D:
+    // a tensor that does not fit its parameter.
+    let flat_unet = rebuilt_artifact(
+        |_, value| value.to_string(),
+        |name, t| if name == "unet.0" { t.reshape(&[t.numel()]) } else { t },
+    );
+    registry.publish("bad", &flat_unet).unwrap();
+    // Every tensor fits a 17-pixel image size, but the model built from it
+    // cannot encode a request.
+    let odd_size = rebuilt_artifact(
+        |key, value| {
+            if key == "aero.config" {
+                value.replace("vision.image_size=16", "vision.image_size=17")
+            } else {
+                value.to_string()
+            }
+        },
+        |_, t| t,
+    );
+    registry.publish("odd", &odd_size).unwrap();
     runtime.set_registry(registry, None);
 
-    // The artifact passes its CRC but cannot build a model: the swap
-    // fails typed and nothing reaches the slot.
-    let err = runtime.swap_from_registry("bad", None).unwrap_err();
-    assert!(
-        matches!(err, aero_model::ModelError::Corrupt { .. }),
-        "a misfit artifact must fail typed, got {err:?}"
-    );
-    assert_eq!(runtime.active_model(), None, "the failed swap must not be recorded active");
-    assert_eq!(runtime.model_generation(), 0, "the failed swap must not touch the slot");
+    // Each artifact passes its CRC but cannot give a model that runs: the
+    // swap fails typed and nothing reaches the slot.
+    for name in ["bad", "odd"] {
+        let err = runtime.swap_from_registry(name, None).unwrap_err();
+        assert!(
+            matches!(
+                (name, &err),
+                ("bad", aero_model::ModelError::Corrupt { .. })
+                    | ("odd", aero_model::ModelError::Meta(_))
+            ),
+            "the {name} artifact must fail typed, got {err:?}"
+        );
+        assert_eq!(runtime.active_model(), None, "the failed swap must not be recorded active");
+        assert_eq!(runtime.model_generation(), 0, "the failed swap must not touch the slot");
+    }
 
     // A caught panic retires its worker; the replacement serves the next
     // request on the original model.

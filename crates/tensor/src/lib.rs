@@ -32,7 +32,6 @@ pub mod par_kernels;
 pub mod parallel;
 pub mod quant;
 mod shape;
-pub mod sym;
 mod tensor;
 
 pub use backend::BackendKind;

@@ -6,9 +6,11 @@
 #   2. clippy        — workspace lint policy ([workspace.lints] in Cargo.toml),
 #                      warnings are errors
 #   3. tests         — the full workspace test suite
-#   4. static lint   — aero-analysis shape validation of every shipped
-#                      pipeline preset plus the serving batcher contract,
-#                      and the token-level source passes (AD01xx/AD02xx)
+#   4. lint          — every shipped pipeline preset's untrained model
+#                      run once (one text encode, one unguided DDIM step
+#                      at batch 1 and at the serve default max batch 8,
+#                      one decode) with every output shape checked, and
+#                      the token-level source passes (AD01xx/AD02xx)
 #                      gated against the committed diagnostics baseline:
 #                      any finding not in tools/lint_baseline.txt fails
 #                      (the `lint` CLI subcommand); plus a lock-order
@@ -19,7 +21,9 @@
 #                      metrics probes; the same with one worker per core,
 #                      whose metrics line must not count a guidance
 #                      helper run (`sampler.cfg_parallel`, workers that
-#                      fill the cores never spawn one); then one line of
+#                      fill the cores never spawn one); `--workers 0` and
+#                      `--max-batch 0` must each exit non-zero naming the
+#                      flag, without a panic; then one line of
 #                      100,000 `[`
 #                      followed by a valid request must get a typed
 #                      `bad_request` and then an image (the JSON
@@ -103,7 +107,7 @@ cargo test --offline --workspace -q
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
-echo "== static model + source lint (baseline-gated) =="
+echo "== model run + source lint (baseline-gated) =="
 cargo run --offline -q -p aerodiffusion-suite --bin aerodiffusion_cli -- \
   lint --all --baseline tools/lint_baseline.txt
 
@@ -171,6 +175,21 @@ echo "$fill_out" | grep -q '"serve.completed":2' \
 if echo "$fill_out" | grep -Eq '"sampler\.cfg_parallel":[1-9]'; then
   echo "serve smoke: a worker sharing the cores ran a guidance helper"; exit 1
 fi
+
+echo "== serve smoke: a zero worker or batch count is refused before serving =="
+# Either count sizes the pool; zero must be a typed refusal naming the
+# flag, not a panic after the serving banner.
+for flag in --workers --max-batch; do
+  if zero_out="$(cargo run --offline -q -p aerodiffusion-suite --bin aerodiffusion_cli -- \
+      serve --demo --scenes 3 "$flag" 0 < /dev/null 2>&1)"; then
+    echo "serve smoke: $flag 0 was not refused"; exit 1
+  fi
+  echo "$zero_out" | grep -q -- "$flag" \
+    || { echo "serve smoke: the $flag 0 refusal did not name the flag"; echo "$zero_out"; exit 1; }
+  if echo "$zero_out" | grep -q 'panicked'; then
+    echo "serve smoke: $flag 0 panicked"; echo "$zero_out"; exit 1
+  fi
+done
 
 echo "== serve smoke: a deeply nested line gets a typed bad_request =="
 # One line of 100,000 `[` would recurse the JSON parser off the reader's
