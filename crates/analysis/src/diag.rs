@@ -17,7 +17,7 @@ pub enum DiagCode {
     /// shape is not the one its configuration implies.
     ShapeMismatch,
     /// `AD0005`: a value is unusable before anything runs (a batch size
-    /// of zero, a broken integrity primitive).
+    /// of zero).
     InvalidConfig,
     /// `AD0111`: long-lived serving code (`aero-serve`, the core
     /// pipeline crate) calls a panicking tensor kernel directly instead

@@ -13,8 +13,9 @@
 //!    workspace tree for kernel calls that can panic on serving paths,
 //!    hard-wired compute backends, lock-order cycles, unaudited relaxed
 //!    atomics, nondeterminism in determinism-critical crates, and panics
-//!    in worker closures (`AD0111`, `AD0112`, `AD02xx`). A committed
-//!    [`Baseline`] lists the findings a run accepts.
+//!    in worker closures (`AD0111`, `AD0112`, `AD02xx`). A finding is
+//!    accepted only by an inline `// lint: …-ok(reason)` annotation at
+//!    its site.
 //!
 //! # Example
 //!
@@ -28,13 +29,11 @@
 //! assert!(report.render().contains("error[AD0001]"));
 //! ```
 
-mod baseline;
 mod diag;
 mod lockorder;
 mod source_lint;
 pub mod token;
 
-pub use baseline::{Baseline, BaselineDiff};
 pub use diag::{DiagCode, Diagnostic, Report, Severity};
 pub use lockorder::lint_lock_order;
 pub use source_lint::{

@@ -7,7 +7,7 @@
 //!   save, plus the q8/f32 payload ratio the quantizer achieves on the
 //!   real model;
 //! - **cold-start** — time from bytes-on-disk to a sample-ready
-//!   pipeline: artifact read (CRC + mmap), building the model from the
+//!   pipeline: artifact read (file read + CRC), building the model from the
 //!   artifact's tensors (`snapshot_from_artifact`) and taking it
 //!   (`hydrate`), versus [`AeroDiffusionPipeline::load`] over the
 //!   directory format;
@@ -112,7 +112,7 @@ fn main() {
         let _ = AeroDiffusionPipeline::load(&model_dir, PipelineConfig::smoke())
             .expect("directory load");
     });
-    // Load-only (CRC verify + mmap + header decode, no model built): the
+    // Load-only (file read + CRC verify + header decode, no model built): the
     // part the artifact format itself is responsible for.
     let f32_load = median_secs(reps, || {
         let _ = ModelArtifact::read(&f32_path).expect("artifact read");

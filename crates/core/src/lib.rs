@@ -37,15 +37,12 @@ pub mod viewpoint;
 pub use ablation::{AblationSpec, AblationVariant};
 pub use condition::ConditionNetwork;
 pub use config::PipelineConfig;
-pub use lint::{
-    lint_backend_callsites, lint_checkpoint, lint_config, lint_panicking_callsites,
-    lint_source_all, Baseline, BaselineDiff,
-};
+pub use lint::{lint_backend_callsites, lint_config, lint_panicking_callsites, lint_source_all};
 pub use persist::{
     parse_provider_tag, parse_variant_tag, provider_tag, variant_tag, PersistError, PipelineMeta,
     PIPELINE_FORMAT_VERSION,
 };
-pub use pipeline::{AeroDiffusionPipeline, FitOptions, FitReport, SampleRow};
+pub use pipeline::{AeroDiffusionPipeline, FitOptions, SampleRow};
 pub use region::RegionAugmenter;
 pub use snapshot::{PipelineSnapshot, MODULE_NAMES};
 pub use substrate::SubstrateBundle;

@@ -12,7 +12,9 @@
 //! configuration (how `lint` validates the shipped presets), and
 //! `aero_model::snapshot_from_artifact` runs it on every model built
 //! from an artifact, the one place a configuration comes from outside
-//! the program.
+//! the program. Both build the model under [`catch_build`], so a
+//! constructor that asserts on a configuration value gives a diagnostic,
+//! not a crash.
 
 use crate::ablation::AblationVariant;
 use crate::config::PipelineConfig;
@@ -28,9 +30,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-pub use aero_analysis::{
-    lint_backend_callsites, lint_panicking_callsites, lint_source_all, Baseline, BaselineDiff,
-};
+pub use aero_analysis::{lint_backend_callsites, lint_panicking_callsites, lint_source_all};
 
 /// The UNet configuration [`crate::pipeline::AeroDiffusionPipeline::fit`]
 /// builds for `config` (kept in one place so the linter can never drift
@@ -47,6 +47,7 @@ pub fn unet_config(config: &PipelineConfig) -> UnetConfig {
     }
 }
 
+const ASSEMBLE: &str = "pipeline.assemble";
 const ENCODE: &str = "pipeline.encode_task";
 const SAMPLE: &str = "pipeline.sample_batch";
 const DECODE: &str = "pipeline.decode_latent";
@@ -143,16 +144,26 @@ pub fn check_pipeline(pipeline: &AeroDiffusionPipeline, batch_sizes: &[usize]) -
     report
 }
 
-/// Validates `config` by building its untrained skeleton, the way
-/// [`AeroDiffusionPipeline::load`] builds one before it loads weights,
-/// and running [`check_pipeline`] on it at batch 1 and at `max_batch`
-/// (the most requests a server coalesces into one sampler call). A
-/// skeleton that cannot be built is an `AD0001` error at
-/// `pipeline.assemble`.
+/// Runs `build`, which constructs a model from a configuration. A
+/// constructor that panics (an assert on one of the configuration's
+/// values) is an `AD0001` error at `pipeline.assemble`.
+///
+/// # Errors
+///
+/// The report holding that error, when `build` panics.
+pub fn catch_build<T>(build: impl FnOnce() -> T) -> Result<T, Report> {
+    let mut report = Report::new();
+    stage(&mut report, ASSEMBLE, build).ok_or(report)
+}
+
+/// Validates `config` by building its untrained skeleton under
+/// [`catch_build`], the way [`AeroDiffusionPipeline::load`] builds one
+/// before it loads weights, and running [`check_pipeline`] on it at
+/// batch 1 and at `max_batch` (the most requests a server coalesces into
+/// one sampler call).
 #[must_use]
 pub fn lint_config(config: &PipelineConfig, max_batch: usize) -> Report {
-    let mut report = Report::new();
-    let skeleton = stage(&mut report, "pipeline.assemble", || {
+    let skeleton = catch_build(|| {
         let tokenizer =
             Tokenizer::new(Vocabulary::build(std::iter::empty(), 1), config.vision.max_text_len);
         let bundle = SubstrateBundle::new_untrained(tokenizer, config, 0);
@@ -160,51 +171,10 @@ pub fn lint_config(config: &PipelineConfig, max_batch: usize) -> Report {
         let (provider, variant) = (LlmProvider::KeypointAware, AblationVariant::Full);
         AeroDiffusionPipeline::assemble(*config, bundle, provider, variant, &mut rng)
     });
-    if let Some(skeleton) = skeleton {
-        report.merge(check_pipeline(&skeleton, &[1, max_batch]));
+    match skeleton {
+        Ok(skeleton) => check_pipeline(&skeleton, &[1, max_batch]),
+        Err(report) => report,
     }
-    report
-}
-
-/// Self-checks the checkpoint/persistence integrity machinery: the CRC32
-/// implementation against the IEEE 802.3 check vector, the manifest text
-/// round-trip, and rejection of unsupported manifest versions. A build
-/// whose integrity primitives are broken would silently accept corrupt
-/// checkpoints, so `lint --all` verifies them up front.
-#[must_use]
-pub fn lint_checkpoint() -> Report {
-    use aero_nn::integrity::{crc32, IntegrityError, Manifest, ManifestEntry, MANIFEST_VERSION};
-    let manifest = Manifest {
-        version: MANIFEST_VERSION,
-        entries: vec![ManifestEntry { name: "unet.aero".into(), crc32: 0xDEAD_BEEF, len: 42 }],
-    };
-    let checks = [
-        (
-            crc32(b"123456789") == 0xCBF4_3926,
-            "crc32 must match the IEEE 802.3 check vector 0xCBF43926",
-        ),
-        (crc32(b"") == 0, "crc32 of empty input must be 0"),
-        (
-            matches!(Manifest::parse(&manifest.render()), Ok(m) if m == manifest),
-            "manifest text form must round-trip losslessly",
-        ),
-        (
-            matches!(
-                Manifest::parse("version=999\n"),
-                Err(IntegrityError::VersionMismatch { found: 999, .. })
-            ),
-            "unsupported manifest versions must be rejected as VersionMismatch",
-        ),
-        (
-            matches!(Manifest::parse("version=1\nbadline"), Err(IntegrityError::Malformed(_))),
-            "truncated manifest entries must be rejected as Malformed",
-        ),
-    ];
-    let mut report = Report::new();
-    for (_, message) in checks.into_iter().filter(|(ok, _)| !ok) {
-        report.push(DiagCode::InvalidConfig, "checkpoint", message);
-    }
-    report
 }
 
 #[cfg(test)]
@@ -222,12 +192,6 @@ mod tests {
             let report = lint_config(&config, 8);
             assert!(report.is_clean(), "{name} preset:\n{}", report.render());
         }
-    }
-
-    #[test]
-    fn checkpoint_integrity_machinery_lints_clean() {
-        let report = lint_checkpoint();
-        assert!(report.is_clean(), "{}", report.render());
     }
 
     #[test]

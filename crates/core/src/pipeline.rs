@@ -8,8 +8,8 @@ use crate::snapshot::MODULE_NAMES;
 use crate::substrate::{caption_dataset, SubstrateBundle};
 use crate::task::{ConditionSource, TaskSpec};
 use aero_diffusion::{
-    CancelSignal, CheckpointConfig, CondUnet, DdimSampler, DiffusionTrainer, LatentPin,
-    SampleOptions, Sampler, StepSink, TrainCursor,
+    train_checkpointed, CancelSignal, CheckpointConfig, CondUnet, DdimSampler, DiffusionTrainer,
+    LatentPin, SampleOptions, Sampler, StepSink, TrainPlan, TrainRun,
 };
 use aero_nn::optim::Adam;
 use aero_nn::serialize::load_into_params;
@@ -55,23 +55,6 @@ impl Default for FitOptions {
             max_steps: None,
         }
     }
-}
-
-/// What an [`AeroDiffusionPipeline::fit_with`] run did: how far it got
-/// and how it got there.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FitReport {
-    /// Joint-training optimizer steps completed (including steps from a
-    /// resumed earlier run).
-    pub steps: u64,
-    /// Whether all epochs finished (`false` when `max_steps` hit first).
-    pub completed: bool,
-    /// The checkpoint step training resumed from, if any.
-    pub resumed_from: Option<u64>,
-    /// Corrupt checkpoints skipped while searching for the resume point.
-    pub skipped_corrupt: usize,
-    /// Loss of the last executed step, if any step ran.
-    pub last_loss: Option<f32>,
 }
 
 /// One row of an [`AeroDiffusionPipeline::sample_batch`] call.
@@ -168,7 +151,7 @@ impl AeroDiffusionPipeline {
         config: PipelineConfig,
         seed: u64,
         options: &FitOptions,
-    ) -> Result<(Self, FitReport), crate::persist::PersistError> {
+    ) -> Result<(Self, TrainRun), crate::persist::PersistError> {
         assert!(!dataset.is_empty(), "cannot fit on an empty dataset");
         let mut rng = StdRng::seed_from_u64(seed);
         let prompt = options.variant.prompt();
@@ -183,17 +166,16 @@ impl AeroDiffusionPipeline {
     /// The joint diffusion + condition-network training stage (Eq. 6:
     /// "both the parameters θ of the denoising network and those involved
     /// in generating the condition vector C are jointly updated").
-    /// Resumes from the newest valid checkpoint when `options` names a
-    /// checkpoint directory, and then saves every `checkpoint.every`
-    /// steps plus once at completion.
+    /// Runs on [`train_checkpointed`], so it resumes from the newest valid
+    /// checkpoint when `options` names a checkpoint directory, and then
+    /// saves every `checkpoint.every` steps plus once at completion.
     fn train_joint(
         &mut self,
         dataset: &AerialDataset,
         captions: &[String],
         rng: &mut StdRng,
         options: &FitOptions,
-    ) -> Result<FitReport, crate::persist::PersistError> {
-        let (checkpoint, max_steps) = (options.checkpoint.as_ref(), options.max_steps);
+    ) -> Result<TrainRun, crate::persist::PersistError> {
         // Precompute frozen quantities: latents, tokens, ROIs.
         let latents: Vec<Tensor> = dataset
             .iter()
@@ -232,9 +214,6 @@ impl AeroDiffusionPipeline {
         if joint {
             params.extend(self.condition.params());
         }
-        // Vars are shared handles; keep a second list of the optimized
-        // parameters for checkpoint save/restore alongside the optimizer.
-        let ckpt_params = params.clone();
         let mut opt = Adam::new(params, self.config.diffusion_lr).with_weight_decay(1e-5);
 
         // Frozen-condition fast path: precompute every condition vector
@@ -258,44 +237,14 @@ impl AeroDiffusionPipeline {
                 .collect()
         };
 
-        // Resume: restore weights, moments, RNG and the in-epoch cursor
-        // from the newest valid checkpoint; corrupt ones are skipped.
-        let mut resumed_from = None;
-        let mut skipped_corrupt = 0;
-        let mut start_epoch = 0;
-        let mut chunk_start = 0;
-        let mut pending_order: Option<Vec<usize>> = None;
-        let mut step: u64 = 0;
-        if let Some(ckpt) = checkpoint {
-            let resume = aero_diffusion::resume_latest(&ckpt.dir, &ckpt_params, &mut opt)?;
-            skipped_corrupt = resume.skipped_corrupt;
-            if let Some(cursor) = resume.cursor {
-                *rng = StdRng::from_state(cursor.rng);
-                resumed_from = Some(cursor.step);
-                step = cursor.step;
-                start_epoch = cursor.epoch;
-                chunk_start = cursor.batch;
-                pending_order = Some(cursor.order);
-            }
-        }
-
-        let batch_size = self.config.diffusion_batch_size.max(1);
-        let mut last_loss = None;
-        let mut completed = true;
-        let mut last_saved = resumed_from;
-        'epochs: for epoch in start_epoch..self.config.diffusion_epochs {
-            let order: Vec<usize> = match pending_order.take() {
-                Some(order) => order,
-                None => {
-                    let mut order: Vec<usize> = (0..dataset.len()).collect();
-                    for i in (1..order.len()).rev() {
-                        order.swap(i, rng.gen_range(0..=i));
-                    }
-                    order
-                }
-            };
-            let chunks: Vec<&[usize]> = order.chunks(batch_size).collect();
-            for (ci, &chunk) in chunks.iter().enumerate().skip(chunk_start) {
+        let plan = TrainPlan {
+            units: dataset.len(),
+            per_step: self.config.diffusion_batch_size,
+            epochs: self.config.diffusion_epochs,
+            max_steps: options.max_steps,
+        };
+        let run =
+            train_checkpointed(&plan, options.checkpoint.as_ref(), rng, &mut opt, |chunk, rng| {
                 let cond = if joint {
                     let inputs: Vec<ConditionInputs<'_>> = chunk
                         .iter()
@@ -311,7 +260,7 @@ impl AeroDiffusionPipeline {
                     self.condition.build_batch(&self.bundle.clip, &inputs)
                 } else {
                     let c_refs: Vec<&Tensor> = chunk.iter().map(|&i| &frozen_conds[i]).collect();
-                    aero_nn::Var::constant(Tensor::stack(&c_refs))
+                    Var::constant(Tensor::stack(&c_refs))
                 };
                 let z_refs: Vec<Tensor> = chunk
                     .iter()
@@ -322,56 +271,9 @@ impl AeroDiffusionPipeline {
                     .collect();
                 let refs: Vec<&Tensor> = z_refs.iter().collect();
                 let z0 = Tensor::stack(&refs);
-                // lint: nondet-ok(wall-clock feeds the step-duration metric only, never tensors)
-                let step_start = std::time::Instant::now();
-                let _step_span = span!("train.step");
-                opt.zero_grad();
-                let loss = self.trainer.loss(&self.unet, &z0, Some(&cond), rng);
-                let value = loss.value().item();
-                loss.backward();
-                opt.step();
-                drop(_step_span);
-                step += 1;
-                last_loss = Some(value);
-                aero_obs::counter!("train.steps").inc();
-                aero_obs::gauge!("train.last_loss").set(f64::from(value));
-                aero_obs::histogram!("train.step_time_us", aero_obs::Histogram::exponential_us())
-                    .observe(u64::try_from(step_start.elapsed().as_micros()).unwrap_or(u64::MAX));
-                if let Some(ckpt) = checkpoint {
-                    if ckpt.every > 0 && step.is_multiple_of(ckpt.every) {
-                        let cursor = TrainCursor {
-                            step,
-                            epoch,
-                            batch: ci + 1,
-                            order: order.clone(),
-                            rng: rng.state(),
-                        };
-                        aero_diffusion::save_checkpoint(ckpt, &cursor, &ckpt_params, &opt)?;
-                        last_saved = Some(step);
-                    }
-                }
-                if max_steps.is_some_and(|max| step >= max) {
-                    completed = false;
-                    break 'epochs;
-                }
-            }
-            chunk_start = 0;
-        }
-        if let Some(ckpt) = checkpoint {
-            // A final checkpoint marks the run complete so a re-invocation
-            // resumes past the loop instead of repeating work.
-            if completed && step > 0 && last_saved != Some(step) {
-                let cursor = TrainCursor {
-                    step,
-                    epoch: self.config.diffusion_epochs,
-                    batch: 0,
-                    order: Vec::new(),
-                    rng: rng.state(),
-                };
-                aero_diffusion::save_checkpoint(ckpt, &cursor, &ckpt_params, &opt)?;
-            }
-        }
-        Ok(FitReport { steps: step, completed, resumed_from, skipped_corrupt, last_loss })
+                self.trainer.loss(&self.unet, &z0, Some(&cond), rng)
+            })?;
+        Ok(run)
     }
 
     /// ROIs for an image: detector output ordered by confidence. When the

@@ -2,8 +2,8 @@
 //!
 //! Long diffusion runs die — OOM kills, preemptions, power loss — and
 //! without checkpoints every death restarts training from scratch. This
-//! module persists everything the training loop needs to continue
-//! *bit-identically*:
+//! module holds the checkpointed training loop ([`train_checkpointed`])
+//! and persists everything it needs to continue *bit-identically*:
 //!
 //! - the optimized parameter values,
 //! - Adam's first/second moments and bias-correction step counter,
@@ -19,14 +19,13 @@
 //! half-written ones are skipped, not trusted. Only the last
 //! [`CheckpointConfig::keep`] checkpoints are retained on disk.
 
-use crate::trainer::{DiffusionTrainer, TrainBatch};
-use crate::unet::CondUnet;
+use crate::trainer::optimizer_step;
 use aero_nn::integrity::{IntegrityError, Manifest};
 use aero_nn::optim::{Adam, AdamState};
 use aero_nn::serialize::{decode_tensors, encode_params, load_into_params, LoadWeightsError};
-use aero_nn::{Module, Var};
+use aero_nn::Var;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use std::error::Error;
 use std::fmt;
 use std::fs;
@@ -177,9 +176,10 @@ fn parse_state(text: &str) -> Result<(TrainCursor, u64), CheckpointError> {
     ))
 }
 
-/// Saves one checkpoint atomically: blobs land in a tmp directory that
-/// is renamed to `step-<n>/` only once complete, then older checkpoints
-/// beyond [`CheckpointConfig::keep`] are pruned.
+/// Saves one checkpoint of the parameters `opt` updates and of `opt`'s
+/// own state, atomically: blobs land in a tmp directory that is renamed
+/// to `step-<n>/` only once complete, then older checkpoints beyond
+/// [`CheckpointConfig::keep`] are pruned.
 ///
 /// # Errors
 ///
@@ -188,7 +188,6 @@ fn parse_state(text: &str) -> Result<(TrainCursor, u64), CheckpointError> {
 pub fn save_checkpoint(
     config: &CheckpointConfig,
     cursor: &TrainCursor,
-    params: &[Var],
     opt: &Adam,
 ) -> Result<PathBuf, CheckpointError> {
     fs::create_dir_all(&config.dir)?;
@@ -199,7 +198,7 @@ pub fn save_checkpoint(
     }
     fs::create_dir_all(&tmp_dir)?;
     let state = opt.export_state();
-    fs::write(tmp_dir.join("params.aero"), encode_params(params))?;
+    fs::write(tmp_dir.join("params.aero"), encode_params(opt.params()))?;
     fs::write(tmp_dir.join("adam.aero"), state.moments_bytes())?;
     fs::write(tmp_dir.join("state.txt"), render_state(cursor, state.step))?;
     Manifest::for_files(&tmp_dir, &BLOBS)?.write(&tmp_dir)?;
@@ -248,7 +247,8 @@ fn prune(config: &CheckpointConfig) -> Result<(), CheckpointError> {
     Ok(())
 }
 
-/// Verifies and loads one checkpoint directory into `params` and `opt`.
+/// Verifies and loads one checkpoint directory into `opt` and the
+/// parameters it updates.
 ///
 /// The manifest is checked first — version, then every blob's length and
 /// CRC32 — so a bit flip anywhere fails typed instead of loading a
@@ -259,18 +259,14 @@ fn prune(config: &CheckpointConfig) -> Result<(), CheckpointError> {
 /// [`CheckpointError::Integrity`] on checksum/version failures,
 /// [`CheckpointError::Weights`] on decode/shape mismatches,
 /// [`CheckpointError::Meta`] on malformed cursor metadata.
-pub fn load_checkpoint(
-    dir: &Path,
-    params: &[Var],
-    opt: &mut Adam,
-) -> Result<TrainCursor, CheckpointError> {
+pub fn load_checkpoint(dir: &Path, opt: &mut Adam) -> Result<TrainCursor, CheckpointError> {
     let manifest = Manifest::read(dir)?;
     manifest.verify_dir(dir)?;
     let (cursor, adam_step) = parse_state(&fs::read_to_string(dir.join("state.txt"))?)?;
     let param_tensors = decode_tensors(&fs::read(dir.join("params.aero"))?)?;
     let adam_state = AdamState::from_moments_bytes(&fs::read(dir.join("adam.aero"))?, adam_step)?;
     opt.restore_state(adam_state)?;
-    load_into_params(params, param_tensors)?;
+    load_into_params(opt.params(), param_tensors)?;
     Ok(cursor)
 }
 
@@ -293,16 +289,12 @@ pub struct ResumeReport {
 /// Propagates I/O failures listing the directory; verification failures
 /// of individual checkpoints are *not* errors — they are skipped and
 /// counted.
-pub fn resume_latest(
-    dir: &Path,
-    params: &[Var],
-    opt: &mut Adam,
-) -> Result<ResumeReport, CheckpointError> {
+pub fn resume_latest(dir: &Path, opt: &mut Adam) -> Result<ResumeReport, CheckpointError> {
     let mut ckpts = list_checkpoints(dir)?;
     ckpts.reverse();
     let mut skipped_corrupt = 0;
     for (_, path) in ckpts {
-        match load_checkpoint(&path, params, opt) {
+        match load_checkpoint(&path, opt) {
             Ok(cursor) => {
                 aero_obs::counter!("train.checkpoint.resumes").inc();
                 return Ok(ResumeReport { cursor: Some(cursor), skipped_corrupt });
@@ -316,17 +308,16 @@ pub fn resume_latest(
     Ok(ResumeReport { cursor: None, skipped_corrupt })
 }
 
-/// Options for [`train_resumable`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TrainRunOptions {
-    /// Epochs over the dataset.
+/// How a checkpointed run walks its data: each epoch shuffles `units`
+/// indices and trains on them `per_step` at a time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TrainPlan {
+    /// Indices each epoch shuffles (dataset items, or prebuilt batches).
+    pub units: usize,
+    /// Indices per optimizer step; an epoch's last step takes the rest.
+    pub per_step: usize,
+    /// Epochs over the units.
     pub epochs: usize,
-    /// Adam learning rate.
-    pub lr: f32,
-    /// Decoupled weight decay (the paper uses `1e-5`).
-    pub weight_decay: f32,
-    /// Seed for the run's RNG (noise, timesteps, dropout, shuffles).
-    pub seed: u64,
     /// Stop after this many global steps (simulates a mid-run kill in
     /// tests and bounds CI smoke runs); `None` runs to completion.
     pub max_steps: Option<u64>,
@@ -347,89 +338,97 @@ pub struct TrainRun {
     pub skipped_corrupt: usize,
 }
 
-/// Trains like [`DiffusionTrainer::train`] but checkpointed and
-/// resumable: a run killed at an arbitrary step and restarted with the
-/// same arguments continues on a bit-identical parameter trajectory,
-/// because the checkpoint carries the optimizer moments, the RNG state
-/// and the in-epoch batch order alongside the weights.
+/// The checkpointed training loop. Each epoch shuffles the unit indices
+/// with `rng` (Fisher–Yates), and each optimizer step trains on the next
+/// `per_step` of them through `step_loss`, which builds that chunk's loss
+/// from the same `rng`.
+///
+/// With a `checkpoint`, the run first restores the newest checkpoint that
+/// verifies (weights, Adam moments, RNG state and the in-epoch order),
+/// skipping corrupt ones; it then saves every `checkpoint.every` steps and
+/// once at completion. A run killed at an arbitrary step and restarted
+/// with the same arguments therefore continues on a bit-identical
+/// parameter trajectory. Checkpoints hold the parameters `opt` updates.
 ///
 /// # Errors
 ///
 /// Propagates checkpoint save/scan failures.
-///
-/// # Panics
-///
-/// Panics on an empty dataset.
-pub fn train_resumable(
-    trainer: &DiffusionTrainer,
-    unet: &CondUnet,
-    data: &[TrainBatch],
-    options: &TrainRunOptions,
-    checkpoint: &CheckpointConfig,
-) -> Result<TrainRun, CheckpointError> {
-    assert!(!data.is_empty(), "cannot train on an empty dataset");
-    let params = unet.params();
-    let mut opt = Adam::new(params.clone(), options.lr).with_weight_decay(options.weight_decay);
-    let mut rng = StdRng::seed_from_u64(options.seed);
-    let resume = resume_latest(&checkpoint.dir, &params, &mut opt)?;
-    let skipped_corrupt = resume.skipped_corrupt;
-    let mut resumed_from = None;
-    let (start_epoch, mut batch_start, mut pending_order) = match resume.cursor {
-        Some(cursor) => {
-            rng = StdRng::from_state(cursor.rng);
-            resumed_from = Some(cursor.step);
-            (cursor.epoch, cursor.batch, Some((cursor.order, cursor.step)))
-        }
-        None => (0, 0, None),
+pub fn train_checkpointed<F>(
+    plan: &TrainPlan,
+    checkpoint: Option<&CheckpointConfig>,
+    rng: &mut StdRng,
+    opt: &mut Adam,
+    mut step_loss: F,
+) -> Result<TrainRun, CheckpointError>
+where
+    F: FnMut(&[usize], &mut StdRng) -> Var,
+{
+    let mut run = TrainRun {
+        steps: 0,
+        completed: true,
+        last_loss: None,
+        resumed_from: None,
+        skipped_corrupt: 0,
     };
-    let mut step = pending_order.as_ref().map_or(0, |(_, s)| *s);
-    let mut last_loss = None;
-    let mut completed = true;
-    let mut last_saved = resumed_from;
-    'epochs: for epoch in start_epoch..options.epochs {
-        let order = match pending_order.take() {
-            Some((order, _)) => order,
-            None => {
-                let mut order: Vec<usize> = (0..data.len()).collect();
-                for i in (1..order.len()).rev() {
-                    order.swap(i, rng.gen_range(0..=i));
-                }
-                order
+    let (mut start_epoch, mut chunk_start, mut pending_order) = (0, 0, None);
+    if let Some(ckpt) = checkpoint {
+        let resume = resume_latest(&ckpt.dir, opt)?;
+        run.skipped_corrupt = resume.skipped_corrupt;
+        if let Some(cursor) = resume.cursor {
+            *rng = StdRng::from_state(cursor.rng);
+            run.resumed_from = Some(cursor.step);
+            run.steps = cursor.step;
+            start_epoch = cursor.epoch;
+            chunk_start = cursor.batch;
+            pending_order = Some(cursor.order);
+        }
+    }
+    let per_step = plan.per_step.max(1);
+    let mut last_saved = run.resumed_from;
+    'epochs: for epoch in start_epoch..plan.epochs {
+        let order = pending_order.take().unwrap_or_else(|| {
+            let mut order: Vec<usize> = (0..plan.units).collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.gen_range(0..=i));
             }
-        };
-        for bi in batch_start..order.len() {
-            let loss = trainer.train_step(unet, &mut opt, &data[order[bi]], &mut rng);
-            step += 1;
-            last_loss = Some(loss);
-            if checkpoint.every > 0 && step % checkpoint.every == 0 {
+            order
+        });
+        for (ci, chunk) in order.chunks(per_step).enumerate().skip(chunk_start) {
+            run.last_loss = Some(optimizer_step(opt, || step_loss(chunk, rng)));
+            run.steps += 1;
+            if let Some(ckpt) =
+                checkpoint.filter(|c| c.every > 0 && run.steps.is_multiple_of(c.every))
+            {
                 let cursor = TrainCursor {
-                    step,
+                    step: run.steps,
                     epoch,
-                    batch: bi + 1,
+                    batch: ci + 1,
                     order: order.clone(),
                     rng: rng.state(),
                 };
-                save_checkpoint(checkpoint, &cursor, &params, &opt)?;
-                last_saved = Some(step);
+                save_checkpoint(ckpt, &cursor, opt)?;
+                last_saved = Some(run.steps);
             }
-            if options.max_steps.is_some_and(|max| step >= max) {
-                completed = false;
+            if plan.max_steps.is_some_and(|max| run.steps >= max) {
+                run.completed = false;
                 break 'epochs;
             }
         }
-        batch_start = 0;
+        chunk_start = 0;
     }
     // A final checkpoint marks the run complete so a re-invocation
     // resumes past the loop instead of repeating work.
-    if completed && step > 0 && last_saved != Some(step) {
-        let cursor = TrainCursor {
-            step,
-            epoch: options.epochs,
-            batch: 0,
-            order: Vec::new(),
-            rng: rng.state(),
-        };
-        save_checkpoint(checkpoint, &cursor, &params, &opt)?;
+    if let Some(ckpt) = checkpoint {
+        if run.completed && run.steps > 0 && last_saved != Some(run.steps) {
+            let cursor = TrainCursor {
+                step: run.steps,
+                epoch: plan.epochs,
+                batch: 0,
+                order: Vec::new(),
+                rng: rng.state(),
+            };
+            save_checkpoint(ckpt, &cursor, opt)?;
+        }
     }
-    Ok(TrainRun { steps: step, completed, last_loss, resumed_from, skipped_corrupt })
+    Ok(run)
 }

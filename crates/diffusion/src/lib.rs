@@ -12,17 +12,15 @@
 //! [`DiffusionConfig::paper`]; tests and benches use reduced presets.
 
 pub mod checkpoint;
-pub mod guard;
 pub mod sampler;
 pub mod schedule;
 pub mod trainer;
 pub mod unet;
 
 pub use checkpoint::{
-    list_checkpoints, load_checkpoint, resume_latest, save_checkpoint, train_resumable,
-    CheckpointConfig, CheckpointError, TrainCursor, TrainRun, TrainRunOptions,
+    list_checkpoints, load_checkpoint, resume_latest, save_checkpoint, train_checkpointed,
+    CheckpointConfig, CheckpointError, TrainCursor, TrainPlan, TrainRun,
 };
-pub use guard::{GuardConfig, GuardStats, GuardVerdict, TrainGuard};
 pub use sampler::{
     CancelSignal, CancelToken, DdimSampler, DdpmSampler, LatentPin, NoiseSpec, SampleOptions,
     Sampler, StepEvent, StepSink,

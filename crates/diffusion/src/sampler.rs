@@ -576,6 +576,12 @@ fn stack_noise<R: Rng>(sample_shape: &[usize], rngs: &mut [R]) -> Tensor {
     Tensor::stack(&refs)
 }
 
+/// Static threshold on DDIM's predicted `z0` (clamped to this many
+/// standard deviations). Near `t = T` the reconstruction divides by
+/// `sqrt(alpha_bar_T) ~ 0`, so an unclamped estimate amplifies early
+/// prediction error explosively with few inference steps.
+const Z0_CLIP: f32 = 3.0;
+
 /// DDIM sampler (η = 0, deterministic given the start noise) with
 /// classifier-free guidance — the paper denoises in 250 DDIM steps with a
 /// guidance scale of 7.0.
@@ -585,18 +591,12 @@ pub struct DdimSampler {
     pub steps: usize,
     /// Classifier-free guidance scale (1.0 disables guidance).
     pub guidance_scale: f32,
-    /// Static threshold on the predicted `z0` (clamped to this many
-    /// standard deviations). Near `t = T` the reconstruction divides by
-    /// `sqrt(alpha_bar_T) ~ 0`, so an unclamped estimate amplifies early
-    /// prediction error explosively with few inference steps.
-    pub z0_clip: f32,
 }
 
 impl DdimSampler {
-    /// Creates a sampler with the given step count and guidance scale
-    /// (and the default `z0` clip of 3 standard deviations).
+    /// Creates a sampler with the given step count and guidance scale.
     pub fn new(steps: usize, guidance_scale: f32) -> Self {
-        DdimSampler { steps, guidance_scale, z0_clip: 3.0 }
+        DdimSampler { steps, guidance_scale }
     }
 
     /// Runs the deterministic reverse process from an explicit initial
@@ -739,7 +739,7 @@ impl DdimSampler {
             let z0_hat = z
                 .sub(&eps_hat.mul_scalar((1.0 - ab_t).sqrt()))
                 .mul_scalar(1.0 / guarded_sqrt(ab_t))
-                .clamp(-self.z0_clip, self.z0_clip);
+                .clamp(-Z0_CLIP, Z0_CLIP);
             let t_prev = ts.get(i + 1).copied();
             match t_prev {
                 Some(tp) => {

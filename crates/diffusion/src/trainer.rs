@@ -80,20 +80,10 @@ impl DiffusionTrainer {
         batch: &TrainBatch,
         rng: &mut R,
     ) -> f32 {
-        let _span = aero_obs::span!("train.step");
-        // lint: nondet-ok(wall-clock feeds the step-duration metric only, never tensors)
-        let start = std::time::Instant::now();
-        opt.zero_grad();
-        let cond_var = batch.cond.as_ref().map(|c| Var::constant(c.clone()));
-        let loss = self.loss(unet, &batch.z0, cond_var.as_ref(), rng);
-        let value = loss.value().item();
-        loss.backward();
-        opt.step();
-        aero_obs::counter!("train.steps").inc();
-        aero_obs::gauge!("train.last_loss").set(f64::from(value));
-        aero_obs::histogram!("train.step_time_us", aero_obs::Histogram::exponential_us())
-            .observe(u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX));
-        value
+        optimizer_step(opt, || {
+            let cond_var = batch.cond.as_ref().map(|c| Var::constant(c.clone()));
+            self.loss(unet, &batch.z0, cond_var.as_ref(), rng)
+        })
     }
 
     /// Trains over epochs of shuffled batches; returns per-epoch losses.
@@ -120,6 +110,25 @@ impl DiffusionTrainer {
         }
         history
     }
+}
+
+/// One optimizer step: zero the gradients, build the loss, run backward
+/// and step `opt`. Records the `train.step` span and the `train.steps`,
+/// `train.last_loss` and `train.step_time_us` metrics; returns the loss.
+pub(crate) fn optimizer_step(opt: &mut Adam, loss: impl FnOnce() -> Var) -> f32 {
+    let _span = aero_obs::span!("train.step");
+    // lint: nondet-ok(wall-clock feeds the step-duration metric only, never tensors)
+    let start = std::time::Instant::now();
+    opt.zero_grad();
+    let loss = loss();
+    let value = loss.value().item();
+    loss.backward();
+    opt.step();
+    aero_obs::counter!("train.steps").inc();
+    aero_obs::gauge!("train.last_loss").set(f64::from(value));
+    aero_obs::histogram!("train.step_time_us", aero_obs::Histogram::exponential_us())
+        .observe(u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX));
+    value
 }
 
 #[cfg(test)]

@@ -8,9 +8,10 @@
 //! valid one rather than trusted.
 
 use aero_diffusion::{
-    list_checkpoints, train_resumable, CheckpointConfig, CondUnet, DiffusionConfig,
-    DiffusionTrainer, TrainBatch, TrainRunOptions, UnetConfig,
+    list_checkpoints, train_checkpointed, CheckpointConfig, CondUnet, DiffusionConfig,
+    DiffusionTrainer, TrainBatch, TrainPlan, TrainRun, UnetConfig,
 };
+use aero_nn::optim::Adam;
 use aero_nn::{Module, Var};
 use aero_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -47,8 +48,22 @@ fn dataset() -> Vec<TrainBatch> {
     (0..3).map(|_| TrainBatch { z0: Tensor::randn(&[2, 1, 8, 8], &mut rng), cond: None }).collect()
 }
 
-fn options(max_steps: Option<u64>) -> TrainRunOptions {
-    TrainRunOptions { epochs: 3, lr: 1e-3, weight_decay: 1e-5, seed: TRAIN_SEED, max_steps }
+/// Three epochs over `data`, one prebuilt batch per step, as a fresh
+/// process with the same arguments would run them.
+fn train(
+    trainer: &DiffusionTrainer,
+    unet: &CondUnet,
+    data: &[TrainBatch],
+    max_steps: Option<u64>,
+    ckpt: &CheckpointConfig,
+) -> TrainRun {
+    let plan = TrainPlan { units: data.len(), per_step: 1, epochs: 3, max_steps };
+    let mut opt = Adam::new(unet.params(), 1e-3).with_weight_decay(1e-5);
+    let mut rng = StdRng::seed_from_u64(TRAIN_SEED);
+    train_checkpointed(&plan, Some(ckpt), &mut rng, &mut opt, |chunk, rng| {
+        trainer.loss(unet, &data[chunk[0]].z0, None, rng)
+    })
+    .unwrap()
 }
 
 fn param_values(unet: &CondUnet) -> Vec<Vec<f32>> {
@@ -63,7 +78,7 @@ fn killed_run_resumes_bit_identically() {
     // Reference: one uninterrupted run.
     let ref_unet = tiny_unet();
     let ref_ckpt = CheckpointConfig::new(fresh_dir("reference"), 2);
-    let ref_run = train_resumable(&trainer, &ref_unet, &data, &options(None), &ref_ckpt).unwrap();
+    let ref_run = train(&trainer, &ref_unet, &data, None, &ref_ckpt);
     assert!(ref_run.completed);
     assert_eq!(ref_run.steps, 9, "3 epochs x 3 batches");
     let reference = param_values(&ref_unet);
@@ -74,12 +89,12 @@ fn killed_run_resumes_bit_identically() {
     let dir = fresh_dir("interrupted");
     let ckpt = CheckpointConfig::new(dir.clone(), 2);
     let unet_a = tiny_unet();
-    let killed = train_resumable(&trainer, &unet_a, &data, &options(Some(5)), &ckpt).unwrap();
+    let killed = train(&trainer, &unet_a, &data, Some(5), &ckpt);
     assert!(!killed.completed);
     assert_eq!(killed.steps, 5);
 
     let unet_b = tiny_unet();
-    let resumed = train_resumable(&trainer, &unet_b, &data, &options(None), &ckpt).unwrap();
+    let resumed = train(&trainer, &unet_b, &data, None, &ckpt);
     assert_eq!(resumed.resumed_from, Some(4), "newest checkpoint before the kill is step 4");
     assert_eq!(resumed.skipped_corrupt, 0);
     assert!(resumed.completed);
@@ -100,7 +115,7 @@ fn corrupt_latest_checkpoint_falls_back_to_newest_valid() {
     let ckpt = CheckpointConfig::new(dir.clone(), 2);
 
     let unet_a = tiny_unet();
-    train_resumable(&trainer, &unet_a, &data, &options(Some(5)), &ckpt).unwrap();
+    train(&trainer, &unet_a, &data, Some(5), &ckpt);
     let ckpts = list_checkpoints(&dir).unwrap();
     assert_eq!(ckpts.iter().map(|(s, _)| *s).collect::<Vec<_>>(), vec![2, 4]);
 
@@ -113,7 +128,7 @@ fn corrupt_latest_checkpoint_falls_back_to_newest_valid() {
     fs::write(&blob_path, blob).unwrap();
 
     let unet_b = tiny_unet();
-    let resumed = train_resumable(&trainer, &unet_b, &data, &options(None), &ckpt).unwrap();
+    let resumed = train(&trainer, &unet_b, &data, None, &ckpt);
     assert_eq!(resumed.skipped_corrupt, 1, "the corrupted step-4 checkpoint must be skipped");
     assert_eq!(resumed.resumed_from, Some(2), "fall back to the newest valid checkpoint");
     assert!(resumed.completed);
@@ -128,7 +143,7 @@ fn retention_prunes_old_checkpoints() {
     let ckpt = CheckpointConfig { dir: dir.clone(), every: 1, keep: 2 };
 
     let unet = tiny_unet();
-    let run = train_resumable(&trainer, &unet, &data, &options(None), &ckpt).unwrap();
+    let run = train(&trainer, &unet, &data, None, &ckpt);
     assert!(run.completed);
     let steps: Vec<u64> = list_checkpoints(&dir).unwrap().iter().map(|(s, _)| *s).collect();
     assert_eq!(steps, vec![8, 9], "only the newest `keep` checkpoints survive");
@@ -142,12 +157,12 @@ fn rerunning_a_completed_run_does_no_extra_work() {
     let ckpt = CheckpointConfig::new(dir.clone(), 4);
 
     let unet_a = tiny_unet();
-    let first = train_resumable(&trainer, &unet_a, &data, &options(None), &ckpt).unwrap();
+    let first = train(&trainer, &unet_a, &data, None, &ckpt);
     assert!(first.completed);
     let after_first = param_values(&unet_a);
 
     let unet_b = tiny_unet();
-    let second = train_resumable(&trainer, &unet_b, &data, &options(None), &ckpt).unwrap();
+    let second = train(&trainer, &unet_b, &data, None, &ckpt);
     assert!(second.completed);
     assert_eq!(second.resumed_from, Some(9), "resumes the final checkpoint");
     assert!(second.last_loss.is_none(), "no step should execute");

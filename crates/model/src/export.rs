@@ -25,7 +25,7 @@ use aero_metrics::{fid, FeatureExtractor};
 use aero_scene::{build_dataset, DatasetConfig, SceneGeneratorConfig};
 use aero_tensor::parallel::ParallelConfig;
 use aero_tensor::{Q8Tensor, Tensor};
-use aerodiffusion::lint::check_pipeline;
+use aerodiffusion::lint::{catch_build, check_pipeline};
 use aerodiffusion::{
     parse_provider_tag, parse_variant_tag, provider_tag, variant_tag, PipelineConfig, PipelineMeta,
     PipelineSnapshot, MODULE_NAMES,
@@ -224,17 +224,18 @@ fn parse_f32_bits(key: &str, value: &str) -> Result<f32, ModelError> {
 /// error; everything else (config, vocabulary, metadata) is exact.
 ///
 /// The artifact's configuration comes from outside the program, so the
-/// built model is run once through [`check_pipeline`] at batch 1 before
-/// it is returned.
+/// model is built under [`catch_build`] (a constructor assert on one of
+/// its values fails typed) and run once through [`check_pipeline`] at
+/// batch 1 before it is returned.
 ///
 /// # Errors
 ///
 /// [`ModelError::Meta`] on missing/malformed metadata, a vocabulary
-/// that does not rebuild, or a model that fails the check (the message
-/// carries the rendered report); [`ModelError::Corrupt`] on undecodable
-/// tensor payloads or tensors that do not fit the configuration's
-/// modules — so nothing that cannot serve ever reaches a serving
-/// runtime.
+/// that does not rebuild, or a model that cannot be built or fails the
+/// check (the message carries the rendered report);
+/// [`ModelError::Corrupt`] on undecodable tensor payloads or tensors
+/// that do not fit the configuration's modules — so nothing that cannot
+/// serve ever reaches a serving runtime.
 pub fn snapshot_from_artifact(artifact: &ModelArtifact) -> Result<PipelineSnapshot, ModelError> {
     let config = PipelineConfig::parse_kv(required(artifact, KEY_CONFIG)?)
         .map_err(|e| ModelError::Meta(format!("config: {e}")))?;
@@ -262,13 +263,19 @@ pub fn snapshot_from_artifact(artifact: &ModelArtifact) -> Result<PipelineSnapsh
             .collect::<Result<_, _>>()?;
     }
 
-    let snapshot = PipelineSnapshot::from_weights(
-        config,
-        &meta,
-        ParallelConfig::with_threads(threads),
-        &vocab,
-        modules,
-    )?;
+    let built = catch_build(|| {
+        PipelineSnapshot::from_weights(
+            config,
+            &meta,
+            ParallelConfig::with_threads(threads),
+            &vocab,
+            modules,
+        )
+    })
+    .map_err(|report| {
+        ModelError::Meta(format!("the model cannot be built:\n{}", report.render()))
+    })?;
+    let snapshot = built?;
     let report = check_pipeline(snapshot.pipeline(), &[1]);
     if !report.is_clean() {
         return Err(ModelError::Meta(format!("the model does not run:\n{}", report.render())));

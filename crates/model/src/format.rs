@@ -28,7 +28,6 @@
 //! (`i8`), with block geometry implied by the tensor's shape (see
 //! [`aero_tensor::quant`]).
 
-use crate::mmap::ArtifactBytes;
 use crate::ModelError;
 use aero_nn::integrity::{crc32, write_atomic};
 use aero_tensor::{Q8Tensor, Tensor, Q8_BLOCK};
@@ -282,11 +281,11 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// A parsed, CRC-verified artifact. Tensor payloads stay in the backing
-/// [`ArtifactBytes`] (usually a zero-copy mapping) until decoded.
+/// A parsed, CRC-verified artifact. Tensor payloads stay in the owned
+/// file bytes until decoded.
 #[derive(Debug)]
 pub struct ModelArtifact {
-    bytes: ArtifactBytes,
+    bytes: Vec<u8>,
     kv: BTreeMap<String, String>,
     tensors: Vec<TensorInfo>,
     data_offset: usize,
@@ -294,15 +293,14 @@ pub struct ModelArtifact {
 }
 
 impl ModelArtifact {
-    /// Opens and verifies an artifact file, preferring a zero-copy
-    /// mapping.
+    /// Reads and verifies an artifact file.
     ///
     /// # Errors
     ///
     /// I/O failures, CRC mismatch, version mismatch, or any structural
     /// damage — all typed, never a panic.
     pub fn read(path: &Path) -> Result<ModelArtifact, ModelError> {
-        ModelArtifact::parse(ArtifactBytes::open(path)?)
+        ModelArtifact::from_bytes(std::fs::read(path)?)
     }
 
     /// Verifies and parses an artifact already in memory.
@@ -311,10 +309,6 @@ impl ModelArtifact {
     ///
     /// Same contract as [`ModelArtifact::read`], minus I/O.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<ModelArtifact, ModelError> {
-        ModelArtifact::parse(ArtifactBytes::from_vec(bytes))
-    }
-
-    fn parse(bytes: ArtifactBytes) -> Result<ModelArtifact, ModelError> {
         // CRC first: nothing else is interpreted until the whole file
         // checks out.
         if bytes.len() < HEADER_LEN + 4 {
@@ -426,12 +420,6 @@ impl ModelArtifact {
     #[must_use]
     pub fn tensor_infos(&self) -> &[TensorInfo] {
         &self.tensors
-    }
-
-    /// Whether the backing bytes are a zero-copy mapping.
-    #[must_use]
-    pub fn is_mapped(&self) -> bool {
-        self.bytes.is_mapped()
     }
 
     /// Total artifact size in bytes (header + metadata + data + CRC).
@@ -600,15 +588,13 @@ mod tests {
     }
 
     #[test]
-    fn file_round_trip_is_mapped() {
+    fn file_round_trip_matches_in_memory_parse() {
         let dir = std::env::temp_dir().join("aero_model_format");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.amdl");
         let b = sample_builder();
         b.write(&path).unwrap();
         let art = ModelArtifact::read(&path).unwrap();
-        #[cfg(target_os = "linux")]
-        assert!(art.is_mapped());
         assert_eq!(
             art.tensor("dense").unwrap(),
             ModelArtifact::from_bytes(b.to_bytes()).unwrap().tensor("dense").unwrap()

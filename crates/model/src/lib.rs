@@ -4,8 +4,8 @@
 //! `aerodiffusion`'s directory-of-blobs format: one CRC-protected binary
 //! file ([`format`]) holding a whole pipeline — metadata, vocabulary,
 //! configuration, and every weight tensor, stored dense (`f32`) or
-//! block-quantized (`q8`, ~28% of the dense size) — loaded zero-copy via
-//! `mmap` ([`mmap`]) and organised into named, versioned registries
+//! block-quantized (`q8`, ~28% of the dense size) — and organised into
+//! named, versioned registries
 //! ([`registry`]) that the serving runtime hot-swaps between.
 //!
 //! The pipeline-level entry points live in [`export`]:
@@ -22,7 +22,6 @@
 
 pub mod export;
 pub mod format;
-pub mod mmap;
 pub mod registry;
 
 pub use export::{
@@ -30,7 +29,6 @@ pub use export::{
     QualityDelta, QuantReport, Quantization,
 };
 pub use format::{ArtifactBuilder, DType, ModelArtifact, TensorInfo, DATA_ALIGN};
-pub use mmap::ArtifactBytes;
 pub use registry::{IntegrityState, ModelRegistry, RegistryEntry};
 
 use std::error::Error;

@@ -54,7 +54,6 @@ fn f32_artifact_round_trip_samples_byte_identically() {
     assert_eq!(first, fs::read(&path).unwrap(), "export must be deterministic");
 
     let artifact = ModelArtifact::read(&path).unwrap();
-    assert!(artifact.is_mapped(), "file load should take the mmap path");
     let reloaded = snapshot_from_artifact(&artifact).unwrap();
 
     // The rebuilt snapshot carries the exact weight bits…
@@ -283,5 +282,25 @@ fn misfit_artifacts_fail_typed_before_any_model_exists() {
             );
         }
         other => panic!("a model that cannot run must fail typed, got {other:?}"),
+    }
+
+    // A 15-wide embedding: the attention constructors assert that their
+    // heads divide it, so the model cannot even be built.
+    let odd_width = rebuilt(
+        &snapshot,
+        |key, value| {
+            if key == "aero.config" {
+                value.replace("vision.embed_dim=16", "vision.embed_dim=15")
+            } else {
+                value.to_string()
+            }
+        },
+        keep_tensor,
+    );
+    match snapshot_from_artifact(&odd_width) {
+        Err(ModelError::Meta(detail)) => {
+            assert!(detail.contains("AD0001") && detail.contains("pipeline.assemble"), "{detail}");
+        }
+        other => panic!("a model that cannot be built must fail typed, got {other:?}"),
     }
 }

@@ -263,18 +263,6 @@ impl Var {
         *self.inner.grad() = None;
     }
 
-    /// Overwrites the accumulated gradient (used by gradient clipping:
-    /// the training guard rescales stored gradients in place before the
-    /// optimizer consumes them).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the gradient's shape differs from the value's shape.
-    pub fn set_grad(&self, grad: Tensor) {
-        assert_eq!(self.value().shape(), grad.shape(), "set_grad must preserve shape");
-        *self.inner.grad() = Some(grad);
-    }
-
     /// Overwrites the value of a leaf (used by optimizers).
     ///
     /// # Panics

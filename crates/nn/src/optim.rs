@@ -54,7 +54,15 @@ impl AdamState {
     }
 }
 
-/// Adam optimizer with optional decoupled weight decay.
+/// Exponential-decay rate of the first-moment estimate.
+const BETA1: f32 = 0.9;
+/// Exponential-decay rate of the second-moment estimate.
+const BETA2: f32 = 0.999;
+/// Denominator floor of the update.
+const EPS: f32 = 1e-8;
+
+/// Adam optimizer (betas `(0.9, 0.999)`) with optional decoupled weight
+/// decay.
 ///
 /// # Example
 ///
@@ -75,9 +83,6 @@ impl AdamState {
 pub struct Adam {
     params: Vec<Var>,
     lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
     weight_decay: f32,
     step: u64,
     m: Vec<Tensor>,
@@ -85,11 +90,11 @@ pub struct Adam {
 }
 
 impl Adam {
-    /// Creates Adam with default betas `(0.9, 0.999)` and no weight decay.
+    /// Creates Adam with no weight decay.
     pub fn new(params: Vec<Var>, lr: f32) -> Self {
         let m = params.iter().map(|p| Tensor::zeros(&p.shape())).collect();
         let v = params.iter().map(|p| Tensor::zeros(&p.shape())).collect();
-        Adam { params, lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, weight_decay: 0.0, step: 0, m, v }
+        Adam { params, lr, weight_decay: 0.0, step: 0, m, v }
     }
 
     /// Sets decoupled weight decay (the paper uses `1e-5`).
@@ -98,50 +103,31 @@ impl Adam {
         self
     }
 
-    /// Sets the exponential-decay rates for the moment estimates.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
-
-    /// The current learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    /// Updates the learning rate (for warmup/decay schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
     /// Applies one update using the gradients currently stored on the
     /// parameters. Parameters without a gradient are skipped.
     pub fn step(&mut self) {
         self.step += 1;
         let t = self.step as f32;
-        let bc1 = 1.0 - self.beta1.powf(t);
-        let bc2 = 1.0 - self.beta2.powf(t);
+        let bc1 = 1.0 - BETA1.powf(t);
+        let bc2 = 1.0 - BETA2.powf(t);
         for (i, p) in self.params.iter().enumerate() {
             let Some(grad) = p.grad() else { continue };
             let m = &mut self.m[i];
             let v = &mut self.v[i];
-            let (b1, b2) = (self.beta1, self.beta2);
             for ((mv, vv), g) in
                 m.as_mut_slice().iter_mut().zip(v.as_mut_slice().iter_mut()).zip(grad.as_slice())
             {
-                *mv = b1 * *mv + (1.0 - b1) * g;
-                *vv = b2 * *vv + (1.0 - b2) * g * g;
+                *mv = BETA1 * *mv + (1.0 - BETA1) * g;
+                *vv = BETA2 * *vv + (1.0 - BETA2) * g * g;
             }
             let mut value = p.to_tensor();
             let lr = self.lr;
-            let eps = self.eps;
             let wd = self.weight_decay;
             for ((x, mv), vv) in value.as_mut_slice().iter_mut().zip(m.as_slice()).zip(v.as_slice())
             {
                 let mhat = mv / bc1;
                 let vhat = vv / bc2;
-                *x -= lr * (mhat / (vhat.sqrt() + eps) + wd * *x);
+                *x -= lr * (mhat / (vhat.sqrt() + EPS) + wd * *x);
             }
             p.assign(value);
         }
@@ -154,7 +140,8 @@ impl Adam {
         }
     }
 
-    /// The parameters this optimizer updates, in registration order.
+    /// The parameters this optimizer updates, in registration order
+    /// (what a training checkpoint saves and restores).
     pub fn params(&self) -> &[Var] {
         &self.params
     }
@@ -238,14 +225,6 @@ mod tests {
             opt.step();
         }
         assert!(p.value().item() < 10.0, "weight decay should shrink p");
-    }
-
-    #[test]
-    fn lr_schedule_is_settable() {
-        let p = Var::parameter(Tensor::zeros(&[1]));
-        let mut opt = Adam::new(vec![p], 0.1);
-        opt.set_lr(0.05);
-        assert_eq!(opt.lr(), 0.05);
     }
 
     /// The checkpoint contract: restoring exported state (through the

@@ -112,8 +112,6 @@ pub struct ServeConfig {
     pub steps: usize,
     /// Default guidance scale (requests may override per call).
     pub guidance_scale: f32,
-    /// Seed of the reference scene used as the conditioning exemplar.
-    pub reference_seed: u64,
     /// Total worker respawns the supervisor may perform over the
     /// runtime's life before it stops replacing dead workers.
     pub max_worker_restarts: usize,
@@ -138,7 +136,6 @@ impl ServeConfig {
             cache_capacity: 64,
             steps: config.diffusion.ddim_steps,
             guidance_scale: config.diffusion.guidance_scale,
-            reference_seed: 0,
             max_worker_restarts: 4,
             admission: AdmissionConfig::default(),
             stream_previews: false,
@@ -218,6 +215,9 @@ impl ResponseHandle {
     }
 }
 
+/// Seed of the reference scene every installed model conditions on.
+const REFERENCE_SEED: u64 = 0;
+
 /// The model every worker serves: the snapshot's shared pipeline plus
 /// the conditioning exemplar and fixed caption G derived from it, built
 /// once per install rather than once per worker.
@@ -235,12 +235,12 @@ struct ServedModel {
 impl ServedModel {
     /// Runs on the thread that starts the runtime or swaps the model,
     /// never on a worker.
-    fn from_snapshot(snapshot: PipelineSnapshot, reference_seed: u64) -> ServedModel {
+    fn from_snapshot(snapshot: PipelineSnapshot) -> ServedModel {
         let pipeline = snapshot.pipeline();
         let reference = build_dataset(&DatasetConfig {
             n_scenes: 1,
             image_size: pipeline.config().vision.image_size,
-            seed: reference_seed,
+            seed: REFERENCE_SEED,
             generator: SceneGeneratorConfig::default(),
         });
         let item = reference.items.into_iter().next().expect("a one-scene dataset has an item");
@@ -331,8 +331,6 @@ pub struct ServeRuntime {
     active_model: Mutex<Option<(String, u32)>>,
     next_ordinal: AtomicU64,
     next_swap_ordinal: AtomicU64,
-    /// Seed of the conditioning exemplar every installed model derives.
-    reference_seed: u64,
     supervisor: JoinHandle<()>,
 }
 
@@ -365,8 +363,7 @@ impl ServeRuntime {
     ) -> Self {
         assert!(config.workers > 0, "serve runtime needs at least one worker");
         assert!(config.max_batch > 0, "max_batch must be positive");
-        let slot =
-            Arc::new(ModelSlot::new(ServedModel::from_snapshot(snapshot, config.reference_seed)));
+        let slot = Arc::new(ModelSlot::new(ServedModel::from_snapshot(snapshot)));
         let queue = Arc::new(RequestQueue::new(config.queue_capacity));
         let stats = Arc::new(StatsCollector::new());
         let shared = PoolShared {
@@ -394,7 +391,6 @@ impl ServeRuntime {
             active_model: Mutex::new(None),
             next_ordinal: AtomicU64::new(0),
             next_swap_ordinal: AtomicU64::new(0),
-            reference_seed: config.reference_seed,
             supervisor,
         }
     }
@@ -521,8 +517,7 @@ impl ServeRuntime {
     /// by a batch still in flight — never answer for the new model; they
     /// age out of the LRU.
     pub fn swap_snapshot(&self, snapshot: PipelineSnapshot) -> u64 {
-        let generation =
-            self.slot.install(ServedModel::from_snapshot(snapshot, self.reference_seed));
+        let generation = self.slot.install(ServedModel::from_snapshot(snapshot));
         aero_obs::counter!("serve.swap.count").inc();
         aero_obs::gauge!("serve.swap.generation").set(generation as f64);
         generation

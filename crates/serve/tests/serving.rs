@@ -592,17 +592,30 @@ fn misfit_artifact_swap_fails_typed_and_the_old_model_keeps_serving() {
         |_, t| t,
     );
     registry.publish("odd", &odd_size).unwrap();
+    // A 15-wide embedding, which the attention constructors assert on: no
+    // model can be built from it.
+    let odd_width = rebuilt_artifact(
+        |key, value| {
+            if key == "aero.config" {
+                value.replace("vision.embed_dim=16", "vision.embed_dim=15")
+            } else {
+                value.to_string()
+            }
+        },
+        |_, t| t,
+    );
+    registry.publish("narrow", &odd_width).unwrap();
     runtime.set_registry(registry, None);
 
     // Each artifact passes its CRC but cannot give a model that runs: the
     // swap fails typed and nothing reaches the slot.
-    for name in ["bad", "odd"] {
+    for name in ["bad", "odd", "narrow"] {
         let err = runtime.swap_from_registry(name, None).unwrap_err();
         assert!(
             matches!(
                 (name, &err),
                 ("bad", aero_model::ModelError::Corrupt { .. })
-                    | ("odd", aero_model::ModelError::Meta(_))
+                    | ("odd" | "narrow", aero_model::ModelError::Meta(_))
             ),
             "the {name} artifact must fail typed, got {err:?}"
         );

@@ -181,7 +181,6 @@ fn main() -> ExitCode {
                  \n         [--inject-panic-at N[,N…]] [--inject-worker-kill-at N[,N…]]\n\
                  \n  info   <dir>\n\
                  \n  lint   [--scale smoke|small|paper] [--all] [--source-root DIR]\n\
-                 \n         [--baseline FILE | --write-baseline FILE]\n\
                  \n  model  export <dir> <out.amdl> [--q8] [--scale …]\n\
                  \n                [--registry DIR --name NAME] [--quality-scenes N]\n\
                  \n  model  inspect <artifact.amdl>\n\
@@ -656,36 +655,17 @@ fn cmd_lint(args: &[String]) -> Result<(), Box<dyn Error>> {
         failed |= !report.is_clean();
     }
     if args.iter().any(|a| a == "--all") {
-        // Config-independent: the checkpoint/persistence integrity
-        // machinery (CRC32, manifest round-trip, version gating).
-        let report = aerodiffusion::lint_checkpoint();
-        println!("== checkpoint ==");
-        print!("{}", report.render());
-        failed |= !report.is_clean();
         // Source-level: all six token-level passes over the workspace
         // tree (AD0111 fallible kernels on serving paths, AD0112 backend
         // dispatch, AD0200 lock order, AD0201 atomics, AD0202
         // determinism, AD0203 worker panics). A no-op away from a
-        // checkout.
+        // checkout. Any finding fails, warnings included; an accepted
+        // one carries its inline `// lint: …-ok(reason)` annotation.
         let source_root = parse_flag(args, "--source-root").unwrap_or_else(|| ".".to_string());
         let report = aerodiffusion::lint_source_all(std::path::Path::new(&source_root));
         println!("== source ==");
-        if let Some(path) = parse_flag(args, "--write-baseline") {
-            let baseline = aerodiffusion::Baseline::from_report(&report);
-            std::fs::write(&path, baseline.render())?;
-            println!("wrote {} accepted finding(s) to {path}", baseline.len());
-        } else if let Some(path) = parse_flag(args, "--baseline") {
-            // Diff mode: accepted findings don't block, anything new does
-            // — warnings included, which is what makes the warning-level
-            // passes enforceable at all.
-            let baseline = aerodiffusion::Baseline::parse(&std::fs::read_to_string(&path)?);
-            let diff = baseline.diff(&report);
-            print!("{}", diff.render());
-            failed |= !diff.is_clean();
-        } else {
-            print!("{}", report.render());
-            failed |= !report.is_clean();
-        }
+        print!("{}", report.render());
+        failed |= !report.diagnostics().is_empty();
     }
     if failed {
         return Err("lint found errors".into());
@@ -775,11 +755,7 @@ fn cmd_model_export(args: &[String]) -> Result<(), Box<dyn Error>> {
 fn cmd_model_inspect(args: &[String]) -> Result<(), Box<dyn Error>> {
     let path = args.first().ok_or("model inspect requires an artifact path")?;
     let artifact = ModelArtifact::read(std::path::Path::new(path))?;
-    println!(
-        "{path}: {} bytes, checksum verified, {}",
-        artifact.file_len(),
-        if artifact.is_mapped() { "memory-mapped" } else { "buffered read" }
-    );
+    println!("{path}: {} bytes, checksum verified", artifact.file_len());
     println!("metadata:");
     for (key, value) in artifact.kv() {
         let shown = if value.len() > 64 {

@@ -10,12 +10,13 @@
 #                      run once (one text encode, one unguided DDIM step
 #                      at batch 1 and at the serve default max batch 8,
 #                      one decode) with every output shape checked, and
-#                      the token-level source passes (AD01xx/AD02xx)
-#                      gated against the committed diagnostics baseline:
-#                      any finding not in tools/lint_baseline.txt fails
-#                      (the `lint` CLI subcommand); plus a lock-order
-#                      smoke that plants a deliberate AD0200 cycle in a
-#                      temp workspace and asserts the analyzer trips
+#                      the token-level source passes (AD01xx/AD02xx),
+#                      where any finding fails, warnings included (the
+#                      `lint` CLI subcommand; an accepted finding carries
+#                      an inline `// lint: …-ok(reason)` annotation);
+#                      plus a lock-order smoke that plants a deliberate
+#                      AD0200 cycle in a temp workspace and asserts the
+#                      analyzer trips
 #   5. serve smoke   — two NDJSON requests piped through `serve --demo`,
 #                      asserting image replies plus the stats and
 #                      metrics probes; the same with one worker per core,
@@ -107,13 +108,12 @@ cargo test --offline --workspace -q
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
-echo "== model run + source lint (baseline-gated) =="
-cargo run --offline -q -p aerodiffusion-suite --bin aerodiffusion_cli -- \
-  lint --all --baseline tools/lint_baseline.txt
+echo "== model run + source lint (any finding fails) =="
+cargo run --offline -q -p aerodiffusion-suite --bin aerodiffusion_cli -- lint --all
 
 echo "== lock-order smoke: a planted AD0200 cycle must fail the gate =="
 # Two functions taking the same two locks in opposite orders; the
-# analyzer must refuse even though the baseline is supplied.
+# analyzer must refuse them.
 mkdir -p "$work/lockcycle/crates/demo/src"
 cat > "$work/lockcycle/crates/demo/src/lib.rs" <<'EOF'
 fn forward(s: &Shared) {
@@ -129,8 +129,7 @@ fn backward(s: &Shared) {
 }
 EOF
 if cycle_out="$(cargo run --offline -q -p aerodiffusion-suite --bin aerodiffusion_cli -- \
-  lint --all --baseline tools/lint_baseline.txt \
-  --source-root "$work/lockcycle" 2>&1)"; then
+  lint --all --source-root "$work/lockcycle" 2>&1)"; then
   echo "lock-order smoke: planted cycle was not rejected"; exit 1
 fi
 echo "$cycle_out" | grep -q 'AD0200' \
