@@ -1,26 +1,26 @@
-//! Model-artifact benchmark: f32 vs q8 single-file artifacts against the
-//! multi-file directory loader.
+//! Model-artifact benchmark: f32 vs q8 artifact imports against loading
+//! a saved model directory.
 //!
 //! One smoke pipeline is trained once, then measured along three axes:
 //!
-//! - **size** — the f32 and q8 `.amdl` artifacts versus the directory
-//!   save, plus the q8/f32 payload ratio the quantizer achieves on the
-//!   real model;
+//! - **size** — the f32 and q8 `.amdl` artifacts versus the saved model
+//!   directory, plus the q8/f32 payload ratio the quantizer achieves on
+//!   the real model;
 //! - **cold-start** — time from bytes-on-disk to a sample-ready
 //!   pipeline: artifact read (file read + CRC), building the model from the
-//!   artifact's tensors (`snapshot_from_artifact`) and taking it
-//!   (`hydrate`), versus [`AeroDiffusionPipeline::load`] over the
-//!   directory format;
+//!   artifact's tensors (`snapshot_from_artifact`, which also runs it
+//!   once) and taking it (`hydrate`), versus [`aero_model::load`] of the
+//!   saved directory for its preset (no check run);
 //! - **fidelity** — the q8 per-layer quantization-error envelope, and a
 //!   byte-compare proving the f32 artifact round trip is lossless
-//!   end-to-end (same sample bytes as the directory loader).
+//!   end-to-end (same sample bytes as the loaded directory).
 //!
 //! `BENCH_MODEL_SMOKE=1` drops the repetition count so CI can use this as
 //! a liveness gate; the invariants (q8 smaller than f32, f32 byte-lossless,
 //! every load path producing the same image) are asserted at every scale.
 //! Writes `BENCH_model.json` to the working directory.
 
-use aero_model::{snapshot_from_artifact, write_snapshot, ModelArtifact, Quantization};
+use aero_model::{load, save, snapshot_from_artifact, write_snapshot, ModelArtifact, Quantization};
 use aero_scene::{build_dataset, DatasetConfig, SceneGeneratorConfig};
 use aero_serve::Json;
 use aerodiffusion::{AeroDiffusionPipeline, PipelineConfig};
@@ -82,7 +82,7 @@ fn main() {
     let _ = std::fs::remove_dir_all(&work);
     std::fs::create_dir_all(&work).expect("create bench workdir");
     let model_dir = work.join("model");
-    pipeline.save(&model_dir).expect("directory save");
+    save(&pipeline, &model_dir).expect("directory save");
     let f32_path = work.join("model-f32.amdl");
     let q8_path = work.join("model-q8.amdl");
     let f32_report = write_snapshot(&snapshot, Quantization::F32, &f32_path).expect("f32 export");
@@ -108,9 +108,12 @@ fn main() {
     let q8_cold = median_secs(reps, || {
         let _ = hydrate(&q8_path);
     });
+    let load_dir = || {
+        let snap = load(&model_dir, PipelineConfig::smoke()).expect("directory load");
+        snap.hydrate().expect("hydrate")
+    };
     let dir_cold = median_secs(reps, || {
-        let _ = AeroDiffusionPipeline::load(&model_dir, PipelineConfig::smoke())
-            .expect("directory load");
+        let _ = load_dir();
     });
     // Load-only (file read + CRC verify + header decode, no model built): the
     // part the artifact format itself is responsible for.
@@ -125,9 +128,7 @@ fn main() {
     // must be byte-lossless end to end.
     let from_f32 = sample_image(&hydrate(&f32_path));
     assert_eq!(from_f32, reference, "f32 artifact sample must be byte-identical");
-    let from_dir = sample_image(
-        &AeroDiffusionPipeline::load(&model_dir, PipelineConfig::smoke()).expect("directory load"),
-    );
+    let from_dir = sample_image(&load_dir());
     assert_eq!(from_dir, reference, "directory-loader sample must be byte-identical");
     let q8_sample = sample_image(&hydrate(&q8_path));
     assert_eq!(

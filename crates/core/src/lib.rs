@@ -26,7 +26,6 @@ pub mod ablation;
 pub mod condition;
 pub mod config;
 pub mod lint;
-pub mod persist;
 pub mod pipeline;
 pub mod region;
 pub mod snapshot;
@@ -35,15 +34,12 @@ pub mod task;
 pub mod viewpoint;
 
 pub use ablation::{AblationSpec, AblationVariant};
+pub use aero_text::llm::LlmProvider;
 pub use condition::ConditionNetwork;
 pub use config::PipelineConfig;
 pub use lint::{lint_backend_callsites, lint_config, lint_panicking_callsites, lint_source_all};
-pub use persist::{
-    parse_provider_tag, parse_variant_tag, provider_tag, variant_tag, PersistError, PipelineMeta,
-    PIPELINE_FORMAT_VERSION,
-};
 pub use pipeline::{AeroDiffusionPipeline, FitOptions, SampleRow};
 pub use region::RegionAugmenter;
-pub use snapshot::{PipelineSnapshot, MODULE_NAMES};
+pub use snapshot::{PipelineMeta, PipelineSnapshot, MODULE_NAMES};
 pub use substrate::SubstrateBundle;
 pub use task::{ConditionSource, TaskKind, TaskSpec};

@@ -157,8 +157,8 @@ pub fn catch_build<T>(build: impl FnOnce() -> T) -> Result<T, Report> {
 }
 
 /// Validates `config` by building its untrained skeleton under
-/// [`catch_build`], the way [`AeroDiffusionPipeline::load`] builds one
-/// before it loads weights, and running [`check_pipeline`] on it at
+/// [`catch_build`], the way a model read from an artifact is built
+/// before its weights are loaded, and running [`check_pipeline`] on it at
 /// batch 1 and at `max_batch` (the most requests a server coalesces into
 /// one sampler call).
 #[must_use]

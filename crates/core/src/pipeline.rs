@@ -3,16 +3,15 @@
 use crate::ablation::AblationVariant;
 use crate::condition::{ConditionInputs, ConditionNetwork};
 use crate::config::PipelineConfig;
-use crate::persist::{vocab_from_words, PersistError, PipelineMeta};
-use crate::snapshot::MODULE_NAMES;
+use crate::snapshot::PipelineMeta;
 use crate::substrate::{caption_dataset, SubstrateBundle};
 use crate::task::{ConditionSource, TaskSpec};
 use aero_diffusion::{
     train_checkpointed, CancelSignal, CheckpointConfig, CondUnet, DdimSampler, DiffusionTrainer,
     LatentPin, SampleOptions, Sampler, StepSink, TrainPlan, TrainRun,
 };
+use aero_nn::artifact::{load_into_params, ModelError};
 use aero_nn::optim::Adam;
-use aero_nn::serialize::load_into_params;
 use aero_nn::{Module, Var};
 use aero_obs::span;
 use aero_scene::{AerialDataset, Annotation, DatasetItem, Image, ObjectClass};
@@ -20,7 +19,7 @@ use aero_tensor::Tensor;
 use aero_text::llm::{LlmProvider, SimulatedLlm};
 use aero_text::prompt::PromptTemplate;
 use aero_text::task::{task_caption, TaskCaption};
-use aero_text::tokenizer::Tokenizer;
+use aero_text::tokenizer::{Tokenizer, Vocabulary};
 use aero_vision::vae::LATENT_CHANNELS;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -112,9 +111,10 @@ impl AeroDiffusionPipeline {
         AeroDiffusionPipeline { config, bundle, condition, unet, trainer, provider, variant }
     }
 
-    /// Every weight-carrying module's parameters, in [`MODULE_NAMES`]
-    /// order.
-    pub(crate) fn modules(&self) -> [Vec<Var>; 5] {
+    /// Every weight-carrying module's parameters, in
+    /// [`MODULE_NAMES`](crate::MODULE_NAMES) order: what a saved model or
+    /// an export reads each weight tensor from through [`Var::value`].
+    pub fn module_params(&self) -> [Vec<Var>; 5] {
         [
             self.bundle.clip.params(),
             self.bundle.vae.params(),
@@ -151,7 +151,7 @@ impl AeroDiffusionPipeline {
         config: PipelineConfig,
         seed: u64,
         options: &FitOptions,
-    ) -> Result<(Self, TrainRun), crate::persist::PersistError> {
+    ) -> Result<(Self, TrainRun), ModelError> {
         assert!(!dataset.is_empty(), "cannot fit on an empty dataset");
         let mut rng = StdRng::seed_from_u64(seed);
         let prompt = options.variant.prompt();
@@ -175,7 +175,7 @@ impl AeroDiffusionPipeline {
         captions: &[String],
         rng: &mut StdRng,
         options: &FitOptions,
-    ) -> Result<TrainRun, crate::persist::PersistError> {
+    ) -> Result<TrainRun, ModelError> {
         // Precompute frozen quantities: latents, tokens, ROIs.
         let latents: Vec<Tensor> = dataset
             .iter()
@@ -610,92 +610,36 @@ impl AeroDiffusionPipeline {
         self.encode_task(&TaskSpec::text(item, &caption, &caption))
     }
 
-    /// Saves the trained pipeline to a directory (see [`crate::persist`]
-    /// for the layout).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn save<P: AsRef<std::path::Path>>(&self, dir: P) -> Result<(), PersistError> {
-        use crate::persist;
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        persist::write_vocab(self.bundle.tokenizer.vocab(), &dir.join("vocab.txt"))?;
-        persist::write_meta(&self.meta(), &dir.join("meta.txt"))?;
-        aero_nn::integrity::write_atomic(
-            &dir.join("config.txt"),
-            persist::config_fingerprint(&self.config).as_bytes(),
-        )?;
-        for (name, params) in MODULE_NAMES.iter().zip(self.modules()) {
-            persist::save_module(&params, &dir.join(format!("{name}.aero")))?;
-        }
-        // Written last: the manifest only ever describes a complete save.
-        persist::write_manifest(dir)?;
-        Ok(())
-    }
-
-    /// Loads a pipeline saved by [`AeroDiffusionPipeline::save`]. The
-    /// provided `config` must match the training configuration.
-    ///
-    /// # Errors
-    ///
-    /// Fails on I/O errors, malformed metadata, a configuration
-    /// fingerprint mismatch, or weight/shape mismatches.
-    pub fn load<P: AsRef<std::path::Path>>(
-        dir: P,
-        config: PipelineConfig,
-    ) -> Result<Self, PersistError> {
-        use crate::persist;
-        let dir = dir.as_ref();
-        // Integrity first: a bit flip anywhere fails typed before any
-        // blob is decoded. Directories without a manifest are legacy
-        // saves and load unchecked.
-        persist::verify_manifest(dir)?;
-        let fingerprint = std::fs::read_to_string(dir.join("config.txt"))?;
-        if fingerprint != persist::config_fingerprint(&config) {
-            return Err(PersistError::Meta(format!(
-                "config fingerprint mismatch: saved {fingerprint}, requested {}",
-                persist::config_fingerprint(&config)
-            )));
-        }
-        let meta = persist::read_meta(&dir.join("meta.txt"))?;
-        let vocab = persist::read_vocab(dir)?;
-        let mut modules: [Vec<Tensor>; 5] = Default::default();
-        for (tensors, name) in modules.iter_mut().zip(MODULE_NAMES) {
-            *tensors = persist::read_module(&dir.join(format!("{name}.aero")))?;
-        }
-        Self::from_weights(config, &meta, &vocab, modules)
-    }
-
     /// Builds a trained pipeline from its parts: the untrained skeleton
     /// for `config` around the rebuilt vocabulary, then each module's
-    /// weights in [`MODULE_NAMES`] order and the latent scale. The one
-    /// constructor behind `load`, `snapshot` and model artifacts.
+    /// weights in [`MODULE_NAMES`](crate::MODULE_NAMES) order and the
+    /// latent scale. The one constructor behind `snapshot` and every saved
+    /// or exported model.
     ///
     /// # Errors
     ///
-    /// [`PersistError::Meta`] if the vocabulary does not rebuild with the
-    /// same ids, [`PersistError::Weights`] if a module's tensors do not
-    /// fit its parameters in number or shape.
+    /// [`ModelError::Meta`] if the vocabulary does not rebuild with the
+    /// same ids, [`ModelError::Corrupt`] if a module's tensors do not fit
+    /// its parameters in number or shape.
     pub(crate) fn from_weights<S: AsRef<str>>(
         config: PipelineConfig,
         meta: &PipelineMeta,
         vocab: &[S],
         modules: [Vec<Tensor>; 5],
-    ) -> Result<Self, PersistError> {
+    ) -> Result<Self, ModelError> {
         let tokenizer = Tokenizer::new(vocab_from_words(vocab)?, meta.max_len);
         let bundle = SubstrateBundle::new_untrained(tokenizer, &config, 0);
         let mut rng = StdRng::seed_from_u64(0);
         let mut pipeline = Self::assemble(config, bundle, meta.provider, meta.variant, &mut rng);
-        for (params, tensors) in pipeline.modules().iter().zip(modules) {
+        for (params, tensors) in pipeline.module_params().iter().zip(modules) {
             load_into_params(params, tensors)?;
         }
         pipeline.bundle.vae.set_latent_scale(meta.latent_scale);
         Ok(pipeline)
     }
 
-    /// The dataset-independent state a save or a snapshot carries.
-    pub(crate) fn meta(&self) -> PipelineMeta {
+    /// The dataset-independent state a saved model or a snapshot carries.
+    pub fn meta(&self) -> PipelineMeta {
         PipelineMeta {
             max_len: self.bundle.tokenizer.max_len(),
             latent_scale: self.bundle.vae.latent_scale(),
@@ -704,10 +648,45 @@ impl AeroDiffusionPipeline {
         }
     }
 
+    /// The vocabulary words in id order.
+    pub fn vocab_words(&self) -> Vec<&str> {
+        let vocab = self.bundle.tokenizer.vocab();
+        (0..vocab.len()).map(|id| vocab.word(id)).collect()
+    }
+
     /// The prompt template in use.
     pub fn prompt(&self) -> PromptTemplate {
         self.variant.prompt()
     }
+}
+
+/// Rebuilds a [`Vocabulary`] with identical ids from its word list: the
+/// non-special words are fed with descending artificial frequency so
+/// `Vocabulary::build` preserves order.
+fn vocab_from_words<S: AsRef<str>>(words: &[S]) -> Result<Vocabulary, ModelError> {
+    if words.len() < 4 {
+        return Err(ModelError::Meta("vocabulary too short".into()));
+    }
+    let mut corpus = String::new();
+    let content = &words[4..];
+    for (i, w) in content.iter().enumerate() {
+        for _ in 0..(content.len() - i) {
+            corpus.push_str(w.as_ref());
+            corpus.push(' ');
+        }
+    }
+    let vocab = Vocabulary::build([corpus.as_str()], 1);
+    // sanity: ids must round-trip
+    for (i, w) in words.iter().enumerate() {
+        if vocab.word(i) != w.as_ref() {
+            return Err(ModelError::Meta(format!(
+                "vocabulary order not reproducible at id {i}: {:?} vs {:?}",
+                w.as_ref(),
+                vocab.word(i)
+            )));
+        }
+    }
+    Ok(vocab)
 }
 
 #[cfg(test)]
@@ -768,26 +747,14 @@ mod tests {
     }
 
     #[test]
-    fn save_writes_manifest_and_load_rejects_bit_flips() {
-        let ds = tiny_dataset(4);
-        let pipeline = AeroDiffusionPipeline::fit(&ds, PipelineConfig::smoke(), 8);
-        let dir = std::env::temp_dir().join("aero_pipeline_manifest_e2e");
-        let _ = std::fs::remove_dir_all(&dir);
-        pipeline.save(&dir).unwrap();
-        assert!(dir.join("manifest.txt").exists());
-        AeroDiffusionPipeline::load(&dir, PipelineConfig::smoke()).unwrap();
-
-        let path = dir.join("unet.aero");
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x20;
-        std::fs::write(&path, bytes).unwrap();
-        match AeroDiffusionPipeline::load(&dir, PipelineConfig::smoke()) {
-            Err(crate::persist::PersistError::Corrupt { file, .. }) => {
-                assert_eq!(file, "unet.aero");
-            }
-            other => panic!("expected Corrupt for flipped unet.aero, got {other:?}"),
+    fn vocabulary_rebuilds_with_identical_ids() {
+        let vocab = Vocabulary::build(["the car drives past the tree on the road"], 1);
+        let words: Vec<&str> = (0..vocab.len()).map(|id| vocab.word(id)).collect();
+        let rebuilt = vocab_from_words(&words).unwrap();
+        for id in 0..vocab.len() {
+            assert_eq!(rebuilt.word(id), vocab.word(id), "id {id}");
         }
+        assert!(matches!(vocab_from_words(&words[..3]), Err(ModelError::Meta(_))));
     }
 
     #[test]

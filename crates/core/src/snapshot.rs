@@ -13,14 +13,27 @@
 
 use crate::ablation::AblationVariant;
 use crate::config::PipelineConfig;
-use crate::persist::{PersistError, PipelineMeta};
 use crate::pipeline::AeroDiffusionPipeline;
+use aero_nn::artifact::ModelError;
 use aero_nn::Var;
 use aero_tensor::parallel::{self, ParallelConfig};
 use aero_tensor::Tensor;
 use aero_text::llm::LlmProvider;
-use aero_text::tokenizer::Vocabulary;
 use std::sync::Arc;
+
+/// The dataset-independent state a trained pipeline carries besides its
+/// configuration, vocabulary and weights.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PipelineMeta {
+    /// Token sequence length.
+    pub max_len: usize,
+    /// VAE latent scale.
+    pub latent_scale: f32,
+    /// Caption provider.
+    pub provider: LlmProvider,
+    /// Ablation variant.
+    pub variant: AblationVariant,
+}
 
 /// A thread-safe, shared, read-only trained pipeline.
 ///
@@ -37,14 +50,9 @@ pub struct PipelineSnapshot {
 }
 
 /// The five weight-carrying modules of a pipeline, in the order
-/// [`PipelineSnapshot::module_params`] yields them and
+/// [`AeroDiffusionPipeline::module_params`] yields them and
 /// [`PipelineSnapshot::from_weights`] expects them.
 pub const MODULE_NAMES: [&str; 5] = ["clip", "vae", "detector", "condition", "unet"];
-
-/// A vocabulary's words in id order.
-fn words_of(vocab: &Vocabulary) -> Vec<&str> {
-    (0..vocab.len()).map(|id| vocab.word(id)).collect()
-}
 
 impl PipelineSnapshot {
     /// Builds a snapshot from a trained pipeline's parts — the
@@ -53,16 +61,16 @@ impl PipelineSnapshot {
     ///
     /// # Errors
     ///
-    /// [`PersistError::Meta`] if the vocabulary does not rebuild with the
-    /// same ids, [`PersistError::Weights`] if a module's tensors do not
-    /// fit its parameters in number or shape.
+    /// [`ModelError::Meta`] if the vocabulary does not rebuild with the
+    /// same ids, [`ModelError::Corrupt`] if a module's tensors do not fit
+    /// its parameters in number or shape.
     pub fn from_weights<S: AsRef<str>>(
         config: PipelineConfig,
         meta: &PipelineMeta,
         parallel: ParallelConfig,
         vocab: &[S],
         modules: [Vec<Tensor>; 5],
-    ) -> Result<PipelineSnapshot, PersistError> {
+    ) -> Result<PipelineSnapshot, ModelError> {
         let pipeline = AeroDiffusionPipeline::from_weights(config, meta, vocab, modules)?;
         Ok(PipelineSnapshot { pipeline: Arc::new(pipeline), parallel })
     }
@@ -70,24 +78,6 @@ impl PipelineSnapshot {
     /// The configuration the snapshot was trained with.
     pub fn config(&self) -> &PipelineConfig {
         self.pipeline.config()
-    }
-
-    /// The dataset-independent metadata the snapshot carries.
-    pub fn meta(&self) -> PipelineMeta {
-        self.pipeline.meta()
-    }
-
-    /// The vocabulary words in id order.
-    pub fn vocab_words(&self) -> Vec<&str> {
-        words_of(self.pipeline.bundle.tokenizer.vocab())
-    }
-
-    /// Every module's parameters in [`MODULE_NAMES`] order: the
-    /// model-artifact export path reads each weight tensor through
-    /// [`Var::value`]. The parameters are the snapshot's own, shared by
-    /// every clone of it.
-    pub fn module_params(&self) -> [Vec<Var>; 5] {
-        self.pipeline.modules()
     }
 
     /// The ablation variant the snapshot was trained as.
@@ -127,7 +117,7 @@ impl PipelineSnapshot {
     ///
     /// None: nothing is decoded or copied. The `Result` is the signature
     /// the benchmark's layer prober (`aerobench_layers`) calls.
-    pub fn hydrate(&self) -> Result<Arc<AeroDiffusionPipeline>, PersistError> {
+    pub fn hydrate(&self) -> Result<Arc<AeroDiffusionPipeline>, ModelError> {
         parallel::adopt_thread_policy(self.parallel);
         Ok(Arc::clone(&self.pipeline))
     }
@@ -145,12 +135,13 @@ impl AeroDiffusionPipeline {
     /// Never for a pipeline built by this crate: its own vocabulary and
     /// weights always fit its own configuration.
     pub fn snapshot(&self) -> PipelineSnapshot {
-        let modules = self.modules().map(|params| params.iter().map(Var::to_tensor).collect());
+        let modules =
+            self.module_params().map(|params| params.iter().map(Var::to_tensor).collect());
         PipelineSnapshot::from_weights(
             self.config,
             &self.meta(),
             ParallelConfig::with_threads(parallel::active_threads()),
-            &words_of(self.bundle.tokenizer.vocab()),
+            &self.vocab_words(),
             modules,
         )
         .expect("a pipeline's own vocabulary and weights fit its configuration")
@@ -200,7 +191,7 @@ mod tests {
         });
         let pipeline = AeroDiffusionPipeline::fit(&ds, config, 17);
         let snapshot = pipeline.snapshot();
-        assert!(snapshot.module_params().iter().all(|params| !params.is_empty()));
+        assert!(snapshot.pipeline().module_params().iter().all(|params| !params.is_empty()));
 
         // Run the snapshot under a *different* kernel thread policy and
         // compute backend than the one the pipeline trained with: the
@@ -236,7 +227,7 @@ mod tests {
         let (ds, pipeline) = fitted(33, 19);
         let snapshot = pipeline.snapshot();
         let before = pipeline.generate(&ds.items[0], &mut StdRng::seed_from_u64(4));
-        for param in pipeline.modules().iter().flatten() {
+        for param in pipeline.module_params().iter().flatten() {
             param.assign(Tensor::zeros(&param.shape()));
         }
         let zeroed = pipeline.generate(&ds.items[0], &mut StdRng::seed_from_u64(4));

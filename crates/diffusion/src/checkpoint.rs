@@ -12,42 +12,42 @@
 //! - the training cursor: global step, epoch, position within the
 //!   epoch, and the epoch's shuffled batch order.
 //!
-//! Each checkpoint is a directory `step-<n>/` written under a tmp name
-//! and atomically renamed into place, carrying a `manifest.txt` with
-//! per-blob CRC32 checksums (see [`aero_nn::integrity`]). On resume the
-//! newest checkpoint that passes verification wins; corrupt or
-//! half-written ones are skipped, not trusted. Only the last
-//! [`CheckpointConfig::keep`] checkpoints are retained on disk.
+//! Each checkpoint is one container file `step-<n>.amdl` (see
+//! [`aero_nn::artifact`]) written atomically: tensors `param.<i>`,
+//! `adam.m.<i>` and `adam.v.<i>`, and the step counters, RNG words and
+//! batch order as key/value entries. On resume the newest checkpoint
+//! that passes its CRC and fits the optimizer wins; corrupt or
+//! misfitting ones are skipped, not trusted. Only the newest three
+//! checkpoints are retained on disk.
 
 use crate::trainer::optimizer_step;
-use aero_nn::integrity::{IntegrityError, Manifest};
+use aero_nn::artifact::{load_into_params, ArtifactBuilder, ModelArtifact, ModelError};
 use aero_nn::optim::{Adam, AdamState};
-use aero_nn::serialize::{decode_tensors, encode_params, load_into_params, LoadWeightsError};
 use aero_nn::Var;
+use aero_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::error::Error;
-use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
+
+/// How many checkpoints are retained; older ones are pruned.
+const KEEP: usize = 3;
 
 /// Where and how often to checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CheckpointConfig {
-    /// Directory holding the `step-<n>/` checkpoint subdirectories.
+    /// Directory holding the `step-<n>.amdl` checkpoint files.
     pub dir: PathBuf,
     /// Save every this many optimizer steps (0 disables periodic saves;
     /// a final checkpoint is still written when a run completes).
     pub every: u64,
-    /// How many checkpoints to retain; older ones are pruned.
-    pub keep: usize,
 }
 
 impl CheckpointConfig {
-    /// A config saving every `every` steps into `dir`, keeping 3.
+    /// A config saving every `every` steps into `dir`.
     #[must_use]
     pub fn new(dir: impl Into<PathBuf>, every: u64) -> Self {
-        CheckpointConfig { dir: dir.into(), every, keep: 3 }
+        CheckpointConfig { dir: dir.into(), every }
     }
 }
 
@@ -67,119 +67,31 @@ pub struct TrainCursor {
     pub rng: [u64; 4],
 }
 
-/// Error saving or loading a checkpoint.
-#[derive(Debug)]
-pub enum CheckpointError {
-    /// Underlying I/O failure.
-    Io(std::io::Error),
-    /// The manifest is missing/malformed, versioned wrong, or a blob
-    /// failed its checksum.
-    Integrity(IntegrityError),
-    /// A weight blob failed to decode or mismatched the parameters.
-    Weights(LoadWeightsError),
-    /// The cursor metadata (`state.txt`) is malformed.
-    Meta(String),
+fn join<T: ToString>(values: &[T]) -> String {
+    values.iter().map(ToString::to_string).collect::<Vec<_>>().join(",")
 }
 
-impl fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CheckpointError::Io(e) => write!(f, "checkpoint i/o failure: {e}"),
-            CheckpointError::Integrity(e) => write!(f, "checkpoint integrity failure: {e}"),
-            CheckpointError::Weights(e) => write!(f, "checkpoint weight failure: {e}"),
-            CheckpointError::Meta(d) => write!(f, "malformed checkpoint state: {d}"),
-        }
+/// A required key/value entry, parsed.
+fn entry<T: std::str::FromStr>(artifact: &ModelArtifact, key: &str) -> Result<T, ModelError> {
+    artifact
+        .value(key)
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| ModelError::Meta(format!("missing or malformed {key}")))
+}
+
+/// A required comma-separated list entry, parsed.
+fn list<T: std::str::FromStr>(artifact: &ModelArtifact, key: &str) -> Result<Vec<T>, ModelError> {
+    let malformed = || ModelError::Meta(format!("missing or malformed {key}"));
+    let text = artifact.value(key).ok_or_else(malformed)?;
+    if text.is_empty() {
+        return Ok(Vec::new());
     }
-}
-
-impl Error for CheckpointError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            CheckpointError::Io(e) => Some(e),
-            CheckpointError::Integrity(e) => Some(e),
-            CheckpointError::Weights(e) => Some(e),
-            CheckpointError::Meta(_) => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for CheckpointError {
-    fn from(e: std::io::Error) -> Self {
-        CheckpointError::Io(e)
-    }
-}
-
-impl From<IntegrityError> for CheckpointError {
-    fn from(e: IntegrityError) -> Self {
-        CheckpointError::Integrity(e)
-    }
-}
-
-impl From<LoadWeightsError> for CheckpointError {
-    fn from(e: LoadWeightsError) -> Self {
-        CheckpointError::Weights(e)
-    }
-}
-
-const BLOBS: [&str; 3] = ["params.aero", "adam.aero", "state.txt"];
-
-fn render_state(cursor: &TrainCursor, adam_step: u64) -> String {
-    let rng = cursor.rng.map(|w| w.to_string()).join(",");
-    let order = cursor.order.iter().map(ToString::to_string).collect::<Vec<_>>().join(",");
-    format!(
-        "step={}\nadam_step={adam_step}\nepoch={}\nbatch={}\nrng={rng}\norder={order}\n",
-        cursor.step, cursor.epoch, cursor.batch
-    )
-}
-
-fn parse_state(text: &str) -> Result<(TrainCursor, u64), CheckpointError> {
-    let mut step = None;
-    let mut adam_step = None;
-    let mut epoch = None;
-    let mut batch = None;
-    let mut rng = None;
-    let mut order = None;
-    for line in text.lines() {
-        let Some((k, v)) = line.split_once('=') else { continue };
-        match k {
-            "step" => step = v.parse().ok(),
-            "adam_step" => adam_step = v.parse().ok(),
-            "epoch" => epoch = v.parse().ok(),
-            "batch" => batch = v.parse().ok(),
-            "rng" => {
-                let words: Vec<u64> = v.split(',').filter_map(|w| w.parse().ok()).collect();
-                if words.len() == 4 {
-                    rng = Some([words[0], words[1], words[2], words[3]]);
-                }
-            }
-            "order" => {
-                if v.is_empty() {
-                    order = Some(Vec::new());
-                } else {
-                    let idx: Result<Vec<usize>, _> = v.split(',').map(str::parse).collect();
-                    order = idx.ok();
-                }
-            }
-            _ => {}
-        }
-    }
-    let missing = |what: &str| CheckpointError::Meta(format!("missing or malformed {what}"));
-    Ok((
-        TrainCursor {
-            step: step.ok_or_else(|| missing("step"))?,
-            epoch: epoch.ok_or_else(|| missing("epoch"))?,
-            batch: batch.ok_or_else(|| missing("batch"))?,
-            order: order.ok_or_else(|| missing("order"))?,
-            rng: rng.ok_or_else(|| missing("rng"))?,
-        },
-        adam_step.ok_or_else(|| missing("adam_step"))?,
-    ))
+    text.split(',').map(|v| v.parse().map_err(|_| malformed())).collect()
 }
 
 /// Saves one checkpoint of the parameters `opt` updates and of `opt`'s
-/// own state, atomically: blobs land in a tmp directory that is renamed
-/// to `step-<n>/` only once complete, then older checkpoints beyond
-/// [`CheckpointConfig::keep`] are pruned.
+/// own state as `step-<n>.amdl`, atomically, then prunes all but the
+/// newest three.
 ///
 /// # Errors
 ///
@@ -189,35 +101,39 @@ pub fn save_checkpoint(
     config: &CheckpointConfig,
     cursor: &TrainCursor,
     opt: &Adam,
-) -> Result<PathBuf, CheckpointError> {
+) -> Result<PathBuf, ModelError> {
     fs::create_dir_all(&config.dir)?;
-    let final_dir = config.dir.join(format!("step-{:08}", cursor.step));
-    let tmp_dir = config.dir.join(format!(".tmp-step-{:08}", cursor.step));
-    if tmp_dir.exists() {
-        fs::remove_dir_all(&tmp_dir)?;
-    }
-    fs::create_dir_all(&tmp_dir)?;
     let state = opt.export_state();
-    fs::write(tmp_dir.join("params.aero"), encode_params(opt.params()))?;
-    fs::write(tmp_dir.join("adam.aero"), state.moments_bytes())?;
-    fs::write(tmp_dir.join("state.txt"), render_state(cursor, state.step))?;
-    Manifest::for_files(&tmp_dir, &BLOBS)?.write(&tmp_dir)?;
-    if final_dir.exists() {
-        fs::remove_dir_all(&final_dir)?;
+    let mut builder = ArtifactBuilder::new();
+    builder.set("step", &cursor.step.to_string());
+    builder.set("adam.step", &state.step.to_string());
+    builder.set("epoch", &cursor.epoch.to_string());
+    builder.set("batch", &cursor.batch.to_string());
+    builder.set("rng", &join(&cursor.rng));
+    builder.set("order", &join(&cursor.order));
+    for (i, param) in opt.params().iter().enumerate() {
+        builder.add_f32(&format!("param.{i}"), &param.value());
     }
-    fs::rename(&tmp_dir, &final_dir)?;
-    prune(config)?;
+    for (i, (m, v)) in state.m.iter().zip(&state.v).enumerate() {
+        builder.add_f32(&format!("adam.m.{i}"), m);
+        builder.add_f32(&format!("adam.v.{i}"), v);
+    }
+    let path = config.dir.join(format!("step-{:08}.amdl", cursor.step));
+    builder.write(&path)?;
+    prune(&config.dir)?;
     aero_obs::counter!("train.checkpoint.saves").inc();
-    Ok(final_dir)
+    Ok(path)
 }
 
-/// All complete checkpoints under `dir`, as `(step, path)` ascending.
+/// All checkpoints under `dir`, as `(step, path)` ascending. Files that
+/// are not `step-<n>.amdl`, such as an interrupted write's `.tmp`, are
+/// ignored.
 ///
 /// # Errors
 ///
 /// Propagates I/O failures listing an existing directory; a missing
 /// directory is simply empty.
-pub fn list_checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>, CheckpointError> {
+pub fn list_checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>, ModelError> {
     let mut found = Vec::new();
     let entries = match fs::read_dir(dir) {
         Ok(entries) => entries,
@@ -227,8 +143,12 @@ pub fn list_checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>, CheckpointErr
     for entry in entries {
         let entry = entry?;
         let name = entry.file_name();
-        let Some(step) = name.to_str().and_then(|n| n.strip_prefix("step-")) else { continue };
-        if let Ok(step) = step.parse::<u64>() {
+        let step = name
+            .to_str()
+            .and_then(|n| n.strip_prefix("step-"))
+            .and_then(|n| n.strip_suffix(".amdl"))
+            .and_then(|n| n.parse::<u64>().ok());
+        if let Some(step) = step {
             found.push((step, entry.path()));
         }
     }
@@ -236,37 +156,57 @@ pub fn list_checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>, CheckpointErr
     Ok(found)
 }
 
-fn prune(config: &CheckpointConfig) -> Result<(), CheckpointError> {
-    let ckpts = list_checkpoints(&config.dir)?;
-    let keep = config.keep.max(1);
-    if ckpts.len() > keep {
-        for (_, path) in &ckpts[..ckpts.len() - keep] {
-            fs::remove_dir_all(path)?;
+fn prune(dir: &Path) -> Result<(), ModelError> {
+    let ckpts = list_checkpoints(dir)?;
+    if ckpts.len() > KEEP {
+        for (_, path) in &ckpts[..ckpts.len() - KEEP] {
+            fs::remove_file(path)?;
         }
     }
     Ok(())
 }
 
-/// Verifies and loads one checkpoint directory into `opt` and the
-/// parameters it updates.
+/// Verifies and loads one checkpoint file into `opt` and the parameters
+/// it updates.
 ///
-/// The manifest is checked first — version, then every blob's length and
-/// CRC32 — so a bit flip anywhere fails typed instead of loading a
-/// garbage model.
+/// The container's CRC is checked before anything is decoded, so a bit
+/// flip anywhere fails typed instead of loading a garbage model.
 ///
 /// # Errors
 ///
-/// [`CheckpointError::Integrity`] on checksum/version failures,
-/// [`CheckpointError::Weights`] on decode/shape mismatches,
-/// [`CheckpointError::Meta`] on malformed cursor metadata.
-pub fn load_checkpoint(dir: &Path, opt: &mut Adam) -> Result<TrainCursor, CheckpointError> {
-    let manifest = Manifest::read(dir)?;
-    manifest.verify_dir(dir)?;
-    let (cursor, adam_step) = parse_state(&fs::read_to_string(dir.join("state.txt"))?)?;
-    let param_tensors = decode_tensors(&fs::read(dir.join("params.aero"))?)?;
-    let adam_state = AdamState::from_moments_bytes(&fs::read(dir.join("adam.aero"))?, adam_step)?;
-    opt.restore_state(adam_state)?;
-    load_into_params(opt.params(), param_tensors)?;
+/// [`ModelError::Corrupt`] on a checksum failure or tensors that do not
+/// fit the optimizer, [`ModelError::Meta`] on malformed cursor entries,
+/// [`ModelError::Io`] on read failures.
+pub fn load_checkpoint(path: &Path, opt: &mut Adam) -> Result<TrainCursor, ModelError> {
+    let artifact = ModelArtifact::read(path)?;
+    let [r0, r1, r2, r3] = list::<u64>(&artifact, "rng")?[..] else {
+        return Err(ModelError::Meta("rng must hold four words".into()));
+    };
+    let cursor = TrainCursor {
+        step: entry(&artifact, "step")?,
+        epoch: entry(&artifact, "epoch")?,
+        batch: entry(&artifact, "batch")?,
+        order: list(&artifact, "order")?,
+        rng: [r0, r1, r2, r3],
+    };
+    let n = opt.params().len();
+    if artifact.tensor_infos().len() != 3 * n {
+        return Err(ModelError::corrupt(format!(
+            "{} tensors for {n} parameters",
+            artifact.tensor_infos().len()
+        )));
+    }
+    let tensors = |prefix: &str| -> Result<Vec<Tensor>, ModelError> {
+        (0..n).map(|i| artifact.tensor(&format!("{prefix}.{i}"))).collect()
+    };
+    let params = tensors("param")?;
+    let state = AdamState {
+        step: entry(&artifact, "adam.step")?,
+        m: tensors("adam.m")?,
+        v: tensors("adam.v")?,
+    };
+    opt.restore_state(state)?;
+    load_into_params(opt.params(), params)?;
     Ok(cursor)
 }
 
@@ -289,7 +229,7 @@ pub struct ResumeReport {
 /// Propagates I/O failures listing the directory; verification failures
 /// of individual checkpoints are *not* errors — they are skipped and
 /// counted.
-pub fn resume_latest(dir: &Path, opt: &mut Adam) -> Result<ResumeReport, CheckpointError> {
+pub fn resume_latest(dir: &Path, opt: &mut Adam) -> Result<ResumeReport, ModelError> {
     let mut ckpts = list_checkpoints(dir)?;
     ckpts.reverse();
     let mut skipped_corrupt = 0;
@@ -359,7 +299,7 @@ pub fn train_checkpointed<F>(
     rng: &mut StdRng,
     opt: &mut Adam,
     mut step_loss: F,
-) -> Result<TrainRun, CheckpointError>
+) -> Result<TrainRun, ModelError>
 where
     F: FnMut(&[usize], &mut StdRng) -> Var,
 {
@@ -431,4 +371,23 @@ where
         }
     }
     Ok(run)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn listing_ignores_interrupted_writes_and_other_files() {
+        let dir = std::env::temp_dir().join("aero_ckpt_listing");
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let names =
+            ["step-00000010.amdl", "step-00000002.amdl", "step-00000011.amdl.tmp", "step-x.amdl"];
+        for name in names.into_iter().chain(["notes.txt"]) {
+            fs::write(dir.join(name), b"").unwrap();
+        }
+        let steps: Vec<u64> = list_checkpoints(&dir).unwrap().iter().map(|(s, _)| *s).collect();
+        assert_eq!(steps, vec![2, 10]);
+    }
 }

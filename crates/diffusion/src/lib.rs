@@ -19,7 +19,7 @@ pub mod unet;
 
 pub use checkpoint::{
     list_checkpoints, load_checkpoint, resume_latest, save_checkpoint, train_checkpointed,
-    CheckpointConfig, CheckpointError, TrainCursor, TrainPlan, TrainRun,
+    CheckpointConfig, TrainCursor, TrainPlan, TrainRun,
 };
 pub use sampler::{
     CancelSignal, CancelToken, DdimSampler, DdpmSampler, LatentPin, NoiseSpec, SampleOptions,

@@ -119,13 +119,12 @@ fn corrupt_latest_checkpoint_falls_back_to_newest_valid() {
     let ckpts = list_checkpoints(&dir).unwrap();
     assert_eq!(ckpts.iter().map(|(s, _)| *s).collect::<Vec<_>>(), vec![2, 4]);
 
-    // Flip one bit in the newest checkpoint's weight blob.
+    // Flip one bit in the middle of the newest checkpoint file.
     let newest = &ckpts.last().unwrap().1;
-    let blob_path = newest.join("params.aero");
-    let mut blob = fs::read(&blob_path).unwrap();
-    let mid = blob.len() / 2;
-    blob[mid] ^= 0x04;
-    fs::write(&blob_path, blob).unwrap();
+    let mut bytes = fs::read(newest).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x04;
+    fs::write(newest, bytes).unwrap();
 
     let unet_b = tiny_unet();
     let resumed = train(&trainer, &unet_b, &data, None, &ckpt);
@@ -140,13 +139,13 @@ fn retention_prunes_old_checkpoints() {
     let trainer = DiffusionTrainer::new(DiffusionConfig::small());
     let data = dataset();
     let dir = fresh_dir("retention");
-    let ckpt = CheckpointConfig { dir: dir.clone(), every: 1, keep: 2 };
+    let ckpt = CheckpointConfig::new(dir.clone(), 1);
 
     let unet = tiny_unet();
     let run = train(&trainer, &unet, &data, None, &ckpt);
     assert!(run.completed);
     let steps: Vec<u64> = list_checkpoints(&dir).unwrap().iter().map(|(s, _)| *s).collect();
-    assert_eq!(steps, vec![8, 9], "only the newest `keep` checkpoints survive");
+    assert_eq!(steps, vec![7, 8, 9], "only the newest three checkpoints survive");
 }
 
 #[test]

@@ -1,17 +1,29 @@
-//! Pipeline-snapshot export/import and the quantization-error report.
+//! Saved models, pipeline export and import, and the quantization-error
+//! report.
 //!
-//! A snapshot exports to one artifact: the pipeline configuration
-//! (exact, via the bit-pattern `key=value` codec), metadata, vocabulary
-//! and thread policy land in the key/value section; every module's
-//! weight tensors land in the tensor table as `<module>.<index>` entries,
-//! either dense (`f32`) or block-quantized (`q8`). Both directions move
-//! tensors directly between the artifact and the snapshot's parameters:
-//! import builds the model once, where the bytes come in, and a tensor
-//! that does not fit its module fails there, typed.
+//! A pipeline is written as one container file (see
+//! [`aero_nn::artifact`]): its configuration (exact, via the bit-pattern
+//! `key=value` codec), metadata and vocabulary land in the key/value
+//! section, and every module's weight tensors land in the tensor table as
+//! `<module>.<index>` entries, either dense (`f32`) or block-quantized
+//! (`q8`). This module is the only place that knows those keys and
+//! names, and one decoder reads them back for both [`load`] and
+//! [`snapshot_from_artifact`]. Both directions move tensors directly
+//! between the artifact and a pipeline's parameters: import builds the
+//! model once, where the bytes come in, and a tensor that does not fit
+//! its module fails there, typed.
+//!
+//! A saved model is a directory holding one `f32` artifact,
+//! [`MODEL_FILE`]. [`save`] writes it straight from a trained pipeline's
+//! parameters; [`load`] reads it back for a `--scale` preset, refusing a
+//! file saved with another configuration before anything is built.
+//! `model export` of a saved model without `--q8` writes the same bytes.
 //!
 //! Export is **byte-stable**: metadata keys are sorted, tensor order is
 //! the fixed module order, and quantization is deterministic — the same
-//! snapshot always renders the identical artifact bytes.
+//! weights always render the identical artifact bytes. Nothing about the
+//! host (thread count, compute backend) is stored: an imported model
+//! runs under the importing process's active thread policy.
 //!
 //! Quantized exports also produce a [`QuantReport`] with per-layer
 //! max/mean absolute reconstruction error, published to `aero_obs`
@@ -19,19 +31,23 @@
 //! end-to-end comparison (FID and CLIP score of the q8 pipeline against
 //! its f32 original over a synthetic eval split).
 
-use crate::format::{ArtifactBuilder, ModelArtifact};
-use crate::ModelError;
 use aero_metrics::{fid, FeatureExtractor};
+use aero_nn::artifact::{ArtifactBuilder, ModelArtifact, ModelError};
+use aero_nn::integrity::write_atomic;
 use aero_scene::{build_dataset, DatasetConfig, SceneGeneratorConfig};
-use aero_tensor::parallel::ParallelConfig;
+use aero_tensor::parallel::{self, ParallelConfig};
 use aero_tensor::{Q8Tensor, Tensor};
 use aerodiffusion::lint::{catch_build, check_pipeline};
 use aerodiffusion::{
-    parse_provider_tag, parse_variant_tag, provider_tag, variant_tag, PipelineConfig, PipelineMeta,
+    AblationVariant, AeroDiffusionPipeline, LlmProvider, PipelineConfig, PipelineMeta,
     PipelineSnapshot, MODULE_NAMES,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::path::Path;
+
+/// The file a saved model directory keeps its weights in.
+pub const MODEL_FILE: &str = "model.amdl";
 
 /// How weight tensors are stored in an artifact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,36 +131,72 @@ const KEY_MAX_LEN: &str = "aero.meta.max_len";
 const KEY_LATENT_SCALE: &str = "aero.meta.latent_scale";
 const KEY_PROVIDER: &str = "aero.meta.provider";
 const KEY_VARIANT: &str = "aero.meta.variant";
-const KEY_THREADS: &str = "aero.parallel.threads";
 const KEY_VOCAB: &str = "aero.vocab";
 
 fn module_count_key(module: &str) -> String {
     format!("aero.module.{module}.count")
 }
 
-/// Renders a snapshot to artifact bytes, returning the bytes and the
-/// quantization report. Deterministic: the same snapshot and mode always
-/// produce identical bytes. Weight tensors are read straight from the
-/// snapshot's parameters.
-#[must_use]
-pub fn export_snapshot(snapshot: &PipelineSnapshot, quant: Quantization) -> (Vec<u8>, QuantReport) {
+/// The stored tag of a caption provider.
+fn provider_tag(provider: LlmProvider) -> &'static str {
+    match provider {
+        LlmProvider::KeypointAware => "keypoint",
+        LlmProvider::GeminiLike => "gemini",
+        LlmProvider::Gpt4oLike => "gpt4o",
+        LlmProvider::BlipCaption => "blip",
+    }
+}
+
+fn parse_provider_tag(tag: &str) -> Result<LlmProvider, ModelError> {
+    match tag {
+        "keypoint" => Ok(LlmProvider::KeypointAware),
+        "gemini" => Ok(LlmProvider::GeminiLike),
+        "gpt4o" => Ok(LlmProvider::Gpt4oLike),
+        "blip" => Ok(LlmProvider::BlipCaption),
+        other => Err(ModelError::Meta(format!("unknown provider {other}"))),
+    }
+}
+
+/// The stored tag of an ablation variant.
+fn variant_tag(variant: AblationVariant) -> &'static str {
+    match variant {
+        AblationVariant::BaseSd => "base_sd",
+        AblationVariant::WithBlip => "with_blip",
+        AblationVariant::WithKeypointText => "with_keypoint_text",
+        AblationVariant::Full => "full",
+    }
+}
+
+fn parse_variant_tag(tag: &str) -> Result<AblationVariant, ModelError> {
+    match tag {
+        "base_sd" => Ok(AblationVariant::BaseSd),
+        "with_blip" => Ok(AblationVariant::WithBlip),
+        "with_keypoint_text" => Ok(AblationVariant::WithKeypointText),
+        "full" => Ok(AblationVariant::Full),
+        other => Err(ModelError::Meta(format!("unknown variant {other}"))),
+    }
+}
+
+/// Renders a pipeline to artifact bytes, returning the bytes and the
+/// quantization report. Weight tensors are read straight from the
+/// pipeline's parameters.
+fn render(pipeline: &AeroDiffusionPipeline, quant: Quantization) -> (Vec<u8>, QuantReport) {
     let mut builder = ArtifactBuilder::new();
     builder.set(KEY_QUANT, quant.tag());
-    builder.set(KEY_CONFIG, &snapshot.config().render_kv());
-    let meta = snapshot.meta();
+    builder.set(KEY_CONFIG, &pipeline.config().render_kv());
+    let meta = pipeline.meta();
     builder.set(KEY_MAX_LEN, &meta.max_len.to_string());
     builder.set(KEY_LATENT_SCALE, &format!("0x{:08x}", meta.latent_scale.to_bits()));
     builder.set(KEY_PROVIDER, provider_tag(meta.provider));
     builder.set(KEY_VARIANT, variant_tag(meta.variant));
-    builder.set(KEY_THREADS, &snapshot.parallel().threads().to_string());
-    builder.set(KEY_VOCAB, &snapshot.vocab_words().join("\n"));
+    builder.set(KEY_VOCAB, &pipeline.vocab_words().join("\n"));
 
     let mut layers = Vec::new();
     let mut f32_data_bytes = 0usize;
     let mut max_abs = 0.0f32;
     let mut err_sum = 0.0f64;
     let mut total_elems = 0usize;
-    for (module, params) in MODULE_NAMES.into_iter().zip(snapshot.module_params()) {
+    for (module, params) in MODULE_NAMES.into_iter().zip(pipeline.module_params()) {
         builder.set(&module_count_key(module), &params.len().to_string());
         for (i, param) in params.iter().enumerate() {
             let t = param.value();
@@ -179,6 +231,15 @@ pub fn export_snapshot(snapshot: &PipelineSnapshot, quant: Quantization) -> (Vec
         max_abs_error: max_abs,
         mean_abs_error: if total_elems == 0 { 0.0 } else { (err_sum / total_elems as f64) as f32 },
     };
+    (bytes, report)
+}
+
+/// Renders a snapshot to artifact bytes, returning the bytes and the
+/// quantization report. Deterministic: the same snapshot and mode always
+/// produce identical bytes.
+#[must_use]
+pub fn export_snapshot(snapshot: &PipelineSnapshot, quant: Quantization) -> (Vec<u8>, QuantReport) {
+    let (bytes, report) = render(snapshot.pipeline(), quant);
     aero_obs::counter!("model.export.count").inc();
     aero_obs::gauge!("model.export.artifact_bytes").set(report.artifact_bytes as f64);
     if quant == Quantization::Q8 {
@@ -197,11 +258,47 @@ pub fn export_snapshot(snapshot: &PipelineSnapshot, quant: Quantization) -> (Vec
 pub fn write_snapshot(
     snapshot: &PipelineSnapshot,
     quant: Quantization,
-    path: &std::path::Path,
+    path: &Path,
 ) -> Result<QuantReport, ModelError> {
     let (bytes, report) = export_snapshot(snapshot, quant);
-    aero_nn::integrity::write_atomic(path, &bytes)?;
+    write_atomic(path, &bytes)?;
     Ok(report)
+}
+
+/// Saves a trained pipeline as the `f32` artifact `<dir>/model.amdl`,
+/// creating `dir` if needed and writing the file crash-safely.
+///
+/// # Errors
+///
+/// Propagates I/O failures.
+pub fn save(pipeline: &AeroDiffusionPipeline, dir: impl AsRef<Path>) -> Result<(), ModelError> {
+    let dir = dir.as_ref();
+    std::fs::create_dir_all(dir)?;
+    let (bytes, _) = render(pipeline, Quantization::F32);
+    write_atomic(&dir.join(MODEL_FILE), &bytes)?;
+    Ok(())
+}
+
+/// Loads the model [`save`] wrote to `dir`, for the preset `config`.
+///
+/// The stored configuration must equal `config`; that is checked before
+/// any tensor is decoded. The file bytes are dropped once the tensors
+/// are decoded, before the model is built. The model is not run once
+/// the way [`snapshot_from_artifact`] runs it: its configuration is a
+/// preset the program ships (`lint --all` runs every one). The snapshot
+/// takes the calling process's active thread policy.
+///
+/// # Errors
+///
+/// [`ModelError::Io`] when the file cannot be read;
+/// [`ModelError::Corrupt`] on a checksum failure, an undecodable payload
+/// or a tensor that does not fit its module; [`ModelError::Meta`] on a
+/// configuration other than `config`, or missing or malformed metadata.
+pub fn load(dir: impl AsRef<Path>, config: PipelineConfig) -> Result<PipelineSnapshot, ModelError> {
+    let artifact = ModelArtifact::read(&dir.as_ref().join(MODEL_FILE))?;
+    let decoded = Decoded::read(&artifact, Some(&config))?;
+    drop(artifact);
+    decoded.build()
 }
 
 fn required<'a>(artifact: &'a ModelArtifact, key: &str) -> Result<&'a str, ModelError> {
@@ -217,11 +314,73 @@ fn parse_f32_bits(key: &str, value: &str) -> Result<f32, ModelError> {
         .map_err(|e| ModelError::Meta(format!("bad {key}: {e}")))
 }
 
+/// A pipeline artifact's contents, decoded.
+struct Decoded {
+    config: PipelineConfig,
+    meta: PipelineMeta,
+    vocab: Vec<String>,
+    modules: [Vec<Tensor>; 5],
+}
+
+impl Decoded {
+    /// The one reader of a pipeline artifact's keys and tensors. With
+    /// `expected`, the stored configuration must equal it, which is
+    /// checked before any tensor is decoded.
+    fn read(
+        artifact: &ModelArtifact,
+        expected: Option<&PipelineConfig>,
+    ) -> Result<Self, ModelError> {
+        let config = PipelineConfig::parse_kv(required(artifact, KEY_CONFIG)?)
+            .map_err(|e| ModelError::Meta(format!("config: {e}")))?;
+        if let Some(expected) = expected.filter(|&expected| *expected != config) {
+            let (saved, requested) = (config.render_kv(), expected.render_kv());
+            let (saved, requested) =
+                saved.lines().zip(requested.lines()).find(|(s, r)| s != r).unwrap_or_default();
+            return Err(ModelError::Meta(format!(
+                "config mismatch: saved {saved}, requested {requested}"
+            )));
+        }
+        let meta = PipelineMeta {
+            max_len: required(artifact, KEY_MAX_LEN)?
+                .parse()
+                .map_err(|e| ModelError::Meta(format!("bad {KEY_MAX_LEN}: {e}")))?,
+            latent_scale: parse_f32_bits(KEY_LATENT_SCALE, required(artifact, KEY_LATENT_SCALE)?)?,
+            provider: parse_provider_tag(required(artifact, KEY_PROVIDER)?)?,
+            variant: parse_variant_tag(required(artifact, KEY_VARIANT)?)?,
+        };
+        let vocab = required(artifact, KEY_VOCAB)?.split('\n').map(str::to_string).collect();
+        let mut modules: [Vec<Tensor>; 5] = Default::default();
+        for (tensors, module) in modules.iter_mut().zip(MODULE_NAMES) {
+            let count_key = module_count_key(module);
+            let count: usize = required(artifact, &count_key)?
+                .parse()
+                .map_err(|e| ModelError::Meta(format!("bad {count_key}: {e}")))?;
+            *tensors = (0..count)
+                .map(|i| artifact.tensor(&format!("{module}.{i}")))
+                .collect::<Result<_, _>>()?;
+        }
+        Ok(Decoded { config, meta, vocab, modules })
+    }
+
+    /// Builds the model, under the calling process's active thread
+    /// policy.
+    fn build(self) -> Result<PipelineSnapshot, ModelError> {
+        PipelineSnapshot::from_weights(
+            self.config,
+            &self.meta,
+            ParallelConfig::with_threads(parallel::active_threads()),
+            &self.vocab,
+            self.modules,
+        )
+    }
+}
+
 /// Builds a [`PipelineSnapshot`] from a verified artifact, passing its
 /// tensors straight to the pipeline constructor. For an `f32` artifact
 /// the snapshot carries the exact weights exported — it generates the
 /// same images. For a `q8` artifact the weights carry quantization
-/// error; everything else (config, vocabulary, metadata) is exact.
+/// error; everything else (config, vocabulary, metadata) is exact. The
+/// snapshot takes the calling process's active thread policy.
 ///
 /// The artifact's configuration comes from outside the program, so the
 /// model is built under [`catch_build`] (a constructor assert on one of
@@ -237,45 +396,10 @@ fn parse_f32_bits(key: &str, value: &str) -> Result<f32, ModelError> {
 /// that do not fit the configuration's modules — so nothing that cannot
 /// serve ever reaches a serving runtime.
 pub fn snapshot_from_artifact(artifact: &ModelArtifact) -> Result<PipelineSnapshot, ModelError> {
-    let config = PipelineConfig::parse_kv(required(artifact, KEY_CONFIG)?)
-        .map_err(|e| ModelError::Meta(format!("config: {e}")))?;
-    let meta = PipelineMeta {
-        max_len: required(artifact, KEY_MAX_LEN)?
-            .parse()
-            .map_err(|e| ModelError::Meta(format!("bad {KEY_MAX_LEN}: {e}")))?,
-        latent_scale: parse_f32_bits(KEY_LATENT_SCALE, required(artifact, KEY_LATENT_SCALE)?)?,
-        provider: parse_provider_tag(required(artifact, KEY_PROVIDER)?)?,
-        variant: parse_variant_tag(required(artifact, KEY_VARIANT)?)?,
-    };
-    let threads: usize = required(artifact, KEY_THREADS)?
-        .parse()
-        .map_err(|e| ModelError::Meta(format!("bad {KEY_THREADS}: {e}")))?;
-    let vocab: Vec<&str> = required(artifact, KEY_VOCAB)?.split('\n').collect();
-
-    let mut modules: [Vec<Tensor>; 5] = Default::default();
-    for (tensors, module) in modules.iter_mut().zip(MODULE_NAMES) {
-        let count_key = module_count_key(module);
-        let count: usize = required(artifact, &count_key)?
-            .parse()
-            .map_err(|e| ModelError::Meta(format!("bad {count_key}: {e}")))?;
-        *tensors = (0..count)
-            .map(|i| artifact.tensor(&format!("{module}.{i}")))
-            .collect::<Result<_, _>>()?;
-    }
-
-    let built = catch_build(|| {
-        PipelineSnapshot::from_weights(
-            config,
-            &meta,
-            ParallelConfig::with_threads(threads),
-            &vocab,
-            modules,
-        )
-    })
-    .map_err(|report| {
+    let decoded = Decoded::read(artifact, None)?;
+    let snapshot = catch_build(|| decoded.build()).map_err(|report| {
         ModelError::Meta(format!("the model cannot be built:\n{}", report.render()))
-    })?;
-    let snapshot = built?;
+    })??;
     let report = check_pipeline(snapshot.pipeline(), &[1]);
     if !report.is_clean() {
         return Err(ModelError::Meta(format!("the model does not run:\n{}", report.render())));
@@ -368,4 +492,21 @@ pub fn quality_delta(
     aero_obs::gauge!("model.quant.fid_delta").set(f64::from(delta.fid_delta()));
     aero_obs::gauge!("model.quant.clip_delta").set(f64::from(delta.clip_delta()));
     Ok(delta)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_tag_round_trips_and_an_unknown_tag_is_refused() {
+        for provider in LlmProvider::ALL {
+            assert_eq!(parse_provider_tag(provider_tag(provider)).unwrap(), provider);
+        }
+        for variant in AblationVariant::ALL {
+            assert_eq!(parse_variant_tag(variant_tag(variant)).unwrap(), variant);
+        }
+        assert!(matches!(parse_provider_tag("alien"), Err(ModelError::Meta(_))));
+        assert!(matches!(parse_variant_tag("alien"), Err(ModelError::Meta(_))));
+    }
 }

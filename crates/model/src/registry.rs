@@ -1,7 +1,7 @@
 //! A named, versioned registry of model artifacts.
 //!
 //! A registry is a directory holding artifact files plus one
-//! `index.txt` manifest:
+//! `index.txt`:
 //!
 //! ```text
 //! version=1
@@ -21,12 +21,13 @@
 //! artifact's own trailing CRC is verified before any decode) and the
 //! old model keeps serving.
 
-use crate::format::ModelArtifact;
-use crate::ModelError;
+use crate::{ModelArtifact, ModelError};
 use aero_nn::integrity::{crc32, write_atomic};
-use aerodiffusion::PIPELINE_FORMAT_VERSION;
 use std::fs;
 use std::path::{Path, PathBuf};
+
+/// The index format version this build reads and writes.
+const INDEX_VERSION: u32 = 1;
 
 /// One published artifact in a registry index.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,11 +123,8 @@ impl ModelRegistry {
             .strip_prefix("version=")
             .and_then(|v| v.parse().ok())
             .ok_or_else(|| ModelError::Meta(format!("index header malformed: {header:?}")))?;
-        if version != PIPELINE_FORMAT_VERSION {
-            return Err(ModelError::VersionMismatch {
-                found: version,
-                supported: PIPELINE_FORMAT_VERSION,
-            });
+        if version != INDEX_VERSION {
+            return Err(ModelError::VersionMismatch { found: version, supported: INDEX_VERSION });
         }
         let mut entries = Vec::new();
         for line in lines {
@@ -152,7 +150,7 @@ impl ModelRegistry {
     }
 
     fn write_index(&self, entries: &[RegistryEntry]) -> Result<(), ModelError> {
-        let mut out = format!("version={PIPELINE_FORMAT_VERSION}\n");
+        let mut out = format!("version={INDEX_VERSION}\n");
         for e in entries {
             out.push_str(&format!(
                 "{} {} {} {:08x} {}\n",
@@ -278,7 +276,7 @@ impl ModelRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::ArtifactBuilder;
+    use crate::ArtifactBuilder;
 
     fn artifact_bytes(tag: &str) -> Vec<u8> {
         let mut b = ArtifactBuilder::new();
@@ -337,7 +335,7 @@ mod tests {
     fn malformed_index_is_typed() {
         let reg = temp_registry("badindex");
         reg.publish("m", &artifact_bytes("v")).unwrap();
-        let header = format!("version={PIPELINE_FORMAT_VERSION}");
+        let header = format!("version={INDEX_VERSION}");
         fs::write(reg.dir().join("index.txt"), format!("{header}\nonly three fields\n")).unwrap();
         assert!(matches!(reg.entries(), Err(ModelError::Meta(_))));
         fs::write(reg.dir().join("index.txt"), "version=42\n").unwrap();

@@ -5,8 +5,8 @@
 //! do not describe a model fail typed before any model exists.
 
 use aero_model::{
-    export_snapshot, snapshot_from_artifact, write_snapshot, ArtifactBuilder, IntegrityState,
-    ModelArtifact, ModelError, ModelRegistry, Quantization,
+    export_snapshot, load, save, snapshot_from_artifact, write_snapshot, ArtifactBuilder,
+    IntegrityState, ModelArtifact, ModelError, ModelRegistry, Quantization, MODEL_FILE,
 };
 use aero_scene::{build_dataset, AerialDataset, DatasetConfig, SceneGeneratorConfig};
 use aero_tensor::Tensor;
@@ -58,8 +58,10 @@ fn f32_artifact_round_trip_samples_byte_identically() {
 
     // The rebuilt snapshot carries the exact weight bits…
     let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    for ((name, ours), theirs) in
-        MODULE_NAMES.iter().zip(snapshot.module_params()).zip(reloaded.module_params())
+    for ((name, ours), theirs) in MODULE_NAMES
+        .iter()
+        .zip(snapshot.pipeline().module_params())
+        .zip(reloaded.pipeline().module_params())
     {
         assert_eq!(ours.len(), theirs.len(), "module {name} tensor count");
         for (a, b) in ours.iter().zip(&theirs) {
@@ -73,6 +75,44 @@ fn f32_artifact_round_trip_samples_byte_identically() {
     let a = pipeline.generate(&ds.items[0], &mut StdRng::seed_from_u64(11));
     let b = replica.generate(&ds.items[0], &mut StdRng::seed_from_u64(11));
     assert_eq!(a, b, "artifact round trip must not change sampling output");
+}
+
+#[test]
+fn saved_model_loads_byte_identically_and_exports_its_own_bytes() {
+    let (ds, pipeline, _snapshot) = trained();
+    let dir = temp_dir("saved_model");
+    save(&pipeline, &dir).unwrap();
+    let saved = fs::read(dir.join(MODEL_FILE)).unwrap();
+    let entries: Vec<_> = fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+    assert_eq!(entries, [MODEL_FILE], "a saved model is one file, with no tmp left behind");
+
+    let loaded = load(&dir, PipelineConfig::smoke()).unwrap();
+    let a = pipeline.generate(&ds.items[0], &mut StdRng::seed_from_u64(13));
+    let b = loaded.pipeline().generate(&ds.items[0], &mut StdRng::seed_from_u64(13));
+    assert_eq!(a, b, "a loaded model must sample like the one saved");
+    let (exported, _) = export_snapshot(&loaded, Quantization::F32);
+    assert_eq!(exported, saved, "an f32 export of a saved model is its model.amdl");
+
+    match load(&dir, PipelineConfig::small()) {
+        Err(ModelError::Meta(detail)) => assert!(detail.contains("config mismatch"), "{detail}"),
+        other => panic!("another preset must be refused typed, got {other:?}"),
+    }
+}
+
+#[test]
+fn load_rejects_a_flipped_bit_in_model_amdl() {
+    let (_ds, pipeline, _snapshot) = trained();
+    let dir = temp_dir("flipped_model");
+    save(&pipeline, &dir).unwrap();
+    let path = dir.join(MODEL_FILE);
+    let mut bytes = fs::read(&path).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x20;
+    fs::write(&path, bytes).unwrap();
+    match load(&dir, PipelineConfig::smoke()) {
+        Err(ModelError::Corrupt { detail }) => assert!(detail.contains("crc"), "{detail}"),
+        other => panic!("a flipped bit in model.amdl must be refused typed, got {other:?}"),
+    }
 }
 
 #[test]

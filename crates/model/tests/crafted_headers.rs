@@ -3,9 +3,8 @@
 //! sizes read from such a file must be rejected as typed corruption —
 //! never an allocation abort, never a size that wrapped around.
 
-use aero_model::{ModelArtifact, ModelError};
+use aero_model::{ModelArtifact, ModelError, FORMAT_VERSION};
 use aero_nn::integrity::crc32;
-use aerodiffusion::PIPELINE_FORMAT_VERSION;
 
 /// A structurally plausible artifact — magic, version, no metadata,
 /// `tensor_count`, the raw tensor `table`, an empty data section — with
@@ -15,7 +14,7 @@ fn crafted(tensor_count: u32, table: &[u8]) -> Vec<u8> {
     let data_offset = (header_len + table.len()).div_ceil(32) * 32;
     let mut out = Vec::new();
     out.extend_from_slice(b"AMDL");
-    out.extend_from_slice(&PIPELINE_FORMAT_VERSION.to_le_bytes());
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&0u32.to_le_bytes());
     out.extend_from_slice(&tensor_count.to_le_bytes());
     out.extend_from_slice(&(data_offset as u64).to_le_bytes());

@@ -1,4 +1,6 @@
-//! The single-file binary artifact format.
+//! The single-file binary container every saved state is written in:
+//! saved models, exported and registry artifacts, and training
+//! checkpoints.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -15,27 +17,96 @@
 //! u32 crc32       over every preceding byte
 //! ```
 //!
-//! The trailing CRC (via `aero_nn::integrity::crc32`) is verified
-//! **before** any other byte is interpreted, so a bit flip anywhere —
-//! header, metadata, tensor data — surfaces as a typed
-//! [`ModelError::Corrupt`], never as a garbage model or a panic. The
-//! format version is `aerodiffusion`'s [`PIPELINE_FORMAT_VERSION`], the
-//! same constant the directory-manifest layer uses, so the two
-//! persistence layers cannot silently diverge.
+//! The trailing CRC (via [`crc32`]) is verified **before** any other
+//! byte is interpreted, so a bit flip anywhere — header, metadata,
+//! tensor data — surfaces as a typed [`ModelError::Corrupt`], never as a
+//! garbage model or a panic. A file from another [`FORMAT_VERSION`] is a
+//! typed [`ModelError::VersionMismatch`].
 //!
 //! `f32` payloads are raw little-endian values. `q8` payloads are the
 //! per-block scales (`f32`) followed by the padded quantized values
 //! (`i8`), with block geometry implied by the tensor's shape (see
 //! [`aero_tensor::quant`]).
+//!
+//! The container knows nothing of what it holds: which keys and tensor
+//! names a pipeline or a checkpoint writes is decided by its writer
+//! (`aero_model::export` and `aero_diffusion::checkpoint`).
 
-use crate::ModelError;
-use aero_nn::integrity::{crc32, write_atomic};
+use crate::integrity::{crc32, write_atomic};
+use crate::Var;
 use aero_tensor::{Q8Tensor, Tensor, Q8_BLOCK};
-use aerodiffusion::PIPELINE_FORMAT_VERSION;
 use std::collections::BTreeMap;
+use std::error::Error;
+use std::fmt;
 use std::path::Path;
 
+/// The container format version this build reads and writes.
+pub const FORMAT_VERSION: u32 = 1;
+
 const MAGIC: &[u8; 4] = b"AMDL";
+
+/// Error reading, verifying or decoding a container, or fitting its
+/// tensors to a model.
+#[derive(Debug)]
+pub enum ModelError {
+    /// Underlying I/O failure.
+    Io(std::io::Error),
+    /// The bytes fail CRC or structural validation, or a stored tensor
+    /// does not fit the parameter it is loaded into.
+    Corrupt {
+        /// What exactly failed.
+        detail: String,
+    },
+    /// The file was written by an unsupported format version.
+    VersionMismatch {
+        /// The version recorded in the header.
+        found: u32,
+        /// The version this build supports.
+        supported: u32,
+    },
+    /// The metadata section is incomplete or does not describe what the
+    /// reader expects (missing key, unknown tag, malformed value).
+    Meta(String),
+}
+
+impl ModelError {
+    /// A [`ModelError::Corrupt`] with this detail.
+    #[must_use]
+    pub fn corrupt(detail: String) -> ModelError {
+        ModelError::Corrupt { detail }
+    }
+}
+
+impl fmt::Display for ModelError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ModelError::Io(e) => write!(f, "i/o failure: {e}"),
+            ModelError::Corrupt { detail } => write!(f, "corrupt artifact: {detail}"),
+            ModelError::VersionMismatch { found, supported } => {
+                write!(
+                    f,
+                    "artifact format version {found} unsupported (this build reads {supported})"
+                )
+            }
+            ModelError::Meta(d) => write!(f, "invalid artifact metadata: {d}"),
+        }
+    }
+}
+
+impl Error for ModelError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            ModelError::Io(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<std::io::Error> for ModelError {
+    fn from(e: std::io::Error) -> Self {
+        ModelError::Io(e)
+    }
+}
 
 /// Alignment of the data section and of every payload within it.
 pub const DATA_ALIGN: usize = 32;
@@ -211,7 +282,7 @@ impl ArtifactBuilder {
         let data_offset = align_up(HEADER_LEN + kv_section.len() + table.len());
         let mut out = Vec::with_capacity(data_offset + data_len + 4);
         out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&PIPELINE_FORMAT_VERSION.to_le_bytes());
+        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         out.extend_from_slice(&(self.kv.len() as u32).to_le_bytes());
         out.extend_from_slice(&(self.tensors.len() as u32).to_le_bytes());
         out.extend_from_slice(&(data_offset as u64).to_le_bytes());
@@ -241,14 +312,15 @@ impl ArtifactBuilder {
 
 /// Bounds-checked little-endian reader over the artifact bytes. Every
 /// read that would run past the end returns [`ModelError::Corrupt`]
-/// instead of panicking.
+/// instead of panicking. `what` names the field for that error, and is
+/// formatted only if the error happens.
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], ModelError> {
+    fn take(&mut self, n: usize, what: impl fmt::Display) -> Result<&'a [u8], ModelError> {
         let end = self
             .pos
             .checked_add(n)
@@ -259,23 +331,23 @@ impl<'a> Cursor<'a> {
         Ok(slice)
     }
 
-    fn u8(&mut self, what: &str) -> Result<u8, ModelError> {
+    fn u8(&mut self, what: impl fmt::Display) -> Result<u8, ModelError> {
         Ok(self.take(1, what)?[0])
     }
 
-    fn u32(&mut self, what: &str) -> Result<u32, ModelError> {
+    fn u32(&mut self, what: impl fmt::Display) -> Result<u32, ModelError> {
         let b = self.take(4, what)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    fn u64(&mut self, what: &str) -> Result<u64, ModelError> {
+    fn u64(&mut self, what: impl fmt::Display) -> Result<u64, ModelError> {
         let b = self.take(8, what)?;
         Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
     }
 
-    fn string(&mut self, what: &str) -> Result<String, ModelError> {
-        let len = self.u32(what)? as usize;
-        let bytes = self.take(len, what)?;
+    fn string(&mut self, what: impl fmt::Display) -> Result<String, ModelError> {
+        let len = self.u32(&what)? as usize;
+        let bytes = self.take(len, &what)?;
         String::from_utf8(bytes.to_vec())
             .map_err(|_| ModelError::corrupt(format!("{what} is not utf-8")))
     }
@@ -336,11 +408,8 @@ impl ModelArtifact {
             return Err(ModelError::corrupt("bad magic (not an AMDL artifact)".into()));
         }
         let version = cur.u32("format version")?;
-        if version != PIPELINE_FORMAT_VERSION {
-            return Err(ModelError::VersionMismatch {
-                found: version,
-                supported: PIPELINE_FORMAT_VERSION,
-            });
+        if version != FORMAT_VERSION {
+            return Err(ModelError::VersionMismatch { found: version, supported: FORMAT_VERSION });
         }
         let kv_count = cur.u32("kv count")? as usize;
         let tensor_count = cur.u32("tensor count")? as usize;
@@ -355,8 +424,8 @@ impl ModelArtifact {
 
         let mut kv = BTreeMap::new();
         for i in 0..kv_count {
-            let key = cur.string(&format!("kv key {i}"))?;
-            let value = cur.string(&format!("kv value {i}"))?;
+            let key = cur.string(format_args!("kv key {i}"))?;
+            let value = cur.string(format_args!("kv value {i}"))?;
             kv.insert(key, value);
         }
 
@@ -365,18 +434,18 @@ impl ModelArtifact {
         let table_room = data_offset.saturating_sub(cur.pos) / MIN_TABLE_ENTRY;
         let mut tensors = Vec::with_capacity(tensor_count.min(table_room));
         for i in 0..tensor_count {
-            let name = cur.string(&format!("tensor name {i}"))?;
-            let dtype = DType::from_byte(cur.u8(&format!("tensor dtype {i}"))?)?;
-            let rank = cur.u32(&format!("tensor rank {i}"))? as usize;
+            let name = cur.string(format_args!("tensor name {i}"))?;
+            let dtype = DType::from_byte(cur.u8(format_args!("tensor dtype {i}"))?)?;
+            let rank = cur.u32(format_args!("tensor rank {i}"))? as usize;
             if rank > 8 {
                 return Err(ModelError::corrupt(format!("tensor {name}: rank {rank} > 8")));
             }
             let mut shape = Vec::with_capacity(rank);
             for d in 0..rank {
-                shape.push(cur.u32(&format!("tensor {name} dim {d}"))? as usize);
+                shape.push(cur.u32(format_args!("tensor {name} dim {d}"))? as usize);
             }
-            let offset = cur.u64(&format!("tensor {name} offset"))?;
-            let byte_len = cur.u64(&format!("tensor {name} byte length"))?;
+            let offset = cur.u64(format_args!("tensor {name} offset"))?;
+            let byte_len = cur.u64(format_args!("tensor {name} byte length"))?;
             let end = offset.checked_add(byte_len).filter(|&e| e <= data_len as u64);
             if end.is_none() {
                 return Err(ModelError::corrupt(format!(
@@ -506,6 +575,35 @@ impl ModelArtifact {
     }
 }
 
+/// Loads decoded tensors into parameters, in order, after checking that
+/// every one fits: no parameter changes unless all do.
+///
+/// # Errors
+///
+/// [`ModelError::Corrupt`] if the counts or any shape differ.
+pub fn load_into_params(params: &[Var], tensors: Vec<Tensor>) -> Result<(), ModelError> {
+    if params.len() != tensors.len() {
+        return Err(ModelError::corrupt(format!(
+            "expected {} tensors, found {}",
+            params.len(),
+            tensors.len()
+        )));
+    }
+    for (i, (p, t)) in params.iter().zip(&tensors).enumerate() {
+        if p.shape() != t.shape() {
+            return Err(ModelError::corrupt(format!(
+                "tensor {i} shape {:?} does not match parameter shape {:?}",
+                t.shape(),
+                p.shape()
+            )));
+        }
+    }
+    for (p, t) in params.iter().zip(tensors) {
+        p.assign(t);
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -533,6 +631,13 @@ mod tests {
         assert!(art.q8_tensor("packed").unwrap().is_some());
         assert!(art.q8_tensor("dense").unwrap().is_none());
         assert!(matches!(art.tensor("nope"), Err(ModelError::Meta(_))));
+    }
+
+    #[test]
+    fn error_is_send_sync_and_displays() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<ModelError>();
+        assert!(ModelError::corrupt("boom".into()).to_string().contains("boom"));
     }
 
     #[test]
@@ -585,6 +690,61 @@ mod tests {
             ModelArtifact::from_bytes(bytes),
             Err(ModelError::VersionMismatch { found: 99, .. })
         ));
+    }
+
+    /// Parses `body` behind a freshly computed trailing CRC, so the
+    /// structural checks behind the CRC gate see it, then decodes every
+    /// listed tensor both ways. True if any step unwound.
+    fn unwinds(mut body: Vec<u8>) -> bool {
+        let crc = crc32(&body);
+        body.extend_from_slice(&crc.to_le_bytes());
+        std::panic::catch_unwind(move || {
+            if let Ok(art) = ModelArtifact::from_bytes(body) {
+                for info in art.tensor_infos() {
+                    let _ = art.tensor(&info.name);
+                    let _ = art.q8_tensor(&info.name);
+                }
+            }
+        })
+        .is_err()
+    }
+
+    /// Every byte XOR-ed with 0x01, 0x80 and 0xFF, and every truncation,
+    /// each with a recomputed CRC: parsing and decoding return `Ok` or a
+    /// typed error and never unwind.
+    #[test]
+    fn mutated_containers_never_unwind() {
+        let bytes = sample_builder().to_bytes();
+        let body = &bytes[..bytes.len() - 4];
+        let mut unwound = Vec::new();
+        for pos in 0..body.len() {
+            for mask in [0x01u8, 0x80, 0xFF] {
+                let mut bad = body.to_vec();
+                bad[pos] ^= mask;
+                if unwinds(bad) {
+                    unwound.push(format!("byte {pos} ^ {mask:#04x}"));
+                }
+            }
+        }
+        for len in 0..body.len() {
+            if unwinds(body[..len].to_vec()) {
+                unwound.push(format!("cut to {len} bytes"));
+            }
+        }
+        assert!(unwound.is_empty(), "unwound on {} mutations: {unwound:?}", unwound.len());
+    }
+
+    #[test]
+    fn load_into_params_checks_every_shape_before_assigning() {
+        let a = Var::parameter(Tensor::zeros(&[2]));
+        let b = Var::parameter(Tensor::zeros(&[3]));
+        let params = [a.clone(), b.clone()];
+        let misfit = vec![Tensor::ones(&[2]), Tensor::ones(&[4])];
+        assert!(matches!(load_into_params(&params, misfit), Err(ModelError::Corrupt { .. })));
+        assert_eq!(a.to_tensor(), Tensor::zeros(&[2]), "no parameter changes on a misfit");
+        assert!(load_into_params(&params, vec![Tensor::ones(&[2])]).is_err());
+        load_into_params(&params, vec![Tensor::ones(&[2]), Tensor::ones(&[3])]).unwrap();
+        assert_eq!(b.to_tensor(), Tensor::ones(&[3]));
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! models are assembled from — [`layers::Linear`], [`layers::Conv2d`],
 //! [`layers::ConvTranspose2d`], [`layers::Embedding`],
 //! [`layers::LayerNorm`], [`layers::GroupNorm`], and
-//! [`layers::MultiHeadAttention`] — plus weight (de)serialization and a
+//! [`layers::MultiHeadAttention`] — plus the single-file container every
+//! saved model and checkpoint is written in ([`artifact`]) and a
 //! finite-difference gradient checker used throughout the test suite.
 //!
 //! # Example
@@ -26,20 +27,20 @@
 //! assert_eq!(x.grad().expect("gradient").as_slice(), &[4.0]);
 //! ```
 
+pub mod artifact;
 mod autograd;
 pub mod gradcheck;
 pub mod init;
 pub mod integrity;
 pub mod layers;
 pub mod optim;
-pub mod serialize;
 
 pub use autograd::{no_grad, Var};
 
 /// Trait for anything that owns trainable parameters.
 ///
 /// Implementors return their parameters in a stable order so that
-/// optimizers and the weight serializer agree on the layout.
+/// optimizers and saved files agree on the layout.
 pub trait Module {
     /// All trainable parameters, in a stable deterministic order.
     fn params(&self) -> Vec<Var>;

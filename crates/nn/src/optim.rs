@@ -4,12 +4,12 @@
 //! [`Adam`] implements that with decoupled weight decay (AdamW-style) so
 //! the decay setting matches the reference configuration.
 
+use crate::artifact::ModelError;
 use crate::autograd::Var;
-use crate::serialize::{decode_tensors, encode_tensors, LoadWeightsError};
 use aero_tensor::Tensor;
 
-/// A serializable snapshot of Adam's adaptive state: the bias-correction
-/// step counter and both moment estimates, in parameter order.
+/// A snapshot of Adam's adaptive state: the bias-correction step counter
+/// and both moment estimates, in parameter order.
 ///
 /// Restoring this (plus the parameter values themselves) continues
 /// training bit-identically — the checkpoint/resume contract.
@@ -21,37 +21,6 @@ pub struct AdamState {
     pub m: Vec<Tensor>,
     /// Second-moment estimates, one per parameter.
     pub v: Vec<Tensor>,
-}
-
-impl AdamState {
-    /// Encodes the moments as one weight blob (`m` tensors then `v`
-    /// tensors); the step counter travels separately in checkpoint
-    /// metadata.
-    #[must_use]
-    pub fn moments_bytes(&self) -> Vec<u8> {
-        let refs: Vec<&Tensor> = self.m.iter().chain(self.v.iter()).collect();
-        encode_tensors(&refs).to_vec()
-    }
-
-    /// Rebuilds the state from [`AdamState::moments_bytes`] output plus
-    /// the externally stored step counter.
-    ///
-    /// # Errors
-    ///
-    /// [`LoadWeightsError::Corrupt`] on a malformed blob,
-    /// [`LoadWeightsError::Mismatch`] when the blob does not hold an even
-    /// number of tensors.
-    pub fn from_moments_bytes(blob: &[u8], step: u64) -> Result<Self, LoadWeightsError> {
-        let mut tensors = decode_tensors(blob)?;
-        if tensors.len() % 2 != 0 {
-            return Err(LoadWeightsError::Mismatch(format!(
-                "adam moment blob holds {} tensors, expected an even count",
-                tensors.len()
-            )));
-        }
-        let v = tensors.split_off(tensors.len() / 2);
-        Ok(AdamState { step, m: tensors, v })
-    }
 }
 
 /// Exponential-decay rate of the first-moment estimate.
@@ -156,12 +125,12 @@ impl Adam {
     ///
     /// # Errors
     ///
-    /// [`LoadWeightsError::Mismatch`] when the moment count or any moment
-    /// shape disagrees with this optimizer's parameters; the optimizer is
-    /// left untouched on error.
-    pub fn restore_state(&mut self, state: AdamState) -> Result<(), LoadWeightsError> {
+    /// [`ModelError::Corrupt`] when the moment count or any moment shape
+    /// disagrees with this optimizer's parameters; the optimizer is left
+    /// untouched on error.
+    pub fn restore_state(&mut self, state: AdamState) -> Result<(), ModelError> {
         if state.m.len() != self.params.len() || state.v.len() != self.params.len() {
-            return Err(LoadWeightsError::Mismatch(format!(
+            return Err(ModelError::corrupt(format!(
                 "adam state holds {}+{} moments for {} parameters",
                 state.m.len(),
                 state.v.len(),
@@ -171,7 +140,7 @@ impl Adam {
         for (i, p) in self.params.iter().enumerate() {
             let shape = p.shape();
             if state.m[i].shape() != shape || state.v[i].shape() != shape {
-                return Err(LoadWeightsError::Mismatch(format!(
+                return Err(ModelError::corrupt(format!(
                     "adam moment {i} shape {:?}/{:?} does not match parameter shape {shape:?}",
                     state.m[i].shape(),
                     state.v[i].shape()
@@ -228,10 +197,11 @@ mod tests {
     }
 
     /// The checkpoint contract: restoring exported state (through the
-    /// byte codec) continues training on the exact same trajectory, bit
+    /// container) continues training on the exact same trajectory, bit
     /// for bit, as never having stopped.
     #[test]
     fn state_round_trip_continues_training_bit_identically() {
+        use crate::artifact::{ArtifactBuilder, ModelArtifact};
         let quad_step = |p: &Var, opt: &mut Adam| {
             opt.zero_grad();
             p.mul(p).sum().backward();
@@ -244,8 +214,10 @@ mod tests {
         }
         let saved_params = p.to_tensor();
         let state = opt.export_state();
-        let blob = state.moments_bytes();
-        let saved_step = state.step;
+        let mut builder = ArtifactBuilder::new();
+        builder.add_f32("m", &state.m[0]);
+        builder.add_f32("v", &state.v[0]);
+        let saved = ModelArtifact::from_bytes(builder.to_bytes()).unwrap();
 
         // Reference: the uninterrupted run.
         for _ in 0..25 {
@@ -256,7 +228,12 @@ mod tests {
         // Resumed: fresh parameter + optimizer, state restored from bytes.
         let q = Var::parameter(saved_params);
         let mut opt2 = Adam::new(vec![q.clone()], 0.07).with_weight_decay(1e-3);
-        opt2.restore_state(AdamState::from_moments_bytes(&blob, saved_step).unwrap()).unwrap();
+        let restored = AdamState {
+            step: state.step,
+            m: vec![saved.tensor("m").unwrap()],
+            v: vec![saved.tensor("v").unwrap()],
+        };
+        opt2.restore_state(restored).unwrap();
         for _ in 0..25 {
             quad_step(&q, &mut opt2);
         }

@@ -169,12 +169,14 @@ proptest! {
 
     #[test]
     fn serialization_round_trip_any_shapes(dims in prop::collection::vec(1usize..5, 1..4), seed in 0u64..300) {
-        use aero_nn::serialize::{decode_tensors, encode_params, load_into_params};
+        use aero_nn::artifact::{load_into_params, ArtifactBuilder, ModelArtifact};
         let mut rng = StdRng::seed_from_u64(seed);
         let p = Var::parameter(Tensor::randn(&dims, &mut rng));
-        let blob = encode_params(std::slice::from_ref(&p));
+        let mut builder = ArtifactBuilder::new();
+        builder.add_f32("p", &p.to_tensor());
+        let artifact = ModelArtifact::from_bytes(builder.to_bytes()).unwrap();
         let q = Var::parameter(Tensor::zeros(&dims));
-        load_into_params(std::slice::from_ref(&q), decode_tensors(&blob).unwrap()).unwrap();
+        load_into_params(std::slice::from_ref(&q), vec![artifact.tensor("p").unwrap()]).unwrap();
         prop_assert_eq!(p.to_tensor(), q.to_tensor());
     }
 }

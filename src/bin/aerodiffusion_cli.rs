@@ -18,7 +18,6 @@
 //!                          [--tenant-rate RPS [--tenant-burst N]] [--shed-queue-depth N]
 //!                          [--shed-p95-ms MS] [--stream] [--max-worker-restarts N]
 //!                          [--inject-panic-at N[,N…]] [--inject-worker-kill-at N[,N…]]
-//! aerodiffusion_cli info   <model-dir>
 //! aerodiffusion_cli lint   [--scale smoke|small|paper] [--all]
 //! aerodiffusion_cli model export  <model-dir> <out.amdl> [--q8] [--scale …]
 //!                          [--registry DIR --name NAME] [--quality-scenes N]
@@ -26,22 +25,31 @@
 //! aerodiffusion_cli model list    <registry-dir>
 //! ```
 //!
-//! `model export` packs a persisted pipeline directory into one
-//! CRC-protected `.amdl` artifact — dense `f32` by default, `--q8` for
+//! `train` saves the trained pipeline as `<model-dir>/model.amdl`, one
+//! CRC-protected `f32` artifact that `sample`, `profile`, `serve` and
+//! `model export` load back for the `--scale` preset it was trained with
+//! (another preset is refused before anything is built). `model export`
+//! rewrites a saved model as an `.amdl` artifact — dense `f32` by
+//! default, byte-identical to `<model-dir>/model.amdl`, or `--q8` for
 //! block-quantized weights (~28% of the dense payload) with a per-layer
 //! quantization-error report on stderr. With `--registry`/`--name` the
 //! artifact is also published into a versioned registry that `serve
 //! --registry` can hot-swap from. `--quality-scenes N` additionally
 //! measures the q8-vs-f32 FID and CLIP-score deltas on an N-scene
 //! evaluation set. `model inspect` prints an artifact's metadata and
-//! tensor table after verifying its checksum; `model list` prints a
+//! tensor table after verifying its checksum (`model inspect
+//! <model-dir>/model.amdl` shows a saved model); `model list` prints a
 //! registry's contents with per-entry integrity states.
 //!
+//! Every subcommand refuses a flag it does not read, and an unknown
+//! `--scale`, naming it, before it loads or trains anything.
+//!
 //! With `--checkpoint-dir`, `train` writes crash-safe checkpoints of the
-//! joint diffusion stage every `--checkpoint-every` steps (CRC-verified,
-//! written atomically). A killed run re-invoked with `--resume` continues
-//! from the newest valid checkpoint on a bit-identical trajectory;
-//! corrupt checkpoints are skipped. `--max-steps` stops the joint stage
+//! joint diffusion stage every `--checkpoint-every` steps (one
+//! CRC-verified `step-<n>.amdl` file each, written atomically). A killed
+//! run re-invoked with `--resume` continues from the newest valid
+//! checkpoint on a bit-identical trajectory; corrupt checkpoints are
+//! skipped. `--max-steps` stops the joint stage
 //! early — checkpointed but unsaved — which is how CI simulates a crash.
 //!
 //! `--threads` pins the tensor-kernel worker pool (default: the
@@ -126,12 +134,38 @@ fn parse_flag(args: &[String], name: &str) -> Option<String> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
 }
 
-fn scale_config(args: &[String]) -> PipelineConfig {
-    match parse_flag(args, "--scale").as_deref() {
-        Some("paper") => PipelineConfig::paper(),
-        Some("small") => PipelineConfig::small(),
-        _ => PipelineConfig::smoke(),
+/// Refuses, naming it, any `--flag` the subcommand does not read.
+/// `values` and `switches` list, space-separated, the flags it reads that
+/// take an argument and those that do not. Runs before the subcommand
+/// loads or trains anything.
+fn check_flags(args: &[String], values: &str, switches: &str) -> Result<(), Box<dyn Error>> {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if values.split_whitespace().any(|flag| flag == arg) {
+            args.next().ok_or_else(|| format!("{arg} needs a value"))?;
+        } else if arg.starts_with("--") && !switches.split_whitespace().any(|flag| flag == arg) {
+            return Err(format!("unknown flag {arg}").into());
+        }
     }
+    Ok(())
+}
+
+/// The `--scale` presets, in `lint --all` order.
+fn scales() -> [(&'static str, PipelineConfig); 3] {
+    [
+        ("paper", PipelineConfig::paper()),
+        ("small", PipelineConfig::small()),
+        ("smoke", PipelineConfig::smoke()),
+    ]
+}
+
+/// The `--scale` preset (default smoke), by name and configuration.
+fn scale_config(args: &[String]) -> Result<(&'static str, PipelineConfig), Box<dyn Error>> {
+    let name = parse_flag(args, "--scale").unwrap_or_else(|| "smoke".to_string());
+    scales()
+        .into_iter()
+        .find(|(scale, _)| *scale == name)
+        .ok_or_else(|| format!("unknown --scale '{name}' (expected smoke|small|paper)").into())
 }
 
 /// Applies `--threads N` (falling back to the `AERO_THREADS` env var and
@@ -157,12 +191,11 @@ fn main() -> ExitCode {
         Some("sample") => cmd_sample(&args[1..]),
         Some("profile") => cmd_profile(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
-        Some("info") => cmd_info(&args[1..]),
         Some("lint") => cmd_lint(&args[1..]),
         Some("model") => cmd_model(&args[1..]),
         _ => {
             eprintln!(
-                "usage: aerodiffusion_cli <train|sample|profile|serve|info|lint> [args]\n\
+                "usage: aerodiffusion_cli <train|sample|profile|serve|lint|model> [args]\n\
                  \n  train  <dir> [--scenes N] [--seed S] [--scale smoke|small|paper] [--threads N]\n\
                  \n         [--backend reference|blocked]\n\
                  \n         [--checkpoint-dir DIR] [--checkpoint-every N] [--resume] [--max-steps N]\n\
@@ -179,7 +212,6 @@ fn main() -> ExitCode {
                  \n         [--tenant-rate RPS [--tenant-burst N]] [--shed-queue-depth N]\n\
                  \n         [--shed-p95-ms MS] [--stream] [--max-worker-restarts N]\n\
                  \n         [--inject-panic-at N[,N…]] [--inject-worker-kill-at N[,N…]]\n\
-                 \n  info   <dir>\n\
                  \n  lint   [--scale smoke|small|paper] [--all] [--source-root DIR]\n\
                  \n  model  export <dir> <out.amdl> [--q8] [--scale …]\n\
                  \n                [--registry DIR --name NAME] [--quality-scenes N]\n\
@@ -199,11 +231,17 @@ fn main() -> ExitCode {
 }
 
 fn cmd_train(args: &[String]) -> Result<(), Box<dyn Error>> {
+    check_flags(
+        args,
+        "--scenes --seed --scale --threads --backend --checkpoint-dir \
+         --checkpoint-every --max-steps",
+        "--resume",
+    )?;
+    let (_, config) = scale_config(args)?;
     apply_kernel_flags(args)?;
     let dir = args.first().ok_or("train requires a model directory")?;
     let n_scenes: usize = parse_flag(args, "--scenes").map(|v| v.parse()).transpose()?.unwrap_or(8);
     let seed: u64 = parse_flag(args, "--seed").map(|v| v.parse()).transpose()?.unwrap_or(42);
-    let config = scale_config(args);
     println!("building {n_scenes}-scene dataset…");
     let dataset = build_dataset(&DatasetConfig {
         n_scenes,
@@ -214,7 +252,7 @@ fn cmd_train(args: &[String]) -> Result<(), Box<dyn Error>> {
     println!("training pipeline (this is CPU-bound)…");
     let Some(ckpt_dir) = parse_flag(args, "--checkpoint-dir") else {
         let pipeline = AeroDiffusionPipeline::fit(&dataset, config, seed);
-        pipeline.save(dir)?;
+        aero_model::save(&pipeline, dir)?;
         println!("saved trained pipeline to {dir}");
         return Ok(());
     };
@@ -242,7 +280,7 @@ fn cmd_train(args: &[String]) -> Result<(), Box<dyn Error>> {
         None => println!("final loss: n/a (no new steps ran)"),
     }
     if report.completed {
-        pipeline.save(dir)?;
+        aero_model::save(&pipeline, dir)?;
         println!("saved trained pipeline to {dir}");
     } else {
         println!(
@@ -254,12 +292,19 @@ fn cmd_train(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_sample(args: &[String]) -> Result<(), Box<dyn Error>> {
+    check_flags(
+        args,
+        "--seed --scale --threads --backend --trace --task --prompt --source \
+         --source-view --target-view --box",
+        "--night",
+    )?;
+    let (_, config) = scale_config(args)?;
     apply_kernel_flags(args)?;
     let dir = args.first().ok_or("sample requires a model directory")?;
     let out = args.get(1).ok_or("sample requires an output .ppm path")?;
     let seed: u64 = parse_flag(args, "--seed").map(|v| v.parse()).transpose()?.unwrap_or(7);
-    let config = scale_config(args);
-    let pipeline = AeroDiffusionPipeline::load(dir, config)?;
+    let snapshot = aero_model::load(dir, config)?;
+    let pipeline: &AeroDiffusionPipeline = snapshot.pipeline();
     // a fresh reference scene to condition on
     let dataset = build_dataset(&DatasetConfig {
         n_scenes: 1,
@@ -270,11 +315,11 @@ fn cmd_sample(args: &[String]) -> Result<(), Box<dyn Error>> {
     let item = &dataset.items[0];
     let mut rng = StdRng::seed_from_u64(seed);
     let night = args.iter().any(|a| a == "--night");
-    let mode = sample_mode(args, &pipeline, item, seed, night)?;
+    let mode = sample_mode(args, pipeline, item, seed, night)?;
     let sampler = DdimSampler::new(config.diffusion.ddim_steps, config.diffusion.guidance_scale);
     let render = |rng: &mut StdRng| match &mode {
         SampleMode::Text if night => {
-            aerodiffusion::viewpoint::night_synthesis(&pipeline, item, rng).image
+            aerodiffusion::viewpoint::night_synthesis(pipeline, item, rng).image
         }
         SampleMode::Text => pipeline.generate(item, rng),
         SampleMode::Task(task) => pipeline.run_task(task, &sampler, seed, StepSink::none()),
@@ -442,14 +487,16 @@ fn write_obs_ndjson(
 /// profile: the aggregated span tree (inclusive / self wall-clock per
 /// stage) and the process-global metric registry.
 fn cmd_profile(args: &[String]) -> Result<(), Box<dyn Error>> {
+    check_flags(args, "--seed --ndjson --scale --threads --backend", "")?;
+    let (_, config) = scale_config(args)?;
     apply_kernel_flags(args)?;
     let dir = args
         .first()
         .filter(|a| !a.starts_with("--"))
         .ok_or("profile requires a model directory")?;
     let seed: u64 = parse_flag(args, "--seed").map(|v| v.parse()).transpose()?.unwrap_or(7);
-    let config = scale_config(args);
-    let pipeline = AeroDiffusionPipeline::load(dir, config)?;
+    let snapshot = aero_model::load(dir, config)?;
+    let pipeline = snapshot.pipeline();
     let dataset = build_dataset(&DatasetConfig {
         n_scenes: 1,
         image_size: config.vision.image_size,
@@ -501,7 +548,7 @@ fn serve_snapshot(
             .first()
             .filter(|a| !a.starts_with("--"))
             .ok_or("serve requires a model directory or --demo")?;
-        Ok(AeroDiffusionPipeline::load(dir, config)?.snapshot())
+        Ok(aero_model::load(dir, config)?)
     }
 }
 
@@ -523,6 +570,15 @@ fn positive_flag(args: &[String], name: &str) -> Result<Option<usize>, Box<dyn E
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), Box<dyn Error>> {
+    check_flags(
+        args,
+        "--workers --max-batch --queue --batch-wait-ms --cache --steps --guidance \
+         --scale --threads --backend --registry --model --tenant-rate --tenant-burst \
+         --shed-queue-depth --shed-p95-ms --max-worker-restarts --inject-panic-at \
+         --inject-worker-kill-at --scenes --seed",
+        "--demo --stream",
+    )?;
+    let (_, config) = scale_config(args)?;
     apply_kernel_flags(args)?;
     let workers = positive_flag(args, "--workers")?;
     let max_batch = positive_flag(args, "--max-batch")?;
@@ -539,7 +595,7 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn Error>> {
             (snapshot_from_artifact(&registry.open_artifact(&entry)?)?, Some(entry))
         }
         (None, Some(_)) => return Err("--model requires --registry".into()),
-        _ => (serve_snapshot(args, scale_config(args))?, None),
+        _ => (serve_snapshot(args, config)?, None),
     };
     let mut serve = ServeConfig::for_pipeline(snapshot.config());
     serve.workers = workers.unwrap_or(serve.workers);
@@ -627,24 +683,10 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn Error>> {
 }
 
 fn cmd_lint(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let configs: Vec<(String, PipelineConfig)> = if args.iter().any(|a| a == "--all") {
-        vec![
-            ("paper".to_string(), PipelineConfig::paper()),
-            ("small".to_string(), PipelineConfig::small()),
-            ("smoke".to_string(), PipelineConfig::smoke()),
-        ]
-    } else {
-        let name = parse_flag(args, "--scale").unwrap_or_else(|| "smoke".to_string());
-        let config = match name.as_str() {
-            "paper" => PipelineConfig::paper(),
-            "small" => PipelineConfig::small(),
-            "smoke" => PipelineConfig::smoke(),
-            other => {
-                return Err(format!("unknown --scale '{other}' (expected smoke|small|paper)").into())
-            }
-        };
-        vec![(name, config)]
-    };
+    check_flags(args, "--scale --source-root", "--all")?;
+    let scale = scale_config(args)?;
+    let configs: Vec<(&str, PipelineConfig)> =
+        if args.iter().any(|a| a == "--all") { scales().to_vec() } else { vec![scale] };
     let mut failed = false;
     for (name, config) in configs {
         // Batch 1 and the most requests a server coalesces by default.
@@ -673,22 +715,6 @@ fn cmd_lint(args: &[String]) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-fn cmd_info(args: &[String]) -> Result<(), Box<dyn Error>> {
-    let dir = args.first().ok_or("info requires a model directory")?;
-    let meta = std::fs::read_to_string(std::path::Path::new(dir).join("meta.txt"))?;
-    let vocab = std::fs::read_to_string(std::path::Path::new(dir).join("vocab.txt"))?;
-    println!("pipeline at {dir}:");
-    for line in meta.lines() {
-        println!("  {line}");
-    }
-    println!("  vocabulary: {} entries", vocab.lines().count());
-    for f in ["clip.aero", "vae.aero", "detector.aero", "condition.aero", "unet.aero"] {
-        let size = std::fs::metadata(std::path::Path::new(dir).join(f))?.len();
-        println!("  {f}: {size} bytes");
-    }
-    Ok(())
-}
-
 fn cmd_model(args: &[String]) -> Result<(), Box<dyn Error>> {
     match args.first().map(String::as_str) {
         Some("export") => cmd_model_export(&args[1..]),
@@ -698,16 +724,18 @@ fn cmd_model(args: &[String]) -> Result<(), Box<dyn Error>> {
     }
 }
 
-/// Packs a persisted pipeline directory into one `.amdl` artifact,
-/// optionally quantized, optionally published into a registry, with the
-/// per-layer quantization-error report on stderr.
+/// Rewrites a saved model as one `.amdl` artifact (without `--q8`, the
+/// same bytes as its `model.amdl`), optionally quantized, optionally
+/// published into a registry, with the per-layer quantization-error
+/// report on stderr.
 fn cmd_model_export(args: &[String]) -> Result<(), Box<dyn Error>> {
+    check_flags(args, "--scale --threads --backend --registry --name --quality-scenes", "--q8")?;
+    let (_, config) = scale_config(args)?;
     apply_kernel_flags(args)?;
     let dir = args.first().ok_or("model export requires a model directory")?;
     let out = args.get(1).ok_or("model export requires an output .amdl path")?;
-    let config = scale_config(args);
     let quant = if args.iter().any(|a| a == "--q8") { Quantization::Q8 } else { Quantization::F32 };
-    let snapshot = AeroDiffusionPipeline::load(dir, config)?.snapshot();
+    let snapshot = aero_model::load(dir, config)?;
     let report = write_snapshot(&snapshot, quant, std::path::Path::new(out))?;
     println!(
         "wrote {out}: {} bytes ({} quantization, {:.1}% of the dense f32 payload)",
@@ -753,13 +781,14 @@ fn cmd_model_export(args: &[String]) -> Result<(), Box<dyn Error>> {
 
 /// Verifies and prints one artifact: metadata section plus tensor table.
 fn cmd_model_inspect(args: &[String]) -> Result<(), Box<dyn Error>> {
+    check_flags(args, "", "")?;
     let path = args.first().ok_or("model inspect requires an artifact path")?;
     let artifact = ModelArtifact::read(std::path::Path::new(path))?;
     println!("{path}: {} bytes, checksum verified", artifact.file_len());
     println!("metadata:");
     for (key, value) in artifact.kv() {
         let shown = if value.len() > 64 {
-            format!("{}… ({} bytes)", &value[..value.len().min(48)], value.len())
+            format!("{}… ({} bytes)", &value[..value.floor_char_boundary(48)], value.len())
         } else {
             value.clone()
         };
@@ -777,6 +806,7 @@ fn cmd_model_inspect(args: &[String]) -> Result<(), Box<dyn Error>> {
 
 /// Prints a registry's index with per-entry integrity states.
 fn cmd_model_list(args: &[String]) -> Result<(), Box<dyn Error>> {
+    check_flags(args, "", "")?;
     let dir = args.first().ok_or("model list requires a registry directory")?;
     let registry = ModelRegistry::open(std::path::Path::new(dir))?;
     let entries = registry.entries()?;

@@ -1,5 +1,6 @@
 //! Integration test: save/load of a trained pipeline preserves behaviour.
 
+use aero_model::{load, save};
 use aero_scene::{build_dataset, DatasetConfig, SceneGeneratorConfig};
 use aerodiffusion::{AeroDiffusionPipeline, PipelineConfig};
 use rand::rngs::StdRng;
@@ -18,13 +19,13 @@ fn saved_pipeline_generates_identically_after_load() {
 
     let dir = std::env::temp_dir().join("aero_pipeline_roundtrip");
     let _ = std::fs::remove_dir_all(&dir);
-    pipeline.save(&dir).expect("save");
-    let loaded = AeroDiffusionPipeline::load(&dir, cfg).expect("load");
+    save(&pipeline, &dir).expect("save");
+    let loaded = load(&dir, cfg).expect("load");
 
     assert_eq!(loaded.provider(), pipeline.provider());
     assert_eq!(loaded.variant(), pipeline.variant());
     let original = pipeline.generate(&ds.items[0], &mut StdRng::seed_from_u64(63));
-    let restored = loaded.generate(&ds.items[0], &mut StdRng::seed_from_u64(63));
+    let restored = loaded.pipeline().generate(&ds.items[0], &mut StdRng::seed_from_u64(63));
     assert_eq!(original, restored, "loaded pipeline must generate identically");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -41,8 +42,8 @@ fn load_rejects_wrong_config() {
     let pipeline = AeroDiffusionPipeline::fit(&ds, cfg, 65);
     let dir = std::env::temp_dir().join("aero_pipeline_wrong_cfg");
     let _ = std::fs::remove_dir_all(&dir);
-    pipeline.save(&dir).expect("save");
-    let err = AeroDiffusionPipeline::load(&dir, PipelineConfig::small());
+    save(&pipeline, &dir).expect("save");
+    let err = load(&dir, PipelineConfig::small());
     assert!(err.is_err(), "mismatched config must be rejected");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -50,5 +51,5 @@ fn load_rejects_wrong_config() {
 #[test]
 fn load_rejects_missing_directory() {
     let missing = std::env::temp_dir().join("aero_pipeline_does_not_exist");
-    assert!(AeroDiffusionPipeline::load(&missing, PipelineConfig::smoke()).is_err());
+    assert!(load(&missing, PipelineConfig::smoke()).is_err());
 }

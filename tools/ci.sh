@@ -14,9 +14,11 @@
 #                      where any finding fails, warnings included (the
 #                      `lint` CLI subcommand; an accepted finding carries
 #                      an inline `// lint: …-ok(reason)` annotation);
-#                      plus a lock-order smoke that plants a deliberate
-#                      AD0200 cycle in a temp workspace and asserts the
-#                      analyzer trips
+#                      `lint --baseline x` must exit non-zero naming the
+#                      flag (every subcommand refuses a flag it does not
+#                      read); plus a lock-order smoke that plants a
+#                      deliberate AD0200 cycle in a temp workspace and
+#                      asserts the analyzer trips
 #   5. serve smoke   — two NDJSON requests piped through `serve --demo`,
 #                      asserting image replies plus the stats and
 #                      metrics probes; the same with one worker per core,
@@ -31,7 +33,8 @@
 #                      nesting cap); and a non-UTF-8 line plus a line
 #                      past the 1 MiB line cap must each get a typed
 #                      `bad_request` before the next request is served
-#   6. fault smokes  — a checkpointed training run killed mid-way via
+#   6. fault smokes  — a checkpointed training run (one `step-<n>.amdl`
+#                      file per checkpoint) killed mid-way via
 #                      --max-steps and resumed to completion with a finite
 #                      final loss, and a serve run with an injected
 #                      per-request worker panic that still answers every
@@ -70,16 +73,19 @@
 #                      threshold-free bench_tasks liveness run
 #                      (BENCH_TASKS_SMOKE=1) asserting per-task
 #                      determinism
-#   9. model smokes  — the trained model exported to a single `.amdl`
-#                      artifact, inspected (CRC verified), published into
+#   9. model smokes  — the trained model (`<dir>/model.amdl`) exported
+#                      without --q8 to a byte-identical `.amdl` artifact
+#                      (cmp), inspected (CRC verified), published into
 #                      a registry, and served from it with a sample
-#                      byte-identical to the directory loader's; a
+#                      byte-identical to the one `serve <dir>` gives; a
 #                      second model published as `alt` and hot-swapped in
 #                      over the wire must serve exactly what a server
 #                      booted on it serves, and the request before the
 #                      swap exactly what `smoke@1` serves; a
 #                      one-bit-flipped copy must be rejected with a typed
-#                      corruption error; plus a bench_model liveness run
+#                      corruption error, by `model inspect` and, as the
+#                      saved `model.amdl`, by `sample`; plus a bench_model
+#                      liveness run
 #                      (BENCH_MODEL_SMOKE=1) asserting q8 < f32 size and
 #                      f32 round-trip losslessness
 #  10. benchmark     — the aerobench package (its own manifest under
@@ -87,8 +93,9 @@
 #                      including the in-process layer prober that calls the
 #                      layer APIs, and passes its unit tests; then a
 #                      `--smoke --seed 1` run must pass every correctness
-#                      check and print the four seed-1 output digests its
-#                      README records (same bytes for every later change)
+#                      check and print the four seed-1 output digests
+#                      pinned at the end of this script (same bytes for
+#                      every later change)
 #
 # Everything runs with --offline: the build environment has no network and
 # all dependencies are vendored shims (see shims/).
@@ -110,6 +117,14 @@ trap 'rm -rf "$work"' EXIT
 
 echo "== model run + source lint (any finding fails) =="
 cargo run --offline -q -p aerodiffusion-suite --bin aerodiffusion_cli -- lint --all
+
+echo "== flag smoke: a flag the subcommand does not read is refused by name =="
+if flag_out="$(cargo run --offline -q -p aerodiffusion-suite --bin aerodiffusion_cli -- \
+  lint --baseline x 2>&1)"; then
+  echo "flag smoke: lint accepted --baseline"; exit 1
+fi
+echo "$flag_out" | grep -q -- '--baseline' \
+  || { echo "flag smoke: the refusal did not name --baseline"; echo "$flag_out"; exit 1; }
 
 echo "== lock-order smoke: a planted AD0200 cycle must fail the gate =="
 # Two functions taking the same two locks in opposite orders; the
@@ -368,13 +383,15 @@ echo "== thread smoke: bench_kernels liveness =="
 BENCH_KERNELS_SMOKE=1 cargo run --offline -q -p aero-bench --bin bench_kernels
 
 echo "== model smoke: export → inspect → reload → byte-identical sample =="
-# Pack the fault-smoke model into a single f32 artifact, verify it loads
-# (CRC + header decode via `inspect`), publish it into a registry, and
-# require a sample served straight off the artifact to be byte-identical
-# to the directory loader's.
+# Export the fault-smoke model as an f32 artifact, which must be the saved
+# `model.amdl` byte for byte, verify it loads (CRC + header decode via
+# `inspect`), publish it into a registry, and require a sample served
+# straight off the artifact to be byte-identical to `serve <dir>`'s.
 cargo run --offline -q -p aerodiffusion-suite --bin aerodiffusion_cli -- \
   model export "$work/model" "$work/model.amdl" \
   --registry "$work/registry" --name smoke
+cmp "$work/model.amdl" "$work/model/model.amdl" \
+  || { echo "model smoke: the f32 export differs from the saved model.amdl"; exit 1; }
 inspect_out="$(cargo run --offline -q -p aerodiffusion-suite --bin aerodiffusion_cli -- \
   model inspect "$work/model.amdl")"
 echo "$inspect_out" | grep -q 'checksum verified' \
@@ -385,8 +402,9 @@ cargo run --offline -q -p aerodiffusion-suite --bin aerodiffusion_cli -- \
   model list "$work/registry" | grep -q 'smoke@1 .*verified' \
   || { echo "model smoke: registry list missing a verified smoke@1"; exit 1; }
 # Byte-compare: the NDJSON server booted from the registry artifact must
-# produce the exact image the directory-loaded server produces (only the
-# latency telemetry may differ between runs, so compare the pixels).
+# produce the exact image the server loading the model directory produces
+# (only the latency telemetry may differ between runs, so compare the
+# pixels).
 req='{"type":"generate","id":"ci-m","prompt":"an aerial view of a park","seed":41}'
 pixels() { sed -n 's/.*"rgb8_b64":"\([^"]*\)".*/\1/p'; }
 dir_img="$(printf '%s\n' "$req" \
@@ -441,6 +459,20 @@ fi
 echo "$corrupt_out" | grep -qi 'corrupt' \
   || { echo "model smoke: corrupt-artifact error was not typed"; \
        echo "$corrupt_out"; exit 1; }
+# The same flipped bit in a saved model directory: `sample` must refuse
+# it with the typed error, not sample garbage or panic.
+mkdir -p "$work/model-corrupt"
+cp "$work/model-corrupt.amdl" "$work/model-corrupt/model.amdl"
+if flip_out="$(cargo run --offline -q -p aerodiffusion-suite --bin aerodiffusion_cli -- \
+  sample "$work/model-corrupt" "$work/corrupt.ppm" 2>&1)"; then
+  echo "model smoke: sample loaded a bit-flipped model.amdl"; exit 1
+fi
+echo "$flip_out" | grep -qi 'corrupt' \
+  || { echo "model smoke: the bit-flipped model.amdl error was not typed"; \
+       echo "$flip_out"; exit 1; }
+if echo "$flip_out" | grep -q 'panicked'; then
+  echo "model smoke: sample panicked on a bit-flipped model.amdl"; echo "$flip_out"; exit 1
+fi
 
 echo "== model smoke: bench_model liveness =="
 (cd "$work" && BENCH_MODEL_SMOKE=1 cargo run --offline -q \
@@ -514,14 +546,17 @@ echo "== benchmark digests: seed-1 outputs are byte-identical to the recorded on
 # Each workload prints an FNV-1a digest of its seed-determined output
 # (serve probe pixels, the cold paper sample, the trained paper model).
 # A smoke run prints the same digests as a full run, so this pins "same
-# bytes" for every performance change.
+# bytes" for every performance change. train_paper hashes the model
+# directory's file names and bytes, so it changed when a saved model
+# became one `model.amdl` with the same weights; the aerobench README
+# still records the digest of the old directory layout.
 bench_out="$(cargo run --release --offline -q --manifest-path "$bench_manifest" \
   --bin aerobench -- --smoke --seed 1)"
 echo "$bench_out" | grep 'digest'
 echo "$bench_out" | tail -n 1 | grep -q '"correct":true' \
   || { echo "benchmark digests: the smoke run failed a correctness check"; exit 1; }
 for want in serve_repeat:76ee5cf43414013b serve_mixed:3c1e08dcfe29f8e8 \
-    sample_paper:eb8a4efde97265f6 train_paper:55a6d5084870222e; do
+    sample_paper:eb8a4efde97265f6 train_paper:0b1f45e93351f579; do
   echo "$bench_out" | grep -Eq "^${want%%:*} +digest fnv64:${want#*:}\$" \
     || { echo "benchmark digests: ${want%%:*} did not print fnv64:${want#*:}"; exit 1; }
 done
