@@ -34,6 +34,11 @@
 //! with its work estimate and its median time at 1 and 2 threads,
 //! recorded under `fanout_sweep`. The times are recorded, not gated.
 //!
+//! Then times the one-pass GroupNorm kernels (`DESIGN.md` §20) at the
+//! paper UNet's three shapes, recorded under `group_norm`: the forward
+//! at batch 1 and 8 and the backward at batch 8, median per call. They
+//! are serial, so one thread count is timed.
+//!
 //! Also measures span-tracing overhead: the DDIM workload is timed in
 //! interleaved pairs, one run with the collector off and one inside an
 //! [`aero_obs::span::collect`] scope, the order alternating pair by pair,
@@ -156,6 +161,73 @@ fn time_1t_2t(samples: usize, f: &dyn Fn() -> Tensor) -> (f64, f64) {
     }
     let [one, two] = per_call;
     (median(one), median(two))
+}
+
+/// One GroupNorm shape of the paper UNet, with the median wall time per
+/// call of the forward kernel at batch 1 (a sampling pass) and of the
+/// forward and backward kernels at batch 8 (a training step).
+struct NormRow {
+    shape: [usize; 4],
+    forward_b1_us: f64,
+    forward_b8_us: f64,
+    backward_b8_us: f64,
+}
+
+/// Median per-call wall time of `f` over `samples` batches of calls,
+/// each long enough (~2 ms) for the clock to resolve, in microseconds.
+fn median_call_us(samples: usize, f: &dyn Fn()) -> f64 {
+    f();
+    let started = Instant::now();
+    f();
+    let reps = (2_000 / started.elapsed().as_micros().max(1)).clamp(1, 10_000) as usize;
+    let per_call = (0..samples).map(|_| {
+        let started = Instant::now();
+        for _ in 0..reps {
+            f();
+        }
+        started.elapsed().as_secs_f64() * 1e6 / reps as f64
+    });
+    median(per_call.collect())
+}
+
+/// The one-pass GroupNorm kernels (`DESIGN.md` §20) at the paper UNet's
+/// three shapes: 16 channels on the 8×8 latent, 32 on the 4×4
+/// bottleneck and 32 on the 8×8 up path, four groups each.
+fn group_norm_rows(smoke: bool, rng: &mut StdRng) -> Vec<NormRow> {
+    let samples = if smoke { 3 } else { 15 };
+    println!("{:>20} {:>12} {:>12} {:>12}", "group_norm", "fwd b1 µs", "fwd b8 µs", "bwd b8 µs");
+    [[1, 16, 8, 8], [1, 32, 4, 4], [1, 32, 8, 8]]
+        .into_iter()
+        .map(|shape| {
+            let [_, c, h, w] = shape;
+            let gamma = Tensor::randn(&[1, c, 1, 1], rng);
+            let beta = Tensor::randn(&[1, c, 1, 1], rng);
+            let x1 = Tensor::randn(&shape, rng);
+            let x8 = Tensor::randn(&[8, c, h, w], rng);
+            let grad = Tensor::randn(&[8, c, h, w], rng);
+            let (_, stats) = x8.group_norm(&gamma, &beta, 4, 1e-5);
+            let row = NormRow {
+                shape,
+                forward_b1_us: median_call_us(samples, &|| {
+                    x1.group_norm(&gamma, &beta, 4, 1e-5);
+                }),
+                forward_b8_us: median_call_us(samples, &|| {
+                    x8.group_norm(&gamma, &beta, 4, 1e-5);
+                }),
+                backward_b8_us: median_call_us(samples, &|| {
+                    x8.group_norm_backward(&gamma, &stats, &grad);
+                }),
+            };
+            println!(
+                "{:>20} {:>12.1} {:>12.1} {:>12.1}",
+                format!("{shape:?}"),
+                row.forward_b1_us,
+                row.forward_b8_us,
+                row.backward_b8_us
+            );
+            row
+        })
+        .collect()
 }
 
 fn median(mut v: Vec<f64>) -> f64 {
@@ -348,6 +420,7 @@ fn main() {
     );
 
     let sweep = fanout_sweep(smoke, &mut rng);
+    let norms = group_norm_rows(smoke, &mut rng);
 
     // Single-thread backend gate: no core requirement, arms off-smoke.
     let mm = &workloads[0];
@@ -405,6 +478,23 @@ fn main() {
                             ("work", (r.work as u64).into()),
                             ("t1_us", r.t1_us.into()),
                             ("t2_us", r.t2_us.into()),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        (
+            "group_norm",
+            Json::Arr(
+                norms
+                    .iter()
+                    .map(|r| {
+                        Json::obj(vec![
+                            ("shape", Json::Arr(r.shape.iter().map(|&d| d.into()).collect())),
+                            ("groups", 4u64.into()),
+                            ("forward_b1_us", r.forward_b1_us.into()),
+                            ("forward_b8_us", r.forward_b8_us.into()),
+                            ("backward_b8_us", r.backward_b8_us.into()),
                         ])
                     })
                     .collect(),

@@ -33,7 +33,6 @@
 
 use aero_metrics::{fid, FeatureExtractor};
 use aero_nn::artifact::{ArtifactBuilder, ModelArtifact, ModelError};
-use aero_nn::integrity::write_atomic;
 use aero_scene::{build_dataset, DatasetConfig, SceneGeneratorConfig};
 use aero_tensor::parallel::{self, ParallelConfig};
 use aero_tensor::{Q8Tensor, Tensor};
@@ -44,6 +43,7 @@ use aerodiffusion::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::fmt::Write as _;
 use std::path::Path;
 
 /// The file a saved model directory keeps its weights in.
@@ -177,10 +177,10 @@ fn parse_variant_tag(tag: &str) -> Result<AblationVariant, ModelError> {
     }
 }
 
-/// Renders a pipeline to artifact bytes, returning the bytes and the
-/// quantization report. Weight tensors are read straight from the
-/// pipeline's parameters.
-fn render(pipeline: &AeroDiffusionPipeline, quant: Quantization) -> (Vec<u8>, QuantReport) {
+/// Builds a pipeline's artifact, returning it and the quantization
+/// report. Weight tensors are read straight from the pipeline's
+/// parameters.
+fn build(pipeline: &AeroDiffusionPipeline, quant: Quantization) -> (ArtifactBuilder, QuantReport) {
     let mut builder = ArtifactBuilder::new();
     builder.set(KEY_QUANT, quant.tag());
     builder.set(KEY_CONFIG, &pipeline.config().render_kv());
@@ -222,16 +222,15 @@ fn render(pipeline: &AeroDiffusionPipeline, quant: Quantization) -> (Vec<u8>, Qu
         }
     }
 
-    let bytes = builder.to_bytes();
     let report = QuantReport {
         quantization: quant,
         layers,
         f32_data_bytes,
-        artifact_bytes: bytes.len(),
+        artifact_bytes: builder.file_len(),
         max_abs_error: max_abs,
         mean_abs_error: if total_elems == 0 { 0.0 } else { (err_sum / total_elems as f64) as f32 },
     };
-    (bytes, report)
+    (builder, report)
 }
 
 /// Renders a snapshot to artifact bytes, returning the bytes and the
@@ -239,7 +238,16 @@ fn render(pipeline: &AeroDiffusionPipeline, quant: Quantization) -> (Vec<u8>, Qu
 /// produce identical bytes.
 #[must_use]
 pub fn export_snapshot(snapshot: &PipelineSnapshot, quant: Quantization) -> (Vec<u8>, QuantReport) {
-    let (bytes, report) = render(snapshot.pipeline(), quant);
+    let (builder, report) = build_export(snapshot, quant);
+    (builder.to_bytes(), report)
+}
+
+/// [`build`] of a snapshot's pipeline, counted as an export.
+fn build_export(
+    snapshot: &PipelineSnapshot,
+    quant: Quantization,
+) -> (ArtifactBuilder, QuantReport) {
+    let (builder, report) = build(snapshot.pipeline(), quant);
     aero_obs::counter!("model.export.count").inc();
     aero_obs::gauge!("model.export.artifact_bytes").set(report.artifact_bytes as f64);
     if quant == Quantization::Q8 {
@@ -247,7 +255,7 @@ pub fn export_snapshot(snapshot: &PipelineSnapshot, quant: Quantization) -> (Vec
         aero_obs::gauge!("model.quant.mean_abs_error").set(f64::from(report.mean_abs_error));
         aero_obs::gauge!("model.quant.size_ratio").set(report.size_ratio());
     }
-    (bytes, report)
+    (builder, report)
 }
 
 /// Exports a snapshot to an artifact file, crash-safely.
@@ -260,8 +268,8 @@ pub fn write_snapshot(
     quant: Quantization,
     path: &Path,
 ) -> Result<QuantReport, ModelError> {
-    let (bytes, report) = export_snapshot(snapshot, quant);
-    write_atomic(path, &bytes)?;
+    let (builder, report) = build_export(snapshot, quant);
+    builder.write(path)?;
     Ok(report)
 }
 
@@ -274,9 +282,7 @@ pub fn write_snapshot(
 pub fn save(pipeline: &AeroDiffusionPipeline, dir: impl AsRef<Path>) -> Result<(), ModelError> {
     let dir = dir.as_ref();
     std::fs::create_dir_all(dir)?;
-    let (bytes, _) = render(pipeline, Quantization::F32);
-    write_atomic(&dir.join(MODEL_FILE), &bytes)?;
-    Ok(())
+    build(pipeline, Quantization::F32).0.write(&dir.join(MODEL_FILE))
 }
 
 /// Loads the model [`save`] wrote to `dir`, for the preset `config`.
@@ -350,13 +356,18 @@ impl Decoded {
         };
         let vocab = required(artifact, KEY_VOCAB)?.split('\n').map(str::to_string).collect();
         let mut modules: [Vec<Tensor>; 5] = Default::default();
+        let mut name = String::new();
         for (tensors, module) in modules.iter_mut().zip(MODULE_NAMES) {
             let count_key = module_count_key(module);
             let count: usize = required(artifact, &count_key)?
                 .parse()
                 .map_err(|e| ModelError::Meta(format!("bad {count_key}: {e}")))?;
             *tensors = (0..count)
-                .map(|i| artifact.tensor(&format!("{module}.{i}")))
+                .map(|i| {
+                    name.clear();
+                    let _ = write!(name, "{module}.{i}");
+                    artifact.tensor(&name)
+                })
                 .collect::<Result<_, _>>()?;
         }
         Ok(Decoded { config, meta, vocab, modules })

@@ -32,12 +32,13 @@
 //! names a pipeline or a checkpoint writes is decided by its writer
 //! (`aero_model::export` and `aero_diffusion::checkpoint`).
 
-use crate::integrity::{crc32, write_atomic};
+use crate::integrity::{crc32, write_atomic_with, Crc32};
 use crate::Var;
 use aero_tensor::{Q8Tensor, Tensor, Q8_BLOCK};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::io::Write;
 use std::path::Path;
 
 /// The container format version this build reads and writes.
@@ -247,27 +248,20 @@ impl ArtifactBuilder {
         self.tensors.push((name.to_string(), DType::Q8, q.shape().to_vec(), payload));
     }
 
-    /// Renders the artifact to its on-disk byte form (CRC included).
-    #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut kv_section = Vec::new();
+    /// Lays out everything but the payloads: the key/value section, the
+    /// tensor table with each payload's final offset, and the data
+    /// section's offset and length.
+    fn layout(&self) -> Layout {
+        let mut kv = Vec::new();
         for (k, v) in &self.kv {
-            kv_section.extend_from_slice(&(k.len() as u32).to_le_bytes());
-            kv_section.extend_from_slice(k.as_bytes());
-            kv_section.extend_from_slice(&(v.len() as u32).to_le_bytes());
-            kv_section.extend_from_slice(v.as_bytes());
+            kv.extend_from_slice(&(k.len() as u32).to_le_bytes());
+            kv.extend_from_slice(k.as_bytes());
+            kv.extend_from_slice(&(v.len() as u32).to_le_bytes());
+            kv.extend_from_slice(v.as_bytes());
         }
-
-        // Lay out payloads first so the table can carry final offsets.
-        let mut offsets = Vec::with_capacity(self.tensors.len());
-        let mut data_len = 0usize;
-        for (_, _, _, payload) in &self.tensors {
-            offsets.push(data_len as u64);
-            data_len = align_up(data_len + payload.len());
-        }
-
         let mut table = Vec::new();
-        for ((name, dtype, shape, payload), &offset) in self.tensors.iter().zip(&offsets) {
+        let mut data_len = 0usize;
+        for (name, dtype, shape, payload) in &self.tensors {
             table.extend_from_slice(&(name.len() as u32).to_le_bytes());
             table.extend_from_slice(name.as_bytes());
             table.push(dtype.to_byte());
@@ -275,38 +269,89 @@ impl ArtifactBuilder {
             for &d in shape {
                 table.extend_from_slice(&(d as u32).to_le_bytes());
             }
-            table.extend_from_slice(&offset.to_le_bytes());
+            table.extend_from_slice(&(data_len as u64).to_le_bytes());
             table.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            data_len = align_up(data_len + payload.len());
         }
+        let data_offset = align_up(HEADER_LEN + kv.len() + table.len());
+        Layout { kv, table, data_offset, data_len }
+    }
 
-        let data_offset = align_up(HEADER_LEN + kv_section.len() + table.len());
-        let mut out = Vec::with_capacity(data_offset + data_len + 4);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.kv.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.tensors.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(data_offset as u64).to_le_bytes());
-        out.extend_from_slice(&kv_section);
-        out.extend_from_slice(&table);
-        out.resize(data_offset, 0);
-        for ((_, _, _, payload), &offset) in self.tensors.iter().zip(&offsets) {
-            out.resize(data_offset + offset as usize, 0);
-            out.extend_from_slice(payload);
+    /// Streams the artifact's on-disk bytes (CRC included) into `out`.
+    /// Payloads are written from the builder, not copied into a second
+    /// buffer first.
+    fn render(&self, layout: &Layout, out: &mut impl Write) -> std::io::Result<()> {
+        const ZEROS: [u8; DATA_ALIGN] = [0; DATA_ALIGN];
+        let mut crc = Crc32::new();
+        let mut put = |bytes: &[u8]| {
+            crc.update(bytes);
+            out.write_all(bytes)
+        };
+        put(MAGIC)?;
+        put(&FORMAT_VERSION.to_le_bytes())?;
+        put(&(self.kv.len() as u32).to_le_bytes())?;
+        put(&(self.tensors.len() as u32).to_le_bytes())?;
+        put(&(layout.data_offset as u64).to_le_bytes())?;
+        put(&layout.kv)?;
+        put(&layout.table)?;
+        // Each pad reaches the next multiple of DATA_ALIGN, so it is
+        // shorter than ZEROS.
+        let mut written = HEADER_LEN + layout.kv.len() + layout.table.len();
+        put(&ZEROS[..layout.data_offset - written])?;
+        written = 0;
+        for (_, _, _, payload) in &self.tensors {
+            put(payload)?;
+            written += payload.len();
+            put(&ZEROS[..align_up(written) - written])?;
+            written = align_up(written);
         }
-        out.resize(data_offset + data_len, 0);
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
+        debug_assert_eq!(written, layout.data_len);
+        let crc = crc.finish();
+        out.write_all(&crc.to_le_bytes())
+    }
+
+    /// The length of the rendered artifact in bytes.
+    #[must_use]
+    pub fn file_len(&self) -> usize {
+        self.layout().file_len()
+    }
+
+    /// Renders the artifact to its on-disk byte form (CRC included).
+    #[must_use]
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let layout = self.layout();
+        let mut out = Vec::with_capacity(layout.file_len());
+        self.render(&layout, &mut out).expect("writing to a Vec cannot fail");
         out
     }
 
-    /// Writes the artifact crash-safely (tmp + rename).
+    /// Writes the artifact crash-safely (tmp + rename), streaming it to
+    /// the file: no second copy of the payloads is made.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures.
     pub fn write(&self, path: &Path) -> Result<(), ModelError> {
-        write_atomic(path, &self.to_bytes())?;
+        let layout = self.layout();
+        write_atomic_with(path, |out| self.render(&layout, out))?;
         Ok(())
+    }
+}
+
+/// An artifact's sections before the data, as [`ArtifactBuilder`] lays
+/// them out.
+struct Layout {
+    kv: Vec<u8>,
+    table: Vec<u8>,
+    data_offset: usize,
+    data_len: usize,
+}
+
+impl Layout {
+    /// The rendered file's length: everything before the data, the
+    /// data, and the CRC.
+    fn file_len(&self) -> usize {
+        self.data_offset + self.data_len + 4
     }
 }
 
@@ -360,6 +405,10 @@ pub struct ModelArtifact {
     bytes: Vec<u8>,
     kv: BTreeMap<String, String>,
     tensors: Vec<TensorInfo>,
+    /// Indices into `tensors` sorted by name, and among equal names by
+    /// position, so a lookup is a binary search that finds a repeated
+    /// name's first entry.
+    by_name: Vec<usize>,
     data_offset: usize,
     data_len: usize,
 }
@@ -470,7 +519,9 @@ impl ModelArtifact {
             return Err(ModelError::corrupt("tensor table overruns the data section".into()));
         }
 
-        Ok(ModelArtifact { bytes, kv, tensors, data_offset, data_len })
+        let mut by_name: Vec<usize> = (0..tensors.len()).collect();
+        by_name.sort_by(|&a, &b| tensors[a].name.cmp(&tensors[b].name));
+        Ok(ModelArtifact { bytes, kv, tensors, by_name, data_offset, data_len })
     }
 
     /// The metadata section, sorted by key.
@@ -510,9 +561,11 @@ impl ModelArtifact {
     }
 
     fn info(&self, name: &str) -> Result<&TensorInfo, ModelError> {
-        self.tensors
-            .iter()
-            .find(|t| t.name == name)
+        let first = self.by_name.partition_point(|&i| self.tensors[i].name.as_str() < name);
+        self.by_name
+            .get(first)
+            .map(|&i| &self.tensors[i])
+            .filter(|t| t.name == name)
             .ok_or_else(|| ModelError::Meta(format!("no tensor named {name}")))
     }
 
@@ -631,6 +684,21 @@ mod tests {
         assert!(art.q8_tensor("packed").unwrap().is_some());
         assert!(art.q8_tensor("dense").unwrap().is_none());
         assert!(matches!(art.tensor("nope"), Err(ModelError::Meta(_))));
+    }
+
+    #[test]
+    fn every_name_resolves_to_its_first_entry() {
+        let mut b = ArtifactBuilder::new();
+        for (name, v) in [("m.10", 1.0), ("m.2", 2.0), ("dup", 3.0), ("m.1", 4.0), ("dup", 5.0)] {
+            b.add_f32(name, &Tensor::full(&[1], v));
+        }
+        let art = ModelArtifact::from_bytes(b.to_bytes()).unwrap();
+        for (name, v) in [("m.10", 1.0), ("m.2", 2.0), ("dup", 3.0), ("m.1", 4.0)] {
+            assert_eq!(art.tensor(name).unwrap().item(), v, "{name}");
+        }
+        for missing in ["", "m", "m.3", "dup ", "zzz"] {
+            assert!(matches!(art.tensor(missing), Err(ModelError::Meta(_))), "{missing:?}");
+        }
     }
 
     #[test]

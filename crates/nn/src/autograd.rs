@@ -722,6 +722,46 @@ impl Var {
         })
     }
 
+    // ------------------------------------------------------- normalization
+
+    /// Group normalization of an `[n, c, h, w]` input over `groups`
+    /// groups of channels, with per-channel `gamma` and `beta` of shape
+    /// `[1, c, 1, 1]` (see [`Tensor::group_norm`]). One node: its value
+    /// and its gradients of x, γ and β are bit-identical to those of the
+    /// thirteen-op composite `reshape`, `mean_axis_keepdim`, `sub`,
+    /// `mul`, `mean_axis_keepdim`, `add_scalar`, `sqrt`, `div`,
+    /// `reshape`, `mul`, `add`, but for which NaN a NaN element is. The
+    /// backward captures x, γ and each block's mean and `sqrt(var +
+    /// eps)`.
+    ///
+    /// The parents are `[x, γ, β]`, so [`Var::backward`]'s DFS visits β,
+    /// then γ, then x's subgraph, as it did through the composite. The
+    /// composite's nodes sat together in that order, where this node
+    /// sits, and its first `reshape` added x's gradient; this node adds
+    /// it when it is processed. So x's contributions from its consumers
+    /// still arrive in the same order. With two consumers (a UNet block
+    /// feeds its input to the norm and to the residual add or skip conv)
+    /// the order could not matter: two addends commute. A third consumer
+    /// would not be order-free, so the bytes then rest on this node's
+    /// place in the order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `self` is rank 4, `groups` divides its channels, and
+    /// `gamma` and `beta` are `[1, c, 1, 1]`.
+    pub fn group_norm(&self, gamma: &Var, beta: &Var, groups: usize, eps: f32) -> Var {
+        let (out, stats) = with_triple(self, gamma, Some(beta), |x, g, b| {
+            x.group_norm(g, b.expect("beta is passed"), groups, eps)
+        });
+        Var::from_op("group_norm", out, &[self, gamma, beta], |_| {
+            let (x, g) = (self.to_tensor(), gamma.to_tensor());
+            Box::new(move |grad| {
+                let (dx, dgamma, dbeta) = x.group_norm_backward(&g, &stats, grad);
+                vec![dx, dgamma, dbeta]
+            })
+        })
+    }
+
     // -------------------------------------------------------- convolutions
 
     /// 2-D convolution; see [`Tensor::conv2d`] for shape conventions.
@@ -1184,6 +1224,7 @@ mod tests {
         let (x, y, m) = (p(&[2, 3]), p(&[2, 3]), p(&[3, 2]));
         let (a3, b3) = (p(&[2, 2, 3]), p(&[2, 3, 2]));
         let (img, w, wt, bias) = (p(&[1, 2, 4, 4]), p(&[3, 2, 3, 3]), p(&[2, 3, 2, 2]), p(&[3]));
+        let (gamma, beta) = (p(&[1, 2, 1, 1]), p(&[1, 2, 1, 1]));
         let pos = Var::parameter(p(&[2, 3]).value().map(|v| v.abs() + 0.5));
         let target = Tensor::zeros(&[2, 3]);
         vec![
@@ -1215,6 +1256,7 @@ mod tests {
             ("sum_axis_keepdim", x.sum_axis_keepdim(1)),
             ("mean_axis_keepdim", x.mean_axis_keepdim(0)),
             ("softmax_last_axis", x.softmax_last_axis()),
+            ("group_norm", img.group_norm(&gamma, &beta, 2, 1e-5)),
             ("conv2d", img.conv2d(&w, Some(&bias), 1, 1)),
             ("conv2d_no_bias", img.conv2d(&w, None, 2, 1)),
             ("conv_transpose2d", img.conv_transpose2d(&wt, Some(&bias), 2, 0)),

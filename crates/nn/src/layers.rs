@@ -259,23 +259,14 @@ impl GroupNorm {
         }
     }
 
-    /// Normalizes each group of channels per sample.
+    /// Normalizes each group of channels per sample (one
+    /// [`Var::group_norm`] node).
     ///
     /// # Panics
     ///
     /// Panics unless `x` is `[n, c, h, w]` with the configured channels.
     pub fn forward(&self, x: &Var) -> Var {
-        let shape = x.shape();
-        assert_eq!(shape.len(), 4, "group norm expects [n, c, h, w]");
-        let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-        assert_eq!(c, self.gamma.shape()[1], "group norm channel mismatch");
-        let g = self.groups;
-        let grouped = x.reshape(&[n, g, (c / g) * h * w]);
-        let mean = grouped.mean_axis_keepdim(2);
-        let centered = grouped.sub(&mean);
-        let var = centered.mul(&centered).mean_axis_keepdim(2);
-        let norm = centered.div(&var.add_scalar(self.eps).sqrt());
-        norm.reshape(&[n, c, h, w]).mul(&self.gamma).add(&self.beta)
+        x.group_norm(&self.gamma, &self.beta, self.groups, self.eps)
     }
 }
 

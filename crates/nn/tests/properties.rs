@@ -126,6 +126,31 @@ proptest! {
     }
 
     #[test]
+    fn group_norm_passes_gradcheck(seed in 0u64..100, groups in 1usize..3) {
+        // The gradients of x, γ and β of the one-node group norm against
+        // central differences, through a random projection of the output.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let shape = [2, 4, 3, 3];
+        let x0 = Tensor::randn(&shape, &mut rng);
+        let gamma0 = Tensor::randn(&[1, 4, 1, 1], &mut rng).add_scalar(1.0);
+        let beta0 = Tensor::randn(&[1, 4, 1, 1], &mut rng);
+        let proj = Var::constant(Tensor::randn(&shape, &mut rng));
+        let (x, gamma, beta) =
+            (Var::constant(x0.clone()), Var::constant(gamma0.clone()), Var::constant(beta0.clone()));
+        let loss = |x: &Var, gamma: &Var, beta: &Var| {
+            x.group_norm(gamma, beta, groups, 1e-5).mul(&proj).mean()
+        };
+        let reports = [
+            check_gradient(|x| loss(x, &gamma, &beta), &x0, 1e-2, 24),
+            check_gradient(|g| loss(&x, g, &beta), &gamma0, 1e-2, 4),
+            check_gradient(|b| loss(&x, &gamma, b), &beta0, 1e-2, 4),
+        ];
+        for (name, report) in ["x", "gamma", "beta"].iter().zip(reports) {
+            prop_assert!(report.passes(5e-2), "{}: max rel err {}", name, report.max_rel_error);
+        }
+    }
+
+    #[test]
     fn layer_gradients_are_bit_identical_across_thread_counts(seed in 0u64..100) {
         // Forward AND backward through Linear, Conv2d, and attention
         // must produce byte-for-byte identical gradients no matter how

@@ -104,7 +104,10 @@ impl ImagePayload {
             .and_then(Json::as_str)
             .ok_or_else(|| "task image needs a base64 string \"rgb8_b64\"".to_string())?;
         let rgb8 = base64::decode(b64).map_err(|e| format!("task image rgb8_b64: {e}"))?;
-        if width == 0 || height == 0 || rgb8.len() != 3 * width * height {
+        // Checked: the dimensions are untrusted, and a wrapped product
+        // could equal the payload's length.
+        let expected = width.checked_mul(height).and_then(|n| n.checked_mul(3));
+        if width == 0 || height == 0 || expected != Some(rgb8.len()) {
             return Err(format!(
                 "task image must carry 3*{width}*{height} rgb bytes, got {}",
                 rgb8.len()

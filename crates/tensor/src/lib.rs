@@ -27,6 +27,7 @@
 pub mod backend;
 mod error;
 mod linalg;
+mod norm;
 mod ops;
 pub mod par_kernels;
 pub mod parallel;
@@ -37,6 +38,7 @@ mod tensor;
 pub use backend::BackendKind;
 pub use error::TensorError;
 pub use linalg::{cholesky, covariance, matrix_sqrt_psd, symmetric_eigen, trace};
+pub use norm::GroupNormStats;
 pub use parallel::ParallelConfig;
 pub use quant::{Q8Tensor, Q8_BLOCK};
 pub use shape::{

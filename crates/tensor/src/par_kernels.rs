@@ -41,6 +41,7 @@ macro_rules! record_kernel {
         aero_obs::counter!($elements).add($n as u64);
     };
 }
+pub(crate) use record_kernel;
 
 /// Minimum estimated scalar-op count before a kernel fans out. Below it,
 /// spawning and joining the shard threads costs more than the split

@@ -191,9 +191,10 @@ fn zip_gathers_both_operands_when_neither_is_full() {
 
 #[test]
 fn unet_shaped_moves_match_the_index_oracle() {
-    // The shapes the paper UNet moves most: the backward transposes of a
-    // 1024×32 matrix, GroupNorm's per-group statistics and per-channel
-    // affine, and the attention head split.
+    // Shapes the paper UNet moves: the backward transposes of a 1024×32
+    // matrix, per-row statistics and a per-channel affine broadcast over
+    // its feature maps (the forms of LayerNorm's statistics and FiLM's
+    // scale and shift), and the attention head split.
     let mut rng = StdRng::seed_from_u64(5);
     let m = filled(&[1024, 32], &mut rng);
     assert_bitwise_eq(&m.transpose(), &oracle_transpose(&m), "1024x32 transpose");

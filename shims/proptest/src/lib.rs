@@ -2,13 +2,14 @@
 //!
 //! Implements the subset the workspace's property tests use: the
 //! [`proptest!`] macro, `prop_assert!`/`prop_assert_eq!`,
-//! [`ProptestConfig::with_cases`], range and regex-string strategies, and
+//! [`ProptestConfig::with_cases`], range (`a..b`, and `a..=b` for
+//! integers) and regex-string strategies, and
 //! `prop::collection::vec`. Sampling is deterministic (seeded from the test
 //! name) and there is no shrinking: a failing case reports its inputs so it
 //! can be reproduced by hand.
 
 use std::fmt::Debug;
-use std::ops::Range;
+use std::ops::{Range, RangeInclusive};
 
 /// Error type carried by `prop_assert!` failures inside a test case.
 #[derive(Debug, Clone)]
@@ -82,20 +83,11 @@ pub trait Strategy {
     fn generate(&self, gen: &mut Gen) -> Self::Value;
 }
 
-macro_rules! strategy_for_uint_range {
-    ($($t:ty),*) => {$(
-        impl Strategy for Range<$t> {
-            type Value = $t;
-            #[allow(clippy::cast_possible_truncation)]
-            fn generate(&self, gen: &mut Gen) -> $t {
-                assert!(self.start < self.end, "empty range strategy");
-                let span = (self.end as u128) - (self.start as u128);
-                self.start + (u128::from(gen.next_u64()) % span) as $t
-            }
-        }
-    )*};
+/// A draw from `lo..lo + span` (`span` at most 2^64, so a full 64-bit
+/// inclusive range is reachable).
+fn offset_below(gen: &mut Gen, lo: i128, span: u128) -> i128 {
+    lo + (u128::from(gen.next_u64()) % span) as i128
 }
-strategy_for_uint_range!(u8, u16, u32, u64, usize);
 
 macro_rules! strategy_for_int_range {
     ($($t:ty),*) => {$(
@@ -105,12 +97,22 @@ macro_rules! strategy_for_int_range {
             fn generate(&self, gen: &mut Gen) -> $t {
                 assert!(self.start < self.end, "empty range strategy");
                 let span = (self.end as i128 - self.start as i128) as u128;
-                (self.start as i128 + (u128::from(gen.next_u64()) % span) as i128) as $t
+                offset_below(gen, self.start as i128, span) as $t
+            }
+        }
+
+        impl Strategy for RangeInclusive<$t> {
+            type Value = $t;
+            #[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
+            fn generate(&self, gen: &mut Gen) -> $t {
+                let (lo, hi) = (*self.start() as i128, *self.end() as i128);
+                assert!(lo <= hi, "empty range strategy");
+                offset_below(gen, lo, (hi - lo) as u128 + 1) as $t
             }
         }
     )*};
 }
-strategy_for_int_range!(i8, i16, i32, i64, isize);
+strategy_for_int_range!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 macro_rules! strategy_for_float_range {
     ($($t:ty),*) => {$(
@@ -386,6 +388,20 @@ mod tests {
             prop_assert!((2..=8).contains(&t.len()));
             prop_assert!(t.chars().all(|c| c.is_ascii_lowercase()));
         }
+    }
+
+    #[test]
+    fn inclusive_ranges_reach_both_ends() {
+        let mut gen = Gen::deterministic("inclusive");
+        let bytes: Vec<u8> = (0..4096).map(|_| (0u8..=255).generate(&mut gen)).collect();
+        assert!(bytes.contains(&0) && bytes.contains(&0xFF), "0..=255 must reach 0 and 255");
+        let small: Vec<i8> = (0..256).map(|_| (-3i8..=3).generate(&mut gen)).collect();
+        assert!(small.iter().all(|v| (-3..=3).contains(v)));
+        assert!(small.contains(&-3) && small.contains(&3));
+        assert_eq!((7u32..=7).generate(&mut gen), 7);
+        // Full-width ranges do not overflow the span.
+        let _ = (0u64..=u64::MAX).generate(&mut gen);
+        let _ = (i64::MIN..=i64::MAX).generate(&mut gen);
     }
 
     #[test]

@@ -127,8 +127,39 @@ use aerodiffusion::{AeroDiffusionPipeline, PipelineConfig, PipelineSnapshot, Tas
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::error::Error;
+use std::fmt;
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::time::Duration;
+
+/// A failed write to stdout.
+#[derive(Debug)]
+struct StdoutError(io::Error);
+
+impl fmt::Display for StdoutError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "writing to stdout: {}", self.0)
+    }
+}
+
+impl Error for StdoutError {}
+
+/// Writes `text` to stdout, the one writer every subcommand prints
+/// through (`serve`'s NDJSON replies go out through its own). A failed
+/// write returns a [`StdoutError`] instead of panicking the way
+/// `print!` does; `main` ends quietly with status 0 when the reader
+/// closed the pipe.
+fn out(text: fmt::Arguments<'_>) -> Result<(), StdoutError> {
+    io::stdout().write_fmt(text).map_err(StdoutError)
+}
+
+/// `println!` through [`out`]; a failed write returns from the enclosing
+/// subcommand.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        out(format_args!("{}\n", format_args!($($arg)*)))?
+    };
+}
 
 fn parse_flag(args: &[String], name: &str) -> Option<String> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
@@ -223,10 +254,15 @@ fn main() -> ExitCode {
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
+        Err(e) => match e.downcast_ref::<StdoutError>() {
+            // The reader stopped reading (`| head`, `| true`): nothing
+            // more is wanted, so there is nothing to report.
+            Some(StdoutError(io)) if io.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+            _ => {
+                eprintln!("error: {e}");
+                ExitCode::FAILURE
+            }
+        },
     }
 }
 
@@ -242,18 +278,18 @@ fn cmd_train(args: &[String]) -> Result<(), Box<dyn Error>> {
     let dir = args.first().ok_or("train requires a model directory")?;
     let n_scenes: usize = parse_flag(args, "--scenes").map(|v| v.parse()).transpose()?.unwrap_or(8);
     let seed: u64 = parse_flag(args, "--seed").map(|v| v.parse()).transpose()?.unwrap_or(42);
-    println!("building {n_scenes}-scene dataset…");
+    say!("building {n_scenes}-scene dataset…");
     let dataset = build_dataset(&DatasetConfig {
         n_scenes,
         image_size: config.vision.image_size,
         seed,
         generator: SceneGeneratorConfig::default(),
     });
-    println!("training pipeline (this is CPU-bound)…");
+    say!("training pipeline (this is CPU-bound)…");
     let Some(ckpt_dir) = parse_flag(args, "--checkpoint-dir") else {
         let pipeline = AeroDiffusionPipeline::fit(&dataset, config, seed);
         aero_model::save(&pipeline, dir)?;
-        println!("saved trained pipeline to {dir}");
+        say!("saved trained pipeline to {dir}");
         return Ok(());
     };
     let every: u64 =
@@ -270,20 +306,17 @@ fn cmd_train(args: &[String]) -> Result<(), Box<dyn Error>> {
     };
     let (pipeline, report) = AeroDiffusionPipeline::fit_with(&dataset, config, seed, &options)?;
     if let Some(step) = report.resumed_from {
-        println!(
-            "resumed from checkpoint step {step} ({} corrupt skipped)",
-            report.skipped_corrupt
-        );
+        say!("resumed from checkpoint step {step} ({} corrupt skipped)", report.skipped_corrupt);
     }
     match report.last_loss {
-        Some(loss) => println!("final loss: {loss:.6}"),
-        None => println!("final loss: n/a (no new steps ran)"),
+        Some(loss) => say!("final loss: {loss:.6}"),
+        None => say!("final loss: n/a (no new steps ran)"),
     }
     if report.completed {
         aero_model::save(&pipeline, dir)?;
-        println!("saved trained pipeline to {dir}");
+        say!("saved trained pipeline to {dir}");
     } else {
-        println!(
+        say!(
             "stopped at step {} (--max-steps); checkpoints in {ckpt_dir}, rerun with --resume",
             report.steps
         );
@@ -339,7 +372,7 @@ fn cmd_sample(args: &[String]) -> Result<(), Box<dyn Error>> {
         }
     };
     image.save_ppm(out)?;
-    println!("wrote {out} ({}x{})", image.width(), image.height());
+    say!("wrote {out} ({}x{})", image.width(), image.height());
     Ok(())
 }
 
@@ -507,20 +540,16 @@ fn cmd_profile(args: &[String]) -> Result<(), Box<dyn Error>> {
     let mut rng = StdRng::seed_from_u64(seed);
     let (image, trace) = aero_obs::span::collect(|| pipeline.generate(item, &mut rng));
     let metrics = aero_obs::global().snapshot();
-    println!(
-        "profiled one generate() at seed {seed} ({}x{} output)",
-        image.width(),
-        image.height()
-    );
-    println!("\n== span tree ==");
+    say!("profiled one generate() at seed {seed} ({}x{} output)", image.width(), image.height());
+    say!("\n== span tree ==");
     let mut tree = aero_obs::TableTraceSink::new();
     aero_obs::TraceSink::consume(&mut tree, &trace);
-    print!("{}", tree.take_rendered());
-    println!("\n== metrics ==");
-    print!("{}", metrics.render_table());
+    out(format_args!("{}", tree.take_rendered()))?;
+    say!("\n== metrics ==");
+    out(format_args!("{}", metrics.render_table()))?;
     if let Some(path) = parse_flag(args, "--ndjson") {
         write_obs_ndjson(&path, &trace, &metrics)?;
-        println!("\nwrote NDJSON profile to {path}");
+        say!("\nwrote NDJSON profile to {path}");
     }
     Ok(())
 }
@@ -661,7 +690,15 @@ fn cmd_serve(args: &[String]) -> Result<(), Box<dyn Error>> {
         // and later hot-swaps line up with what is actually serving.
         runtime.set_registry(registry, boot_entry.as_ref());
     }
-    let stats = serve_ndjson(runtime, std::io::stdin().lock(), std::io::stdout())?;
+    // Replies are the only stdout writes here; reading stdin cannot
+    // fail with a broken pipe, so that error is the client going away.
+    let stats = serve_ndjson(runtime, io::stdin().lock(), io::stdout()).map_err(|e| {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            Box::new(StdoutError(e)) as Box<dyn Error>
+        } else {
+            e.into()
+        }
+    })?;
     eprintln!(
         "drained: {} served, {} rejected ({} shed, {} cancelled), cache hit rate {:.0}%, \
          {} worker panic(s) caught, {} worker restart(s)",
@@ -692,8 +729,8 @@ fn cmd_lint(args: &[String]) -> Result<(), Box<dyn Error>> {
         // Batch 1 and the most requests a server coalesces by default.
         let max_batch = ServeConfig::for_pipeline(&config).max_batch;
         let report = aerodiffusion::lint_config(&config, max_batch);
-        println!("== {name} ==");
-        print!("{}", report.render());
+        say!("== {name} ==");
+        out(format_args!("{}", report.render()))?;
         failed |= !report.is_clean();
     }
     if args.iter().any(|a| a == "--all") {
@@ -705,8 +742,8 @@ fn cmd_lint(args: &[String]) -> Result<(), Box<dyn Error>> {
         // one carries its inline `// lint: …-ok(reason)` annotation.
         let source_root = parse_flag(args, "--source-root").unwrap_or_else(|| ".".to_string());
         let report = aerodiffusion::lint_source_all(std::path::Path::new(&source_root));
-        println!("== source ==");
-        print!("{}", report.render());
+        say!("== source ==");
+        out(format_args!("{}", report.render()))?;
         failed |= !report.diagnostics().is_empty();
     }
     if failed {
@@ -737,7 +774,7 @@ fn cmd_model_export(args: &[String]) -> Result<(), Box<dyn Error>> {
     let quant = if args.iter().any(|a| a == "--q8") { Quantization::Q8 } else { Quantization::F32 };
     let snapshot = aero_model::load(dir, config)?;
     let report = write_snapshot(&snapshot, quant, std::path::Path::new(out))?;
-    println!(
+    say!(
         "wrote {out}: {} bytes ({} quantization, {:.1}% of the dense f32 payload)",
         report.artifact_bytes,
         quant.tag(),
@@ -760,7 +797,7 @@ fn cmd_model_export(args: &[String]) -> Result<(), Box<dyn Error>> {
         let scenes: usize = scenes.parse()?;
         eprintln!("measuring q8 quality delta on {scenes} scenes…");
         let delta = aero_model::quality_delta(&snapshot, scenes, 17)?;
-        println!(
+        say!(
             "quality delta (q8 - f32): FID {:+.4} ({:.4} → {:.4}), CLIP {:+.4} ({:.4} → {:.4})",
             delta.fid_delta(),
             delta.fid_f32,
@@ -774,7 +811,7 @@ fn cmd_model_export(args: &[String]) -> Result<(), Box<dyn Error>> {
         let name = parse_flag(args, "--name").ok_or("--registry requires --name")?;
         let registry = ModelRegistry::open(std::path::Path::new(&registry_dir))?;
         let entry = registry.publish(&name, &std::fs::read(out)?)?;
-        println!("published {}@{} to {registry_dir} ({})", entry.name, entry.version, entry.file);
+        say!("published {}@{} to {registry_dir} ({})", entry.name, entry.version, entry.file);
     }
     Ok(())
 }
@@ -784,21 +821,25 @@ fn cmd_model_inspect(args: &[String]) -> Result<(), Box<dyn Error>> {
     check_flags(args, "", "")?;
     let path = args.first().ok_or("model inspect requires an artifact path")?;
     let artifact = ModelArtifact::read(std::path::Path::new(path))?;
-    println!("{path}: {} bytes, checksum verified", artifact.file_len());
-    println!("metadata:");
+    say!("{path}: {} bytes, checksum verified", artifact.file_len());
+    say!("metadata:");
     for (key, value) in artifact.kv() {
         let shown = if value.len() > 64 {
             format!("{}… ({} bytes)", &value[..value.floor_char_boundary(48)], value.len())
         } else {
             value.clone()
         };
-        println!("  {key} = {}", shown.replace('\n', "\\n"));
+        say!("  {key} = {}", shown.replace('\n', "\\n"));
     }
-    println!("tensors:");
+    say!("tensors:");
     for info in artifact.tensor_infos() {
-        println!(
+        say!(
             "  {:<16} {:?} shape {:?} at +{} ({} bytes)",
-            info.name, info.dtype, info.shape, info.offset, info.byte_len
+            info.name,
+            info.dtype,
+            info.shape,
+            info.offset,
+            info.byte_len
         );
     }
     Ok(())
@@ -811,19 +852,23 @@ fn cmd_model_list(args: &[String]) -> Result<(), Box<dyn Error>> {
     let registry = ModelRegistry::open(std::path::Path::new(dir))?;
     let entries = registry.entries()?;
     if entries.is_empty() {
-        println!("registry {dir} is empty");
+        say!("registry {dir} is empty");
         return Ok(());
     }
-    println!("registry {dir}:");
+    say!("registry {dir}:");
     for entry in &entries {
         let state = match registry.verify(entry)? {
             aero_model::IntegrityState::Verified => "verified".to_string(),
             aero_model::IntegrityState::Missing => "MISSING".to_string(),
             aero_model::IntegrityState::Corrupt { detail } => format!("CORRUPT ({detail})"),
         };
-        println!(
+        say!(
             "  {}@{}  {}  {} bytes  crc {:08x}  {state}",
-            entry.name, entry.version, entry.file, entry.len, entry.crc32
+            entry.name,
+            entry.version,
+            entry.file,
+            entry.len,
+            entry.crc32
         );
     }
     Ok(())

@@ -57,3 +57,26 @@ fn inspect_shortens_a_long_value_at_a_char_boundary() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains(&format!("note = {}… (87 bytes)", "a".repeat(47))), "{stdout}");
 }
+
+#[test]
+fn inspect_into_a_closed_pipe_exits_quietly() {
+    let dir = fresh_dir("closed_pipe");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("model.amdl");
+    let mut builder = ArtifactBuilder::new();
+    builder.set("note", "a closed pipe");
+    builder.add_f32("w", &aero_tensor::Tensor::ones(&[4, 4]));
+    builder.write(&path).unwrap();
+
+    // The read end is gone before the CLI starts, so its first write to
+    // stdout fails with a broken pipe.
+    let (reader, writer) = std::io::pipe().expect("create a pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_aerodiffusion_cli"))
+        .args(["model", "inspect", path.to_str().unwrap()])
+        .stdout(writer)
+        .output()
+        .expect("run the CLI");
+    assert!(out.status.success(), "status {:?}: {}", out.status, stderr(&out));
+    assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
+}

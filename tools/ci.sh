@@ -75,7 +75,9 @@
 #                      determinism
 #   9. model smokes  — the trained model (`<dir>/model.amdl`) exported
 #                      without --q8 to a byte-identical `.amdl` artifact
-#                      (cmp), inspected (CRC verified), published into
+#                      (cmp), inspected (CRC verified; into a pipe
+#                      its reader closes at once, `| true`, it must
+#                      exit 0 without a panic), published into
 #                      a registry, and served from it with a sample
 #                      byte-identical to the one `serve <dir>` gives; a
 #                      second model published as `alt` and hot-swapped in
@@ -398,6 +400,16 @@ echo "$inspect_out" | grep -q 'checksum verified' \
   || { echo "model smoke: inspect did not verify the checksum"; exit 1; }
 echo "$inspect_out" | grep -q 'unet\.' \
   || { echo "model smoke: inspect tensor table missing unet tensors"; exit 1; }
+# A reader that closes the pipe at once ends `inspect` quietly: status 0
+# and no panic on stderr.
+if ! cargo run --offline -q -p aerodiffusion-suite --bin aerodiffusion_cli -- \
+  model inspect "$work/model.amdl" 2>"$work/inspect-closed.err" | true; then
+  echo "model smoke: inspect into a closed pipe exited non-zero"
+  cat "$work/inspect-closed.err"; exit 1
+fi
+if grep -q 'panicked' "$work/inspect-closed.err"; then
+  echo "model smoke: inspect panicked on a closed pipe"; cat "$work/inspect-closed.err"; exit 1
+fi
 cargo run --offline -q -p aerodiffusion-suite --bin aerodiffusion_cli -- \
   model list "$work/registry" | grep -q 'smoke@1 .*verified' \
   || { echo "model smoke: registry list missing a verified smoke@1"; exit 1; }
