@@ -39,6 +39,15 @@
 //! at batch 1 and 8 and the backward at batch 8, median per call. They
 //! are serial, so one thread count is timed.
 //!
+//! Then times the backward kernels (`DESIGN.md` §21) at the shapes a
+//! paper train runs most, recorded under `backward`: `conv2d_backward`
+//! at the region augmenter's two batch-1 encoder convs (the first on a
+//! constant image, so without dX), a batch-4 bottleneck conv and the
+//! VAE's output conv, and the matmul backward of the augmenter's
+//! `[1, 1024]·[1024, 32]` projection. Each row is timed against the
+//! tensor-op composition the backward ran before, in interleaved pairs,
+//! and must match its bits.
+//!
 //! Also measures span-tracing overhead: the DDIM workload is timed in
 //! interleaved pairs, one run with the collector off and one inside an
 //! [`aero_obs::span::collect`] scope, the order alternating pair by pair,
@@ -58,7 +67,7 @@ use aero_serve::Json;
 use aero_tensor::backend::with_backend;
 use aero_tensor::par_kernels::{planned_elementwise_threads, planned_threads};
 use aero_tensor::parallel::{with_assumed_cores, with_threads};
-use aero_tensor::{BackendKind, Tensor};
+use aero_tensor::{BackendKind, ConvGrads, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -228,6 +237,146 @@ fn group_norm_rows(smoke: bool, rng: &mut StdRng) -> Vec<NormRow> {
             row
         })
         .collect()
+}
+
+/// One backward kernel at one shape: the median per-call time of the
+/// kernel and of the composition it replaced.
+struct BackwardRow {
+    kernel: &'static str,
+    shape: String,
+    kernel_us: f64,
+    composite_us: f64,
+}
+
+/// Median per-call wall times of `a` and `b`, timed in interleaved
+/// pairs: each sample times a batch of calls (~2 ms) of each, the order
+/// alternating sample by sample so host drift hits both equally.
+fn paired_call_us(samples: usize, a: &dyn Fn(), b: &dyn Fn()) -> (f64, f64) {
+    let fs = [a, b];
+    let reps = fs.map(|f| {
+        f();
+        let started = Instant::now();
+        f();
+        (2_000 / started.elapsed().as_micros().max(1)).clamp(1, 10_000) as usize
+    });
+    let mut per_call = [Vec::with_capacity(samples), Vec::with_capacity(samples)];
+    for s in 0..samples {
+        for i in if s % 2 == 0 { [0, 1] } else { [1, 0] } {
+            let started = Instant::now();
+            for _ in 0..reps[i] {
+                fs[i]();
+            }
+            per_call[i].push(started.elapsed().as_secs_f64() * 1e6 / reps[i] as f64);
+        }
+    }
+    let [one, two] = per_call;
+    (median(one), median(two))
+}
+
+/// The conv2d backward as autograd composed it from tensor ops before
+/// `Tensor::conv2d_backward`: dX, dW and db, always all three.
+fn conv2d_backward_composite(
+    x: &Tensor,
+    w: &Tensor,
+    g: &Tensor,
+    stride: usize,
+    pad: usize,
+) -> [Tensor; 3] {
+    let (cout, cin, kh, kw) = (w.shape()[0], w.shape()[1], w.shape()[2], w.shape()[3]);
+    let n = x.shape()[0];
+    let (oh, ow) = (g.shape()[2], g.shape()[3]);
+    let wmat_t = w.reshape(&[cout, cin * kh * kw]).transpose();
+    let mut dcols = Tensor::zeros(&[n, cin * kh * kw, oh * ow]);
+    for bi in 0..n {
+        let g_b = g.narrow(0, bi, 1).reshape(&[cout, oh * ow]);
+        let d_b = wmat_t.matmul(&g_b);
+        let len = cin * kh * kw * oh * ow;
+        dcols.as_mut_slice()[bi * len..(bi + 1) * len].copy_from_slice(d_b.as_slice());
+    }
+    let dx = dcols.col2im(x.shape(), kh, kw, stride, pad);
+    let cols = x.im2col(kh, kw, stride, pad);
+    let mut dw = Tensor::zeros(&[cout, cin * kh * kw]);
+    for bi in 0..n {
+        let g_b = g.narrow(0, bi, 1).reshape(&[cout, oh * ow]);
+        let col_b = cols.narrow(0, bi, 1).reshape(&[cin * kh * kw, oh * ow]);
+        dw = dw.add(&g_b.matmul(&col_b.transpose()));
+    }
+    let db = g.sum_axis(3).sum_axis(2).sum_axis(0);
+    [dx, dw.reshape(&[cout, cin, kh, kw]), db]
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// The backward kernels at the shapes a paper train runs most, each
+/// against the composition it replaced (same bits asserted).
+fn backward_rows(smoke: bool, rng: &mut StdRng) -> Vec<BackwardRow> {
+    let samples = if smoke { 3 } else { 15 };
+    println!("{:>34} {:>12} {:>14} {:>8}", "backward", "kernel µs", "composite µs", "ratio");
+    let mut rows = Vec::new();
+    let mut report = |row: BackwardRow| {
+        println!(
+            "{:>34} {:>12.1} {:>14.1} {:>7.2}x",
+            format!("{} {}", row.kernel, row.shape),
+            row.kernel_us,
+            row.composite_us,
+            row.composite_us / row.kernel_us
+        );
+        rows.push(row);
+    };
+    for (x_shape, cout, stride, dx) in [
+        ([1, 3, 32, 32], 8, 2, false),
+        ([1, 8, 16, 16], 16, 2, true),
+        ([4, 32, 4, 4], 32, 1, true),
+        ([4, 8, 32, 32], 3, 1, true),
+    ] {
+        let [n, cin, h, w] = x_shape;
+        let x = Tensor::randn(&x_shape, rng);
+        let wt = Tensor::randn(&[cout, cin, 3, 3], rng);
+        let g = Tensor::randn(&[n, cout, (h - 1) / stride + 1, (w - 1) / stride + 1], rng);
+        let want = ConvGrads { input: dx, weight: true, bias: true };
+        let kernel = || x.conv2d_backward(&wt, &g, stride, 1, want);
+        let composite = || conv2d_backward_composite(&x, &wt, &g, stride, 1);
+        let (got, old) = (kernel(), composite());
+        for (got, old) in [got.0, got.1, got.2].iter().zip(&old) {
+            if let Some(got) = got {
+                assert_eq!(bits(got), bits(old), "conv2d_backward {x_shape:?} diverged");
+            }
+        }
+        let (kernel_us, composite_us) = paired_call_us(
+            samples,
+            &|| {
+                kernel();
+            },
+            &|| {
+                composite();
+            },
+        );
+        let grads = if dx { "dX dW db" } else { "dW db" };
+        let shape = format!("{x_shape:?}→{cout} s{stride} {grads}");
+        report(BackwardRow { kernel: "conv2d_backward", shape, kernel_us, composite_us });
+    }
+    let a = Tensor::randn(&[1, 1024], rng);
+    let b = Tensor::randn(&[1024, 32], rng);
+    let g = Tensor::randn(&[1, 32], rng);
+    let kernel = || [g.matmul_nt(&b), a.matmul_tn(&g)];
+    let composite = || [g.matmul(&b.transpose()), a.transpose().matmul(&g)];
+    for (got, old) in kernel().iter().zip(&composite()) {
+        assert_eq!(bits(got), bits(old), "matmul backward diverged");
+    }
+    let (kernel_us, composite_us) = paired_call_us(
+        samples,
+        &|| {
+            kernel();
+        },
+        &|| {
+            composite();
+        },
+    );
+    let shape = "[1, 1024]·[1024, 32] dA dB".to_string();
+    report(BackwardRow { kernel: "matmul_backward", shape, kernel_us, composite_us });
+    rows
 }
 
 fn median(mut v: Vec<f64>) -> f64 {
@@ -421,6 +570,7 @@ fn main() {
 
     let sweep = fanout_sweep(smoke, &mut rng);
     let norms = group_norm_rows(smoke, &mut rng);
+    let backward = backward_rows(smoke, &mut rng);
 
     // Single-thread backend gate: no core requirement, arms off-smoke.
     let mm = &workloads[0];
@@ -495,6 +645,23 @@ fn main() {
                             ("forward_b1_us", r.forward_b1_us.into()),
                             ("forward_b8_us", r.forward_b8_us.into()),
                             ("backward_b8_us", r.backward_b8_us.into()),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        (
+            "backward",
+            Json::Arr(
+                backward
+                    .iter()
+                    .map(|r| {
+                        Json::obj(vec![
+                            ("kernel", r.kernel.into()),
+                            ("shape", r.shape.as_str().into()),
+                            ("kernel_us", r.kernel_us.into()),
+                            ("composite_us", r.composite_us.into()),
+                            ("speedup", (r.composite_us / r.kernel_us).into()),
                         ])
                     })
                     .collect(),

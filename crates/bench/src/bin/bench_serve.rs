@@ -12,9 +12,11 @@
 //!    workers sharing one queue and one condition cache, measuring what
 //!    more workers add on the host at hand (waiting workers split the
 //!    queue, so a burst spreads over the pool).
-//! 3. **overload** — a burst of 2× the armed queue-depth gate, measuring
-//!    the shed rate and asserting every shed is a typed `overloaded`
-//!    reply (and every admitted request is still served).
+//! 3. **overload** — one worker held on its first request (an injected
+//!    delay) while a burst larger than its batch plus the armed
+//!    queue-depth gate arrives, so at least one request must be shed;
+//!    measures the shed rate and asserts every shed is a typed
+//!    `overloaded` reply (and every admitted request is still served).
 //!
 //! A warmup request per prompt runs first so worker start-up and
 //! condition encoding are excluded from the measured window. Each row of
@@ -27,8 +29,11 @@
 //! used by CI as a threshold-free liveness check.
 
 use aero_scene::{build_dataset, DatasetConfig, SceneGeneratorConfig};
-use aero_serve::{GenerateRequest, Json, RejectReason, ServeConfig, ServeReply, ServeRuntime};
+use aero_serve::{
+    Fault, FaultPlan, GenerateRequest, Json, RejectReason, ServeConfig, ServeReply, ServeRuntime,
+};
 use aerodiffusion::{AeroDiffusionPipeline, PipelineConfig, PipelineSnapshot};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const PROMPTS: [&str; 8] = [
@@ -151,8 +156,17 @@ fn measure_rows(
         .collect()
 }
 
-/// Floods a depth-gated runtime with 2× its shed threshold and measures
-/// the typed shed rate; every admitted request must still be served.
+/// How long the overload run holds its worker on the first request: far
+/// longer than submitting the burst takes.
+const OVERLOAD_HOLD_MS: u64 = 500;
+
+/// Offers a burst to one worker behind a queue-depth gate of
+/// `shed_depth` and measures the typed shed rate; every admitted request
+/// must still be served. The worker is held on the burst's first request
+/// by an injected [`Fault::DelayMs`], after taking at most `max_batch`
+/// requests off the queue, so `max_batch + shed_depth + 1` requests fill
+/// the queue to the gate and at least the last one is shed, however the
+/// threads interleave.
 fn measure_overload(snapshot: &PipelineSnapshot, shed_depth: usize) -> (usize, usize, f64) {
     let mut config = ServeConfig::for_pipeline(snapshot.config());
     config.workers = 1;
@@ -161,8 +175,9 @@ fn measure_overload(snapshot: &PipelineSnapshot, shed_depth: usize) -> (usize, u
     config.steps = STEPS;
     config.queue_capacity = 4 * shed_depth;
     config.admission.shed_queue_depth = shed_depth;
-    let runtime = ServeRuntime::start(snapshot.clone(), config);
-    let offered = 2 * shed_depth;
+    let hold = FaultPlan::new().inject(0, Fault::DelayMs(OVERLOAD_HOLD_MS));
+    let runtime = ServeRuntime::start_with_faults(snapshot.clone(), config, Some(Arc::new(hold)));
+    let offered = config.max_batch + shed_depth + 1;
     let mut accepted = Vec::new();
     let mut shed = 0usize;
     for i in 0..offered {
@@ -230,15 +245,15 @@ fn main() {
         "coalescing must beat serial batch-1 serving"
     );
 
-    // Section 3: shed rate at 2× the depth gate.
+    // Section 3: shed rate past a held worker's batch and the depth gate.
     let shed_depth = requests / 2;
     let (offered, shed, shed_rate) = measure_overload(&snapshot, shed_depth);
     println!(
-        "overload: offered {offered} against a depth gate of {shed_depth} → \
+        "overload: offered {offered} to a held worker behind a depth gate of {shed_depth} → \
          {shed} shed ({:.0}% of offered), all typed",
         shed_rate * 100.0
     );
-    assert!(shed > 0, "a 2x-capacity burst must shed load");
+    assert!(shed > 0, "a burst past the held worker's batch and the depth gate must shed load");
 
     if smoke {
         println!("smoke mode: skipping BENCH_serve.json write");

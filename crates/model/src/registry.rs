@@ -20,10 +20,17 @@
 //! hot-swap models; corrupted artifacts are rejected at load time (the
 //! artifact's own trailing CRC is verified before any decode) and the
 //! old model keeps serving.
+//!
+//! The index is untrusted input like any file: an entry is accepted only
+//! if its file is the `<name>-v<version>.amdl` that `publish` writes for
+//! a valid name, so no index line can point a read outside the registry
+//! directory, and every read of an artifact stops one byte past the
+//! length the index records.
 
 use crate::{ModelArtifact, ModelError};
 use aero_nn::integrity::{crc32, write_atomic};
 use std::fs;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 
 /// The index format version this build reads and writes.
@@ -108,8 +115,9 @@ impl ModelRegistry {
     ///
     /// # Errors
     ///
-    /// [`ModelError::Meta`] on a malformed index,
-    /// [`ModelError::VersionMismatch`] on an index written by an
+    /// [`ModelError::Meta`] on a malformed index, including an entry whose
+    /// file is not the `<name>-v<version>.amdl` that [`Self::publish`]
+    /// writes; [`ModelError::VersionMismatch`] on an index written by an
     /// unsupported format version.
     pub fn entries(&self) -> Result<Vec<RegistryEntry>, ModelError> {
         let path = self.index_path();
@@ -135,12 +143,18 @@ impl ModelRegistry {
             let [name, ver, file, crc, len] = fields.as_slice() else {
                 return Err(ModelError::Meta(format!("index entry malformed: {line:?}")));
             };
+            let version: u32 =
+                ver.parse().map_err(|e| ModelError::Meta(format!("index version field: {e}")))?;
+            let expected = format!("{name}-v{version}.amdl");
+            if !valid_name(name) || *file != expected {
+                return Err(ModelError::Meta(format!(
+                    "index entry names file {file:?}; publish writes {expected:?} for a valid name"
+                )));
+            }
             entries.push(RegistryEntry {
                 name: (*name).to_string(),
-                version: ver
-                    .parse()
-                    .map_err(|e| ModelError::Meta(format!("index version field: {e}")))?,
-                file: (*file).to_string(),
+                version,
+                file: expected,
                 crc32: u32::from_str_radix(crc, 16)
                     .map_err(|e| ModelError::Meta(format!("index crc field: {e}")))?,
                 len: len.parse().map_err(|e| ModelError::Meta(format!("index len field: {e}")))?,
@@ -220,6 +234,22 @@ impl ModelRegistry {
         self.dir.join(&entry.file)
     }
 
+    /// Reads an entry's artifact file, stopping one byte past the length
+    /// the index records: a longer file is already not the published one,
+    /// and the read cannot grow with whatever the file turns out to be.
+    /// Every read of an artifact goes through here.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures, [`std::io::ErrorKind::NotFound`] included.
+    pub fn read_file(&self, entry: &RegistryEntry) -> std::io::Result<Vec<u8>> {
+        let mut bytes = Vec::new();
+        fs::File::open(self.path_of(entry))?
+            .take(entry.len.saturating_add(1))
+            .read_to_end(&mut bytes)?;
+        Ok(bytes)
+    }
+
     /// Checks an entry's file against the length and CRC recorded at
     /// publish time, without parsing the artifact.
     ///
@@ -228,14 +258,18 @@ impl ModelRegistry {
     /// Propagates I/O failures other than the file being absent (which
     /// is [`IntegrityState::Missing`], not an error).
     pub fn verify(&self, entry: &RegistryEntry) -> Result<IntegrityState, ModelError> {
-        let path = self.path_of(entry);
-        let bytes = match fs::read(&path) {
+        let bytes = match self.read_file(entry) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 return Ok(IntegrityState::Missing)
             }
             Err(e) => return Err(e.into()),
         };
+        if bytes.len() as u64 > entry.len {
+            return Ok(IntegrityState::Corrupt {
+                detail: format!("longer than the recorded {} bytes", entry.len),
+            });
+        }
         if bytes.len() as u64 != entry.len {
             return Ok(IntegrityState::Corrupt {
                 detail: format!("length {} != recorded {}", bytes.len(), entry.len),
@@ -263,13 +297,13 @@ impl ModelRegistry {
     }
 
     /// Opens and fully verifies an entry's artifact (the artifact's own
-    /// trailing CRC runs before any decode).
+    /// trailing CRC runs before any decode), read by [`Self::read_file`].
     ///
     /// # Errors
     ///
     /// I/O, CRC, version, or structural failures — all typed.
     pub fn open_artifact(&self, entry: &RegistryEntry) -> Result<ModelArtifact, ModelError> {
-        ModelArtifact::read(&self.path_of(entry))
+        ModelArtifact::from_bytes(self.read_file(entry)?)
     }
 }
 

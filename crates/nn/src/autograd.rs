@@ -24,7 +24,7 @@
 //! gradient slot is a `Mutex`. A graph is still built and differentiated
 //! by one thread; [`no_grad`] is per thread.
 
-use aero_tensor::Tensor;
+use aero_tensor::{ConvGrads, Tensor};
 use std::cell::Cell;
 use std::collections::HashSet;
 use std::fmt;
@@ -59,7 +59,22 @@ pub fn no_grad<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// A node's backward: one gradient per parent, in parent order, for the
+/// node's output gradient. [`Var::backward`] reads only the entries of
+/// parents that require a gradient, so an op computes no other and
+/// returns [`unread`] in its place.
 type BackwardFn = Box<dyn Fn(&Tensor) -> Vec<Tensor> + Send + Sync>;
+
+/// The entry a backward returns for a parent that requires no gradient.
+fn unread() -> Tensor {
+    Tensor::default()
+}
+
+/// Whether an op on `parents` records the tape: some parent requires a
+/// gradient and the thread is not inside [`no_grad`].
+fn records(parents: &[&Var]) -> bool {
+    RECORDING.with(Cell::get) && parents.iter().any(|p| p.requires_grad())
+}
 
 /// Where a node keeps its value: fixed at creation for interior nodes,
 /// rewritable (by [`Var::assign`]) for leaves.
@@ -217,8 +232,7 @@ impl Var {
         parents: &[&Var],
         backward: impl FnOnce(&Tensor) -> BackwardFn,
     ) -> Self {
-        let record = RECORDING.with(Cell::get) && parents.iter().any(|p| p.requires_grad());
-        if !record {
+        if !records(parents) {
             return Self::node(Value::Fixed(value), false, op, Vec::new(), None);
         }
         let backward = backward(&value);
@@ -484,37 +498,59 @@ impl Var {
         })
     }
 
-    /// SiLU (swish): `x * sigmoid(x)` — the UNet's activation.
+    /// SiLU (swish): `x * sigmoid(x)` — the UNet's activation. Its
+    /// derivative `s·(1 + x·(1 − s))`, with `s = 1 / (1 + exp(−x))`,
+    /// reuses the forward's `1 + exp(−x)`.
     pub fn silu(&self) -> Var {
-        let out = self.value().map(|v| v / (1.0 + (-v).exp()));
-        Var::from_op("silu", out, &[self], |_| {
-            let x = self.to_tensor();
-            Box::new(move |g| {
-                let d = x.map(|v| {
-                    let s = 1.0 / (1.0 + (-v).exp());
-                    s * (1.0 + v * (1.0 - s))
-                });
-                vec![g.mul(&d)]
-            })
-        })
+        self.map_with_slope(
+            "silu",
+            |v| v / (1.0 + (-v).exp()),
+            |v| {
+                let e = 1.0 + (-v).exp();
+                let s = 1.0 / e;
+                (v / e, s * (1.0 + v * (1.0 - s)))
+            },
+        )
     }
 
-    /// Gaussian error linear unit (tanh approximation).
+    /// Gaussian error linear unit (tanh approximation). Its derivative
+    /// reuses the forward's `tanh`.
     pub fn gelu(&self) -> Var {
         const C: f32 = 0.797_884_6; // sqrt(2/pi)
-        let out = self.value().map(|v| 0.5 * v * (1.0 + (C * (v + 0.044715 * v * v * v)).tanh()));
-        Var::from_op("gelu", out, &[self], |_| {
-            let x = self.to_tensor();
-            Box::new(move |g| {
-                let d = x.map(|v| {
-                    let inner = C * (v + 0.044715 * v * v * v);
-                    let t = inner.tanh();
-                    let dinner = C * (1.0 + 3.0 * 0.044715 * v * v);
-                    0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * dinner
-                });
-                vec![g.mul(&d)]
-            })
-        })
+        self.map_with_slope(
+            "gelu",
+            |v| 0.5 * v * (1.0 + (C * (v + 0.044715 * v * v * v)).tanh()),
+            |v| {
+                let t = (C * (v + 0.044715 * v * v * v)).tanh();
+                let dinner = C * (1.0 + 3.0 * 0.044715 * v * v);
+                (0.5 * v * (1.0 + t), 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * dinner)
+            },
+        )
+    }
+
+    /// An elementwise op whose backward is one multiply by its derivative,
+    /// where value and derivative share a costly term (an `exp`, a
+    /// `tanh`). Without a tape the op is the single map `value`. When it
+    /// records, `value_and_slope` gives each element's value and
+    /// derivative from one evaluation of that term, with the same value
+    /// bits as `value`, and the backward holds only the derivative.
+    fn map_with_slope(
+        &self,
+        op: &'static str,
+        value: impl Fn(f32) -> f32 + Sync,
+        value_and_slope: impl Fn(f32) -> (f32, f32),
+    ) -> Var {
+        if !records(&[self]) {
+            let out = self.value().map(value);
+            return Self::node(Value::Fixed(out), false, op, Vec::new(), None);
+        }
+        let (out, slope) = {
+            let x = self.value();
+            let (out, slope): (Vec<f32>, Vec<f32>) =
+                x.as_slice().iter().map(|&v| value_and_slope(v)).unzip();
+            (Tensor::from_vec(out, x.shape()), Tensor::from_vec(slope, x.shape()))
+        };
+        Var::from_op(op, out, &[self], |_| Box::new(move |g| vec![g.mul(&slope)]))
     }
 
     // ------------------------------------------------------- linear algebra
@@ -527,8 +563,16 @@ impl Var {
     pub fn matmul(&self, other: &Var) -> Var {
         let out = with_pair(self, other, Tensor::matmul);
         Var::from_op("matmul", out, &[self, other], |_| {
-            let (a, b) = (self.to_tensor(), other.to_tensor());
-            Box::new(move |g| vec![g.matmul(&b.transpose()), a.transpose().matmul(g)])
+            // dA = G·Bᵀ reads B and dB = Aᵀ·G reads A, each in place; an
+            // operand is copied only for the gradient that reads it.
+            let b = self.requires_grad().then(|| other.to_tensor());
+            let a = other.requires_grad().then(|| self.to_tensor());
+            Box::new(move |g| {
+                vec![
+                    b.as_ref().map_or_else(unread, |b| g.matmul_nt(b)),
+                    a.as_ref().map_or_else(unread, |a| a.matmul_tn(g)),
+                ]
+            })
         })
     }
 
@@ -540,11 +584,14 @@ impl Var {
     pub fn bmm(&self, other: &Var) -> Var {
         let out = with_pair(self, other, Tensor::bmm);
         Var::from_op("bmm", out, &[self, other], |_| {
-            let (a, b) = (self.to_tensor(), other.to_tensor());
+            // As in `matmul`, batch by batch.
+            let b = self.requires_grad().then(|| other.to_tensor());
+            let a = other.requires_grad().then(|| self.to_tensor());
             Box::new(move |g| {
-                let da = g.bmm(&b.permute(&[0, 2, 1]));
-                let db = a.permute(&[0, 2, 1]).bmm(g);
-                vec![da, db]
+                vec![
+                    b.as_ref().map_or_else(unread, |b| g.bmm_nt(b)),
+                    a.as_ref().map_or_else(unread, |a| a.bmm_tn(g)),
+                ]
             })
         })
     }
@@ -776,38 +823,20 @@ impl Var {
             None => &[self, weight],
         };
         Var::from_op("conv2d", out, parents, |_| {
+            let want = ConvGrads {
+                input: self.requires_grad(),
+                weight: weight.requires_grad(),
+                bias: bias.is_some_and(Var::requires_grad),
+            };
+            // dW reads x and dX reads w, and each takes its geometry from
+            // the other, so both are held.
             let (x, w) = (self.to_tensor(), weight.to_tensor());
             let has_bias = bias.is_some();
             Box::new(move |g| {
-                let (cout, cin, kh, kw) = (w.shape()[0], w.shape()[1], w.shape()[2], w.shape()[3]);
-                let n = x.shape()[0];
-                let (oh, ow) = (g.shape()[2], g.shape()[3]);
-                // dX = adjoint conv, computed via col2im with the *known* input
-                // geometry (conv_transpose2d would infer an ambiguous size when
-                // stride does not divide the padded input exactly).
-                let wmat_t = w.reshape(&[cout, cin * kh * kw]).transpose();
-                let mut dcols = Tensor::zeros(&[n, cin * kh * kw, oh * ow]);
-                for bi in 0..n {
-                    let g_b = g.narrow(0, bi, 1).reshape(&[cout, oh * ow]);
-                    let d_b = wmat_t.matmul(&g_b);
-                    let len = cin * kh * kw * oh * ow;
-                    dcols.as_mut_slice()[bi * len..(bi + 1) * len].copy_from_slice(d_b.as_slice());
-                }
-                let dx = dcols.col2im(x.shape(), kh, kw, stride, pad);
-                // dW: accumulate g_b [cout, oh*ow] @ cols_b^T [oh*ow, cin*kh*kw].
-                let cols = x.im2col(kh, kw, stride, pad);
-                let mut dw = Tensor::zeros(&[cout, cin * kh * kw]);
-                for bi in 0..n {
-                    let g_b = g.narrow(0, bi, 1).reshape(&[cout, oh * ow]);
-                    let col_b = cols.narrow(0, bi, 1).reshape(&[cin * kh * kw, oh * ow]);
-                    dw = dw.add(&g_b.matmul(&col_b.transpose()));
-                }
-                let dw = dw.reshape(&[cout, cin, kh, kw]);
-                let mut grads = vec![dx, dw];
+                let (dx, dw, db) = x.conv2d_backward(&w, g, stride, pad, want);
+                let mut grads = vec![dx.unwrap_or_else(unread), dw.unwrap_or_else(unread)];
                 if has_bias {
-                    // db = sum over batch and spatial dims.
-                    let db = g.sum_axis(3).sum_axis(2).sum_axis(0);
-                    grads.push(db);
+                    grads.push(db.unwrap_or_else(unread));
                 }
                 grads
             })
@@ -832,28 +861,32 @@ impl Var {
             None => &[self, weight],
         };
         Var::from_op("conv_transpose2d", out, parents, |_| {
-            let (x, w) = (self.to_tensor(), weight.to_tensor());
-            let has_bias = bias.is_some();
+            let kernel = weight.shape();
+            let (kh, kw) = (kernel[2], kernel[3]);
+            // conv_transpose is the adjoint of conv2d with the same
+            // buffer, so dX is the forward conv2d of G by w. dW: out =
+            // col2im(W_matᵀ x) ⇒ dW_mat = Σ_b x_b · im2col(G)_bᵀ, with x
+            // held as `[n, cin, h·w]` and the rows added in batch order.
+            let w = self.requires_grad().then(|| weight.to_tensor());
+            let x = weight.requires_grad().then(|| {
+                let s = self.shape();
+                self.value().reshape(&[s[0], s[1], s[2] * s[3]])
+            });
+            let bias = bias.map(Var::requires_grad);
             Box::new(move |g| {
-                let (cin, cout, kh, kw) = (w.shape()[0], w.shape()[1], w.shape()[2], w.shape()[3]);
-                let n = x.shape()[0];
-                let (h, w_sp) = (x.shape()[2], x.shape()[3]);
-                // conv_transpose is the adjoint of conv2d with the same buffer,
-                // so its input gradient is the forward conv2d.
-                let dx = g.conv2d(&w, None, stride, pad);
-                // dW: out = col2im(W_mat^T x) ⇒ dW_mat = Σ_b x_b @ im2col(g)_b^T.
-                let gcols = g.im2col(kh, kw, stride, pad); // [n, cout*kh*kw, h*w]
-                let mut dw = Tensor::zeros(&[cin, cout * kh * kw]);
-                for bi in 0..n {
-                    let x_b = x.narrow(0, bi, 1).reshape(&[cin, h * w_sp]);
-                    let gc_b = gcols.narrow(0, bi, 1).reshape(&[cout * kh * kw, h * w_sp]);
-                    dw = dw.add(&x_b.matmul(&gc_b.transpose()));
-                }
-                let dw = dw.reshape(&[cin, cout, kh, kw]);
+                let dx = w.as_ref().map_or_else(unread, |w| g.conv2d(w, None, stride, pad));
+                let dw = x.as_ref().map_or_else(unread, |x| {
+                    let gcols = g.im2col(kh, kw, stride, pad); // [n, cout*kh*kw, h*w]
+                    let dw = x.bmm_nt(&gcols).sum_axis(0);
+                    Tensor::from_vec(dw.into_vec(), &[x.shape()[1], g.shape()[1], kh, kw])
+                });
                 let mut grads = vec![dx, dw];
-                if has_bias {
-                    let db = g.sum_axis(3).sum_axis(2).sum_axis(0);
-                    grads.push(db);
+                if let Some(wanted) = bias {
+                    grads.push(if wanted {
+                        g.sum_axis(3).sum_axis(2).sum_axis(0)
+                    } else {
+                        unread()
+                    });
                 }
                 grads
             })

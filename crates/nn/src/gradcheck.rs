@@ -62,6 +62,58 @@ where
     GradCheckReport { max_rel_error: max_rel, checked }
 }
 
+/// Compares the gradient of `Σ f(x)·W` at `x0`, for a fixed cotangent `w`
+/// of `f`'s output shape, against central differences on up to
+/// `max_coords` coordinates.
+///
+/// The analytic side backpropagates `Σ y·W` through the graph `f`
+/// builds. The numeric side sums `f(x ± eps)·W` in f64, so the difference
+/// quotient carries no f32 rounding of the loss itself: elements of y
+/// that do not depend on the perturbed coordinate round alike in both
+/// evaluations and cancel. A random W weighs every output element, so a
+/// wrong gradient anywhere in y shows; a `mean` loss (see
+/// [`check_gradient`]) scales each gradient below the error floor. Each
+/// coordinate's error is relative to the larger of its two sides, or to
+/// 1% of the largest analytic entry checked, whichever is larger.
+///
+/// # Panics
+///
+/// Panics if `f`'s output is not `w`'s shape or does not depend on x.
+pub fn check_vjp<F>(f: F, x0: &Tensor, w: &Tensor, eps: f32, max_coords: usize) -> GradCheckReport
+where
+    F: Fn(&Var) -> Var,
+{
+    let x = Var::parameter(x0.clone());
+    f(&x).mul(&Var::constant(w.clone())).sum().backward();
+    let analytic = x.grad().expect("the output must depend on x");
+    let loss = |t: Tensor| -> f64 {
+        let y = crate::no_grad(|| f(&Var::constant(t)));
+        let y = y.value();
+        assert_eq!(y.shape(), w.shape(), "the cotangent must have the output's shape");
+        y.as_slice().iter().zip(w.as_slice()).map(|(&v, &c)| f64::from(v) * f64::from(c)).sum()
+    };
+    let n = x0.numel().min(max_coords);
+    let stride = (x0.numel() / n.max(1)).max(1);
+    let coords: Vec<usize> = (0..n).map(|k| (k * stride).min(x0.numel() - 1)).collect();
+    let a = |i: usize| f64::from(analytic.as_slice()[i]);
+    // An entry near zero is judged against 1% of the gradient's scale:
+    // its numeric side still carries the f32 rounding of the outputs the
+    // coordinate moves.
+    let floor = coords.iter().map(|&i| a(i).abs()).fold(0.0, f64::max) * 1e-2;
+    let mut max_rel = 0.0f64;
+    for &i in &coords {
+        let mut plus = x0.clone();
+        plus.as_mut_slice()[i] += eps;
+        let mut minus = x0.clone();
+        minus.as_mut_slice()[i] -= eps;
+        let h = f64::from(plus.as_slice()[i]) - f64::from(minus.as_slice()[i]);
+        let numeric = (loss(plus) - loss(minus)) / h;
+        let rel = (a(i) - numeric).abs() / a(i).abs().max(numeric.abs()).max(floor).max(1e-3);
+        max_rel = max_rel.max(rel);
+    }
+    GradCheckReport { max_rel_error: max_rel as f32, checked: n }
+}
+
 /// [`check_gradient`] with the tensor kernels pinned to `threads`
 /// workers for both the analytic backward pass and every finite-
 /// difference forward evaluation.
@@ -112,6 +164,25 @@ mod tests {
                 "gradcheck diverged at {threads} threads"
             );
         }
+    }
+
+    #[test]
+    fn vjp_check_passes_on_a_sum_sized_loss_and_sees_a_small_error() {
+        // Σ y·W over 64 outputs: each gradient is O(1) and the loss
+        // O(10), where f32 differences of the loss would be noise.
+        let mut rng = StdRng::seed_from_u64(33);
+        let x0 = Tensor::randn(&[4, 16], &mut rng).mul_scalar(2.0);
+        let w = Tensor::randn(&[4, 16], &mut rng);
+        let f = |x: &Var| x.tanh().mul(x);
+        let report = check_vjp(f, &x0, &w, 1e-2, 64);
+        assert!(report.passes(1e-3), "max rel err {}", report.max_rel_error);
+        // The same values with every gradient 1% too large.
+        let skewed = |x: &Var| {
+            let y = f(x);
+            y.add(&y.sub(&y.detach()).scale(0.01))
+        };
+        let report = check_vjp(skewed, &x0, &w, 1e-2, 64);
+        assert!(!report.passes(1e-3), "a 1% error passed: {}", report.max_rel_error);
     }
 
     #[test]

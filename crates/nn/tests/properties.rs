@@ -3,7 +3,7 @@
 //! forward *and* backward, so finite-difference checks under a multi-
 //! thread policy validate the parallel gradients end to end.
 
-use aero_nn::gradcheck::{check_gradient, check_gradient_with_threads};
+use aero_nn::gradcheck::{check_gradient, check_gradient_with_threads, check_vjp};
 use aero_nn::layers::{Conv2d, Linear, MultiHeadAttention};
 use aero_nn::{optim::Adam, Module, Var};
 use aero_tensor::parallel::with_threads;
@@ -11,6 +11,84 @@ use aero_tensor::Tensor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// An op of several inputs, as a function of their vars.
+type Op<'a> = &'a dyn Fn(&[Var]) -> Var;
+
+/// A named op with its inputs.
+type OpCase = (String, Vec<Tensor>, Box<dyn Fn(&[Var]) -> Var>);
+
+/// The largest [`check_vjp`] error over every input of `op`, each
+/// perturbed in turn by `eps` with the others held constant, through one
+/// random cotangent of the output's shape.
+fn vjp_error(inputs: &[Tensor], op: Op<'_>, eps: f32, rng: &mut StdRng) -> f32 {
+    let constants = |t: &[Tensor]| t.iter().map(|t| Var::constant(t.clone())).collect::<Vec<_>>();
+    let w = Tensor::randn(&op(&constants(inputs)).shape(), rng);
+    (0..inputs.len())
+        .map(|i| {
+            let f = |x: &Var| {
+                let mut vars = constants(inputs);
+                vars[i] = x.clone();
+                op(&vars)
+            };
+            check_vjp(f, &inputs[i], &w, eps, 48).max_rel_error
+        })
+        .fold(0.0, f32::max)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Every input's gradient of the ops whose backward runs its own
+    /// kernels (conv2d, conv_transpose2d, matmul, bmm, SiLU, GELU and
+    /// GroupNorm), at batch 2 so that each batch row's share of dW counts.
+    /// The products are linear in each input, so a wide step costs no
+    /// truncation and divides the outputs' f32 rounding by more; the
+    /// nonlinear ops take a narrow one.
+    #[test]
+    fn backward_kernels_pass_the_vjp_gradcheck(seed in 0u64..1000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut randn = |shape: &[usize]| Tensor::randn(shape, &mut rng);
+        let mut cases: Vec<OpCase> = Vec::new();
+        for (k, stride, pad) in [(3, 1, 0), (3, 1, 1), (3, 2, 0), (3, 2, 1), (1, 1, 0), (1, 2, 0)] {
+            let (x, w, b) = (randn(&[2, 3, 6, 5]), randn(&[4, 3, k, k]), randn(&[4]));
+            cases.push((
+                format!("conv2d k{k} s{stride} p{pad} with bias"),
+                vec![x.clone(), w.clone(), b],
+                Box::new(move |v| v[0].conv2d(&v[1], Some(&v[2]), stride, pad)),
+            ));
+            cases.push((
+                format!("conv2d k{k} s{stride} p{pad} without bias"),
+                vec![x, w],
+                Box::new(move |v| v[0].conv2d(&v[1], None, stride, pad)),
+            ));
+        }
+        for (k, stride) in [(2, 2), (3, 1)] {
+            cases.push((
+                format!("conv_transpose2d k{k} s{stride}"),
+                vec![randn(&[2, 3, 3, 4]), randn(&[3, 2, k, k]), randn(&[2])],
+                Box::new(move |v| v[0].conv_transpose2d(&v[1], Some(&v[2]), stride, 0)),
+            ));
+        }
+        cases.push(("matmul".into(), vec![randn(&[3, 5]), randn(&[5, 4])], Box::new(|v| v[0].matmul(&v[1]))));
+        cases.push(("bmm".into(), vec![randn(&[2, 3, 5]), randn(&[2, 5, 4])], Box::new(|v| v[0].bmm(&v[1]))));
+        let x = randn(&[2, 9]).mul_scalar(2.0);
+        let norm = vec![randn(&[2, 4, 3, 3]), randn(&[1, 4, 1, 1]).add_scalar(1.0), randn(&[1, 4, 1, 1])];
+        for (name, inputs, op) in &cases {
+            let err = vjp_error(inputs, op.as_ref(), 1e-1, &mut rng);
+            prop_assert!(err <= 5e-3, "{}: max rel err {}", name, err);
+        }
+        let nonlinear: [(&str, &[Tensor], Op<'_>); 3] = [
+            ("silu", std::slice::from_ref(&x), &|v| v[0].silu()),
+            ("gelu", std::slice::from_ref(&x), &|v| v[0].gelu()),
+            ("group_norm", &norm, &|v| v[0].group_norm(&v[1], &v[2], 2, 1e-5)),
+        ];
+        for (name, inputs, op) in nonlinear {
+            let err = vjp_error(inputs, op, 1e-2, &mut rng);
+            prop_assert!(err <= 5e-3, "{}: max rel err {}", name, err);
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]

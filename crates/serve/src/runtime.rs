@@ -565,7 +565,7 @@ impl ServeRuntime {
             .clone()
             .ok_or_else(|| ModelError::Meta("no model registry attached".into()))?;
         let entry = registry.resolve(name, version)?;
-        let mut bytes = std::fs::read(registry.path_of(&entry))?;
+        let mut bytes = registry.read_file(&entry)?;
         if let Some(SwapFault::CorruptArtifact) =
             self.faults.as_ref().and_then(|plan| plan.take_swap(swap_ordinal))
         {

@@ -69,6 +69,51 @@ const CO_B: usize = 4;
 /// register budget.
 const OW_T: usize = 32;
 
+/// One operand of a matmul slab, read where it lies: a row-major matrix
+/// whose stored rows are `ld` floats apart, taken as it is or as its
+/// transpose. The backward reads `bᵀ` and `aᵀ` this way
+/// ([`crate::Tensor::matmul_nt`], [`crate::Tensor::matmul_tn`]) instead
+/// of gathering a transposed copy first.
+#[derive(Debug, Clone, Copy)]
+pub struct MatRef<'a> {
+    data: &'a [f32],
+    ld: usize,
+    transposed: bool,
+}
+
+impl<'a> MatRef<'a> {
+    /// The row-major matrix in `data` whose rows are `ld` floats apart:
+    /// element `(r, c)` is `data[r * ld + c]`.
+    #[must_use]
+    pub fn rows(data: &'a [f32], ld: usize) -> Self {
+        MatRef { data, ld, transposed: false }
+    }
+
+    /// The transpose of the row-major matrix in `data` whose rows are
+    /// `ld` floats apart: element `(r, c)` is `data[c * ld + r]`.
+    #[must_use]
+    pub fn transposed(data: &'a [f32], ld: usize) -> Self {
+        MatRef { data, ld, transposed: true }
+    }
+
+    /// Logical element `(r, c)`.
+    #[inline]
+    fn at(&self, r: usize, c: usize) -> f32 {
+        if self.transposed {
+            self.data[c * self.ld + r]
+        } else {
+            self.data[r * self.ld + c]
+        }
+    }
+
+    /// The same operand without its first `r0` logical rows (an empty
+    /// operand, `k` = 0, stays empty).
+    fn skip_rows(self, r0: usize) -> Self {
+        let skip = if self.transposed { r0 } else { r0 * self.ld };
+        MatRef { data: &self.data[skip.min(self.data.len())..], ..self }
+    }
+}
+
 /// Which compute backend the dense kernels run on. Purely a performance
 /// knob: both backends are bit-identical on every kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -144,10 +189,13 @@ pub trait ComputeBackend: Sync {
     /// Which [`BackendKind`] this implementation is.
     fn kind(&self) -> BackendKind;
 
-    /// Fills `out` (a slab of `out.len() / n` rows) with
-    /// `a[rows, k] @ b[k, n]`, accumulating each element over ascending
-    /// `p`. `a` holds exactly the slab's rows; `out` arrives zeroed.
-    fn matmul_slab(&self, a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]);
+    /// Fills `out` (a slab of `out.len() / n` rows) with `a · b`, where
+    /// `a` is the slab's `rows × k` left operand (its logical row 0 is the
+    /// slab's first row) and `b` the `k × n` right operand, either one
+    /// possibly stored transposed. Each element is `Σ_p a(i, p) · b(p, j)`
+    /// over ascending `p`, one mul and one add per term, accumulated into
+    /// `out`, which arrives zeroed.
+    fn matmul_slab(&self, a: MatRef<'_>, b: MatRef<'_>, k: usize, n: usize, out: &mut [f32]);
 
     /// Q8 variant of [`ComputeBackend::matmul_slab`]: the left rows are
     /// q8 blocks (`bpr` blocks per row, see [`crate::quant`]),
@@ -203,9 +251,9 @@ impl ComputeBackend for ReferenceBackend {
         BackendKind::Reference
     }
 
-    fn matmul_slab(&self, a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+    fn matmul_slab(&self, a: MatRef<'_>, b: MatRef<'_>, k: usize, n: usize, out: &mut [f32]) {
         for (i, out_row) in out.chunks_mut(n).enumerate() {
-            par_kernels::matmul_row_kernel(&a[i * k..(i + 1) * k], b, out_row);
+            reference_row(a, i, b, k, out_row);
         }
     }
 
@@ -235,6 +283,32 @@ impl ComputeBackend for ReferenceBackend {
         for row in rows.chunks_mut(n) {
             softmax_row_kernel(row);
         }
+    }
+}
+
+/// Row `i` of a slab, `out_row[j] += Σ_p a(i, p) · b(p, j)` with `p`
+/// ascending: the "ikj" [`par_kernels::matmul_row_kernel`] when both
+/// operands are row-major, the same loop reading `a(i, p)` by stride when
+/// `a` is transposed, and one dot product per element when `b` is, where
+/// `a`'s row and `b`'s stored rows both run along `p`.
+fn reference_row(a: MatRef<'_>, i: usize, b: MatRef<'_>, k: usize, out_row: &mut [f32]) {
+    if b.transposed {
+        for (j, o) in out_row.iter_mut().enumerate() {
+            for (p, &bv) in b.data[j * b.ld..][..k].iter().enumerate() {
+                *o += a.at(i, p) * bv;
+            }
+        }
+    } else if a.transposed {
+        let n = out_row.len();
+        for p in 0..k {
+            let av = a.at(i, p);
+            for (o, &bv) in out_row.iter_mut().zip(&b.data[p * b.ld..][..n]) {
+                *o += av * bv;
+            }
+        }
+    } else {
+        debug_assert_eq!(b.ld, out_row.len(), "a row-major right operand is dense");
+        par_kernels::matmul_row_kernel(&a.data[i * a.ld..][..k], b.data, out_row);
     }
 }
 
@@ -269,10 +343,28 @@ impl ComputeBackend for BlockedBackend {
         BackendKind::Blocked
     }
 
-    fn matmul_slab(&self, a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
-        blocked_matmul_slab(
-            |i, panel, kk, kc| pack_a_panel(a, i, k, kk, kc, panel),
-            a,
+    fn matmul_slab(&self, a: MatRef<'_>, b: MatRef<'_>, k: usize, n: usize, out: &mut [f32]) {
+        let rows = out.len() / n;
+        // A slab that tiles cannot fill takes the reference row kernel when
+        // both operands are row-major (the forward's products), and the
+        // packed sweep when the backward reads one of them transposed.
+        let skinny = |a: MatRef<'_>, out: &mut [f32]| {
+            if a.transposed || b.transposed {
+                skinny_packed(a, b, k, n, out);
+            } else {
+                for (i, out_row) in out.chunks_mut(n).enumerate() {
+                    par_kernels::matmul_row_kernel(&a.data[i * a.ld..][..k], b.data, out_row);
+                }
+            }
+        };
+        if n < NR || rows < MR {
+            skinny(a, out);
+            return;
+        }
+        let rows_tail = |row0: usize, tail: &mut [f32]| skinny(a.skip_rows(row0), tail);
+        blocked_tiles(
+            |i, panel, kk, kc| pack_a_panel(a, i, kk, kc, panel),
+            rows_tail,
             b,
             k,
             n,
@@ -311,16 +403,19 @@ impl ComputeBackend for BlockedBackend {
                 }
             }
         };
-        let row_tail = |row: usize, out_row: &mut [f32]| {
-            crate::quant::q8_row_kernel(
-                &scales[row * bpr..(row + 1) * bpr],
-                &quants[row * bpr * qb..(row + 1) * bpr * qb],
-                k,
-                b,
-                out_row,
-            );
+        let rows_tail = |row0: usize, tail: &mut [f32]| {
+            for (r, out_row) in tail.chunks_mut(n).enumerate() {
+                let row = row0 + r;
+                crate::quant::q8_row_kernel(
+                    &scales[row * bpr..(row + 1) * bpr],
+                    &quants[row * bpr * qb..(row + 1) * bpr * qb],
+                    k,
+                    b,
+                    out_row,
+                );
+            }
         };
-        blocked_tiles(pack, row_tail, b, k, n, out);
+        blocked_tiles(pack, rows_tail, MatRef::rows(b, n), k, n, out);
     }
 
     fn softmax_slab(&self, rows: &mut [f32], n: usize) {
@@ -370,50 +465,65 @@ impl ComputeBackend for BlockedBackend {
     }
 }
 
-/// Dense packer: `panel[p * MR + r] = a[(i + r) * k + kk + p]`.
+/// Packs rows `i..i + MR` of `a` over `kk..kk + kc`, `p`-major:
+/// `panel[p * MR + r] = a(i + r, kk + p)`. A transposed `a` stores each
+/// `p`'s `MR` values side by side, so its panel is `kc` slice copies.
 #[inline]
-fn pack_a_panel(a: &[f32], i: usize, k: usize, kk: usize, kc: usize, panel: &mut [f32]) {
-    for r in 0..MR {
-        let a_row = &a[(i + r) * k + kk..][..kc];
-        for (p, &v) in a_row.iter().enumerate() {
-            panel[p * MR + r] = v;
+fn pack_a_panel(a: MatRef<'_>, i: usize, kk: usize, kc: usize, panel: &mut [f32]) {
+    if a.transposed {
+        for (p, dst) in panel[..kc * MR].chunks_exact_mut(MR).enumerate() {
+            dst.copy_from_slice(&a.data[(kk + p) * a.ld + i..][..MR]);
+        }
+    } else {
+        for r in 0..MR {
+            let a_row = &a.data[(i + r) * a.ld + kk..][..kc];
+            for (p, &v) in a_row.iter().enumerate() {
+                panel[p * MR + r] = v;
+            }
         }
     }
 }
 
-/// Dense blocked slab: full-width rows fall back to the reference row
-/// kernel when tiles cannot fill.
-fn blocked_matmul_slab(
-    pack: impl Fn(usize, &mut [f32], usize, usize),
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    n: usize,
-    out: &mut [f32],
-) {
-    let rows = out.len() / n;
-    if n < NR || rows < MR {
-        ReferenceBackend.matmul_slab(a, b, k, n, out);
-        return;
+/// Packs columns `j..j + w` of `b`'s rows `kk..kk + kc`, `p`-major with
+/// rows `NR` apart: `bpack[p * NR + c] = b(kk + p, j + c)`. A row-major
+/// `b` packs by slice copies; for a transposed one each packed row is a
+/// run of `w` values `ld` apart in storage, gathered from one bounded
+/// slice so that the loop vectorizes (a gather measured faster here than
+/// scattering each stored row down the tile). Both this and
+/// [`micro_tile`] are inlined into the tiling loop by force, so that the
+/// transposed layouts the loop gained leave the row-major tiles compiled
+/// as before.
+#[inline(always)]
+fn pack_b_tile(b: MatRef<'_>, kk: usize, kc: usize, j: usize, w: usize, bpack: &mut [f32]) {
+    if b.transposed {
+        for (p, dst) in bpack[..kc * NR].chunks_exact_mut(NR).enumerate() {
+            let at = j * b.ld + kk + p;
+            let run = &b.data[at..=at + (w - 1) * b.ld];
+            for (c, d) in dst[..w].iter_mut().enumerate() {
+                *d = run[c * b.ld];
+            }
+        }
+    } else {
+        for p in 0..kc {
+            bpack[p * NR..][..w].copy_from_slice(&b.data[(kk + p) * b.ld + j..][..w]);
+        }
     }
-    let row_tail = |row: usize, out_row: &mut [f32]| {
-        par_kernels::matmul_row_kernel(&a[row * k..(row + 1) * k], b, out_row);
-    };
-    blocked_tiles(pack, row_tail, b, k, n, out);
 }
 
 /// The shared tiling driver: walks `KC`-deep k-panels outermost, packing
 /// *every* `MR`-row A block for the panel up front, then sweeps `NR`-wide
 /// column tiles with the row blocks innermost — so each `KC`×`NR` B tile
-/// is loaded once per panel and stays cache-resident while all packed
-/// rows stream past it. Tail rows run `row_tail` (the reference row loop)
-/// and tail columns run the scalar column loop — both visit `p` in the
-/// identical ascending order, so every element of `out` sees the
-/// reference accumulation sequence regardless of which path produced it.
+/// is packed once per panel and stays cache-resident while all packed
+/// rows stream past it. The leftover columns are packed the same way and
+/// swept lane by lane, and the rows below the last full `MR` block go to
+/// `rows_tail` (with their first row's index) once the panels are done.
+/// Every path visits `p` in the identical ascending order, so every
+/// element of `out` sees the reference accumulation sequence regardless
+/// of which path produced it.
 fn blocked_tiles(
     pack: impl Fn(usize, &mut [f32], usize, usize),
-    row_tail: impl Fn(usize, &mut [f32]),
-    b: &[f32],
+    rows_tail: impl FnOnce(usize, &mut [f32]),
+    b: MatRef<'_>,
     k: usize,
     n: usize,
     out: &mut [f32],
@@ -429,15 +539,10 @@ fn blocked_tiles(
         for ib in 0..full_rows / MR {
             pack(ib * MR, &mut apack[ib * kc * MR..][..kc * MR], kk, kc);
         }
-        let b_panel = &b[kk * n..(kk + kc) * n];
         let first = kk == 0;
         let mut j = 0;
         while j < full_cols {
-            // Pack the NR-wide B tile contiguous once per panel; every
-            // row block then streams it with sequential loads.
-            for p in 0..kc {
-                bpack[p * NR..][..NR].copy_from_slice(&b_panel[p * n + j..][..NR]);
-            }
+            pack_b_tile(b, kk, kc, j, NR, &mut bpack);
             let mut i = 0;
             while i < full_rows {
                 let panel = &apack[(i / MR) * kc * MR..][..kc * MR];
@@ -449,16 +554,17 @@ fn blocked_tiles(
         if full_cols < n {
             // Column tail: scalar sweep over the leftover columns of
             // every packed row block, p ascending.
+            let w = n - full_cols;
+            pack_b_tile(b, kk, kc, full_cols, w, &mut bpack);
             let mut i = 0;
             while i < full_rows {
                 let panel = &apack[(i / MR) * kc * MR..][..kc * MR];
                 for r in 0..MR {
-                    let out_row = &mut out[(i + r) * n..][..n];
+                    let out_tail = &mut out[(i + r) * n + full_cols..][..w];
                     for p in 0..kc {
                         let av = panel[p * MR + r];
-                        let b_row = &b_panel[p * n..][..n];
-                        for c in full_cols..n {
-                            out_row[c] += av * b_row[c];
+                        for (o, &bv) in out_tail.iter_mut().zip(&bpack[p * NR..][..w]) {
+                            *o += av * bv;
                         }
                     }
                 }
@@ -467,11 +573,47 @@ fn blocked_tiles(
         }
         kk += kc;
     }
-    for row in full_rows..rows {
-        row_tail(row, &mut out[row * n..(row + 1) * n]);
-    }
+    rows_tail(full_rows, &mut out[full_rows * n..]);
     // k == 0 never enters the panel loop, leaving the zeroed slab — the
     // empty sum, exactly as the reference row kernel computes it.
+}
+
+/// A slab too short or too narrow for register tiles, with an operand
+/// stored transposed. Each tile of up to `NR` columns is packed `p`-major
+/// once per `KC`-deep panel ([`pack_b_tile`]), and every row sweeps it
+/// with one accumulator lane per output column, `p` ascending, held in
+/// registers across the panel: the independent sums of a row run side by
+/// side in vector lanes. (The reference computes a transposed `b` as one
+/// serial dot product per element, and a transposed `a` by loading and
+/// storing the output row once per `p`.) A partial tile's unused lanes
+/// hold zeros and are never stored.
+fn skinny_packed(a: MatRef<'_>, b: MatRef<'_>, k: usize, n: usize, out: &mut [f32]) {
+    let rows = out.len() / n;
+    let mut bpack = vec![0.0f32; KC.min(k) * NR];
+    for j in (0..n).step_by(NR) {
+        let w = (n - j).min(NR);
+        if w < NR {
+            bpack.fill(0.0);
+        }
+        let mut kk = 0;
+        while kk < k {
+            let kc = (k - kk).min(KC);
+            pack_b_tile(b, kk, kc, j, w, &mut bpack);
+            for i in 0..rows {
+                let seg = &mut out[i * n + j..][..w];
+                let mut acc = [0.0f32; NR];
+                acc[..w].copy_from_slice(seg);
+                for (p, b_vec) in bpack[..kc * NR].chunks_exact(NR).enumerate() {
+                    let av = a.at(i, kk + p);
+                    for (o, &bv) in acc.iter_mut().zip(b_vec) {
+                        *o += av * bv;
+                    }
+                }
+                seg.copy_from_slice(&acc[..w]);
+            }
+            kk += kc;
+        }
+    }
 }
 
 /// The `MR`×`NR` register microkernel for one k-panel. Accumulators live
@@ -479,7 +621,7 @@ fn blocked_tiles(
 /// registers) and both operands arrive packed contiguous; panels after
 /// the first reload the partial sums from `out` — an exact `f32`
 /// round-trip that preserves the accumulation chain.
-#[inline]
+#[inline(always)]
 fn micro_tile(panel: &[f32], bpack: &[f32], n: usize, j: usize, first: bool, out_rows: &mut [f32]) {
     let mut acc = [[0.0f32; NR]; MR];
     if !first {
@@ -696,7 +838,7 @@ mod tests {
 
     fn ref_matmul(a: &[f32], b: &[f32], rows: usize, k: usize, n: usize) -> Vec<f32> {
         let mut out = vec![0.0f32; rows * n];
-        ReferenceBackend.matmul_slab(a, b, k, n, &mut out);
+        ReferenceBackend.matmul_slab(MatRef::rows(a, k), MatRef::rows(b, n), k, n, &mut out);
         out
     }
 
@@ -745,8 +887,52 @@ mod tests {
                         (0..k * n).map(|v| (v as f32).mul_add(0.23, 1.0).cos()).collect();
                     let want = ref_matmul(&a, &b, rows, k, n);
                     let mut got = vec![0.0f32; rows * n];
-                    BlockedBackend.matmul_slab(&a, &b, k, n, &mut got);
+                    BlockedBackend.matmul_slab(
+                        MatRef::rows(&a, k),
+                        MatRef::rows(&b, n),
+                        k,
+                        n,
+                        &mut got,
+                    );
                     assert_eq!(bits(&got), bits(&want), "rows={rows} k={k} n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transposed_operands_match_the_row_major_product_at_tile_boundaries() {
+        // Each backend reading `a` or `b` (or both) stored transposed
+        // must give the row-major reference product's bits: the full
+        // tiles, the column and row tails and the skinny packed path.
+        let dims = [1usize, 3, 4, 5, 31, 32, 33];
+        let ks = [0usize, 1, 7, KC - 1, KC + 1];
+        let transpose = |m: &[f32], rows: usize, cols: usize| -> Vec<f32> {
+            (0..rows * cols).map(|i| m[(i % rows) * cols + i / rows]).collect()
+        };
+        let backends: [&dyn ComputeBackend; 2] = [&ReferenceBackend, &BlockedBackend];
+        for &rows in &dims {
+            for &n in &dims {
+                for &k in &ks {
+                    let a: Vec<f32> =
+                        (0..rows * k).map(|v| (v as f32).mul_add(0.37, -3.0).sin()).collect();
+                    let b: Vec<f32> =
+                        (0..k * n).map(|v| (v as f32).mul_add(0.23, 1.0).cos()).collect();
+                    let (a_t, b_t) = (transpose(&a, rows, k), transpose(&b, k, n));
+                    let want = bits(&ref_matmul(&a, &b, rows, k, n));
+                    let layouts = [
+                        (MatRef::transposed(&a_t, rows), MatRef::rows(&b, n), "tn"),
+                        (MatRef::rows(&a, k), MatRef::transposed(&b_t, k), "nt"),
+                        (MatRef::transposed(&a_t, rows), MatRef::transposed(&b_t, k), "tt"),
+                    ];
+                    for (lhs, rhs, layout) in layouts {
+                        for be in backends {
+                            let mut got = vec![0.0f32; rows * n];
+                            be.matmul_slab(lhs, rhs, k, n, &mut got);
+                            let kind = be.kind();
+                            assert_eq!(bits(&got), want, "{layout} {kind} rows={rows} k={k} n={n}");
+                        }
+                    }
                 }
             }
         }

@@ -25,6 +25,7 @@
 //! ```
 
 pub mod backend;
+mod backward;
 mod error;
 mod linalg;
 mod norm;
@@ -36,6 +37,7 @@ mod shape;
 mod tensor;
 
 pub use backend::BackendKind;
+pub use backward::ConvGrads;
 pub use error::TensorError;
 pub use linalg::{cholesky, covariance, matrix_sqrt_psd, symmetric_eigen, trace};
 pub use norm::GroupNormStats;

@@ -68,6 +68,70 @@ impl Tensor {
         Ok(Tensor::from_vec(out, &[b, m, n]))
     }
 
+    /// `self · otherᵀ` for `self` `[m, k]` and `other` `[n, k]`: the bits
+    /// of `self.matmul(&other.transpose())`, with `other` read in place
+    /// instead of through a transposed copy. Each element is `Σ_p
+    /// self[i][p] · other[j][p]` over ascending `p`, from 0.0.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both are rank 2 with equal second dimensions.
+    pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
+        let (m, k, n) = match (self.shape(), other.shape()) {
+            (&[m, k], &[n, k2]) if k == k2 => (m, k, n),
+            (a, b) => panic!("matmul_nt: needs [m, k] and [n, k], got {a:?} and {b:?}"),
+        };
+        let out = par_kernels::matmul_nt(self.as_slice(), other.as_slice(), 1, m, k, n);
+        Tensor::from_vec(out, &[m, n])
+    }
+
+    /// `selfᵀ · other` for `self` `[k, m]` and `other` `[k, n]`: the bits
+    /// of `self.transpose().matmul(other)`, with `self` read in place.
+    /// Each element is `Σ_p self[p][i] · other[p][j]` over ascending `p`,
+    /// from 0.0.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both are rank 2 with equal first dimensions.
+    pub fn matmul_tn(&self, other: &Tensor) -> Tensor {
+        let (m, k, n) = match (self.shape(), other.shape()) {
+            (&[k, m], &[k2, n]) if k == k2 => (m, k, n),
+            (a, b) => panic!("matmul_tn: needs [k, m] and [k, n], got {a:?} and {b:?}"),
+        };
+        let out = par_kernels::matmul_tn(self.as_slice(), other.as_slice(), 1, m, k, n);
+        Tensor::from_vec(out, &[m, n])
+    }
+
+    /// Batched [`Tensor::matmul_nt`]: `[b, m, k]` and `[b, n, k]` give
+    /// `[b, m, n]`, the bits of `self.bmm(&other.permute(&[0, 2, 1]))`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both are rank 3 with equal first and last dimensions.
+    pub fn bmm_nt(&self, other: &Tensor) -> Tensor {
+        let (nb, m, k, n) = match (self.shape(), other.shape()) {
+            (&[nb, m, k], &[nb2, n, k2]) if nb == nb2 && k == k2 => (nb, m, k, n),
+            (a, b) => panic!("bmm_nt: needs [b, m, k] and [b, n, k], got {a:?} and {b:?}"),
+        };
+        let out = par_kernels::matmul_nt(self.as_slice(), other.as_slice(), nb, m, k, n);
+        Tensor::from_vec(out, &[nb, m, n])
+    }
+
+    /// Batched [`Tensor::matmul_tn`]: `[b, k, m]` and `[b, k, n]` give
+    /// `[b, m, n]`, the bits of `self.permute(&[0, 2, 1]).bmm(other)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both are rank 3 with equal first two dimensions.
+    pub fn bmm_tn(&self, other: &Tensor) -> Tensor {
+        let (nb, m, k, n) = match (self.shape(), other.shape()) {
+            (&[nb, k, m], &[nb2, k2, n]) if nb == nb2 && k == k2 => (nb, m, k, n),
+            (a, b) => panic!("bmm_tn: needs [b, k, m] and [b, k, n], got {a:?} and {b:?}"),
+        };
+        let out = par_kernels::matmul_tn(self.as_slice(), other.as_slice(), nb, m, k, n);
+        Tensor::from_vec(out, &[nb, m, n])
+    }
+
     /// Gathers sliding `kh`×`kw` patches of an `[n, c, h, w]` tensor into a
     /// `[n, c*kh*kw, oh*ow]` matrix (the "im2col" layout), sharded over
     /// `(batch, channel)` blocks.

@@ -27,6 +27,7 @@
 //! cannot change numerics, the plan is a pure performance heuristic and
 //! needs no determinism carve-out.
 
+use crate::backend::MatRef;
 use crate::parallel::{active_threads, effective_cores};
 use std::ops::Range;
 
@@ -273,41 +274,95 @@ pub(crate) fn matmul_row_kernel(a_row: &[f32], b: &[f32], out_row: &mut [f32]) {
     }
 }
 
-/// `[m, k] @ [k, n]` sharded over output rows, each slab computed by the
-/// ambient [`crate::backend`].
-pub(crate) fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    record_kernel!("tensor.matmul.calls", "tensor.matmul.elements", m * n);
-    let mut out = vec![0.0f32; m * n];
+/// A batch of matmul operands in one buffer: matrix `i` starts at
+/// `i * stride` (a stride of 0 shares one matrix across the batch) and
+/// is stored row-major, as the logical operand or as its transpose.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Operand<'a> {
+    data: &'a [f32],
+    stride: usize,
+    transposed: bool,
+}
+
+impl<'a> Operand<'a> {
+    /// Row-major matrices `stride` floats apart.
+    pub(crate) fn rows(data: &'a [f32], stride: usize) -> Self {
+        Operand { data, stride, transposed: false }
+    }
+
+    /// Transposed matrices `stride` floats apart.
+    pub(crate) fn transposed(data: &'a [f32], stride: usize) -> Self {
+        Operand { data, stride, transposed: true }
+    }
+}
+
+/// `out[i] = a[i] · b[i]` for `nb` batches of `[m, k] · [k, n]`, sharded
+/// over all `nb * m` output rows (so small batches of large matrices and
+/// large batches of small ones both spread evenly), each slab computed in
+/// place on the operands by the ambient [`crate::backend`]. Every
+/// matmul-family kernel, the forward's and the backward's, runs here.
+pub(crate) fn batched_matmul(
+    a: Operand<'_>,
+    b: Operand<'_>,
+    nb: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+) -> Vec<f32> {
+    let mut out = vec![0.0f32; nb * m * n];
+    if m == 0 || k == 0 {
+        // The empty sum: zeros, as the reference row kernel leaves them.
+        return out;
+    }
     let be = crate::backend::active();
+    // Rows `i..` of batch `batch`'s product into `chunk`.
+    let product = |batch: usize, i: usize, chunk: &mut [f32]| {
+        let a0 = &a.data[batch * a.stride..];
+        let lhs = if a.transposed {
+            MatRef::transposed(&a0[i..], m)
+        } else {
+            MatRef::rows(&a0[i * k..], k)
+        };
+        let b0 = &b.data[batch * b.stride..];
+        let rhs = if b.transposed { MatRef::transposed(b0, k) } else { MatRef::rows(b0, n) };
+        be.matmul_slab(lhs, rhs, k, n, chunk);
+    };
     run_slabs(&mut out, n, 2 * k, |row0, slab| {
-        let rows = slab.len() / n;
-        be.matmul_slab(&a[row0 * k..(row0 + rows) * k], b, k, n, slab);
+        // A single product needs no batch split (and its divisions, a
+        // measurable share of the UNet's microsecond matmuls).
+        if nb == 1 {
+            product(0, row0, slab);
+        } else {
+            for_batch_chunks(row0, slab, n, m, |batch, i, _, chunk| product(batch, i, chunk));
+        }
     });
     out
 }
 
-/// Batched `[nb, m, k] @ [nb, k, n]` sharded over all `nb * m` output
-/// rows, so small batches of large matrices and large batches of small
-/// matrices both spread evenly.
+/// `[m, k] @ [k, n]`.
+pub(crate) fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    record_kernel!("tensor.matmul.calls", "tensor.matmul.elements", m * n);
+    batched_matmul(Operand::rows(a, 0), Operand::rows(b, 0), 1, m, k, n)
+}
+
+/// Batched `[nb, m, k] @ [nb, k, n]`.
 pub(crate) fn bmm(a: &[f32], b: &[f32], nb: usize, m: usize, k: usize, n: usize) -> Vec<f32> {
     record_kernel!("tensor.bmm.calls", "tensor.bmm.elements", nb * m * n);
-    let mut out = vec![0.0f32; nb * m * n];
-    if m == 0 {
-        return out;
-    }
-    let be = crate::backend::active();
-    run_slabs(&mut out, n, 2 * k, |row0, slab| {
-        for_batch_chunks(row0, slab, n, m, |batch, i, rows, chunk| {
-            be.matmul_slab(
-                &a[(batch * m + i) * k..][..rows * k],
-                &b[batch * k * n..][..k * n],
-                k,
-                n,
-                chunk,
-            );
-        });
-    });
-    out
+    batched_matmul(Operand::rows(a, m * k), Operand::rows(b, k * n), nb, m, k, n)
+}
+
+/// Batched `a[i] · b[i]ᵀ` for `a` `[nb, m, k]` and `b` `[nb, n, k]`, `b`
+/// read in place (`nb` is 1 for [`crate::Tensor::matmul_nt`]).
+pub(crate) fn matmul_nt(a: &[f32], b: &[f32], nb: usize, m: usize, k: usize, n: usize) -> Vec<f32> {
+    record_kernel!("tensor.matmul_nt.calls", "tensor.matmul_nt.elements", nb * m * n);
+    batched_matmul(Operand::rows(a, m * k), Operand::transposed(b, n * k), nb, m, k, n)
+}
+
+/// Batched `a[i]ᵀ · b[i]` for `a` `[nb, k, m]` and `b` `[nb, k, n]`, `a`
+/// read in place (`nb` is 1 for [`crate::Tensor::matmul_tn`]).
+pub(crate) fn matmul_tn(a: &[f32], b: &[f32], nb: usize, m: usize, k: usize, n: usize) -> Vec<f32> {
+    record_kernel!("tensor.matmul_tn.calls", "tensor.matmul_tn.elements", nb * m * n);
+    batched_matmul(Operand::transposed(a, k * m), Operand::rows(b, k * n), nb, m, k, n)
 }
 
 /// `out[b] = a @ rhs[b]` with one shared left matrix `a: [rows, k]` and
@@ -323,17 +378,7 @@ pub(crate) fn batched_matmul_shared_lhs(
     n: usize,
 ) -> Vec<f32> {
     record_kernel!("tensor.conv_matmul.calls", "tensor.conv_matmul.elements", nb * rows * n);
-    let mut out = vec![0.0f32; nb * rows * n];
-    if rows == 0 {
-        return out;
-    }
-    let be = crate::backend::active();
-    run_slabs(&mut out, n, 2 * k, |row0, slab| {
-        for_batch_chunks(row0, slab, n, rows, |batch, r, nrows, chunk| {
-            be.matmul_slab(&a[r * k..][..nrows * k], &rhs[batch * k * n..][..k * n], k, n, chunk);
-        });
-    });
-    out
+    batched_matmul(Operand::rows(a, 0), Operand::rows(rhs, k * n), nb, rows, k, n)
 }
 
 /// Full 2-D convolution (bias applied by the caller), strategy chosen by
@@ -393,23 +438,72 @@ pub(crate) fn im2col(src: &[f32], g: ConvGeom) -> Vec<f32> {
     out
 }
 
+/// Output rows narrower than this gather and scatter element by element:
+/// a row run's setup costs more than the bounds tests it saves. Timed in
+/// interleaved pairs against the element loop, the runs took about twice
+/// its time on 2×2 output planes and a tenth more on 4×4, and from a half
+/// to a fifth of it on planes 8 and 32 wide.
+const RUN_MIN_WIDTH: usize = 8;
+
+/// The output positions along one axis whose input position `o·stride +
+/// k − pad` lies inside `0..in_len`: one contiguous range, so that a wide
+/// plane's gather and scatter copy and add whole row runs with no
+/// per-element bounds test. Only the padding can push a position out of
+/// bounds, so each end moves in by a few steps at most.
+fn taps_in_bounds(
+    out_len: usize,
+    in_len: usize,
+    k: usize,
+    stride: usize,
+    pad: usize,
+) -> Range<usize> {
+    let mut lo = 0;
+    while lo < out_len && lo * stride + k < pad {
+        lo += 1;
+    }
+    let mut hi = out_len;
+    while hi > lo && (hi - 1) * stride + k >= in_len + pad {
+        hi -= 1;
+    }
+    lo..hi
+}
+
 fn im2col_block(src: &[f32], g: ConvGeom, b: usize, ch: usize, block: &mut [f32]) {
     let col_stride = g.oh * g.ow;
+    let plane = &src[(b * g.c + ch) * g.h * g.w..][..g.h * g.w];
     for ky in 0..g.kh {
         for kx in 0..g.kw {
-            let row = (ky * g.kw + kx) * col_stride;
-            for oy in 0..g.oh {
-                let iy = (oy * g.stride + ky) as isize - g.pad as isize;
-                if iy < 0 || iy >= g.h as isize {
-                    continue;
-                }
-                for ox in 0..g.ow {
-                    let ix = (ox * g.stride + kx) as isize - g.pad as isize;
-                    if ix < 0 || ix >= g.w as isize {
+            let tap = &mut block[(ky * g.kw + kx) * col_stride..][..col_stride];
+            if g.ow < RUN_MIN_WIDTH {
+                for oy in 0..g.oh {
+                    let iy = (oy * g.stride + ky) as isize - g.pad as isize;
+                    if iy < 0 || iy >= g.h as isize {
                         continue;
                     }
-                    block[row + oy * g.ow + ox] =
-                        src[((b * g.c + ch) * g.h + iy as usize) * g.w + ix as usize];
+                    for ox in 0..g.ow {
+                        let ix = (ox * g.stride + kx) as isize - g.pad as isize;
+                        if ix < 0 || ix >= g.w as isize {
+                            continue;
+                        }
+                        tap[oy * g.ow + ox] = plane[iy as usize * g.w + ix as usize];
+                    }
+                }
+                continue;
+            }
+            let cols = taps_in_bounds(g.ow, g.w, kx, g.stride, g.pad);
+            if cols.is_empty() {
+                continue;
+            }
+            let ix0 = cols.start * g.stride + kx - g.pad;
+            for oy in taps_in_bounds(g.oh, g.h, ky, g.stride, g.pad) {
+                let src_row = &plane[(oy * g.stride + ky - g.pad) * g.w..][..g.w];
+                let dst = &mut tap[oy * g.ow..][cols.clone()];
+                if g.stride == 1 {
+                    dst.copy_from_slice(&src_row[ix0..][..dst.len()]);
+                } else {
+                    for (j, d) in dst.iter_mut().enumerate() {
+                        *d = src_row[ix0 + j * g.stride];
+                    }
                 }
             }
         }
@@ -434,21 +528,45 @@ pub(crate) fn col2im(src: &[f32], g: ConvGeom) -> Vec<f32> {
 
 fn col2im_plane(src: &[f32], g: ConvGeom, b: usize, ch: usize, out_plane: &mut [f32]) {
     let col_stride = g.oh * g.ow;
+    let taps = &src[(b * g.c + ch) * g.kh * g.kw * col_stride..][..g.kh * g.kw * col_stride];
     for ky in 0..g.kh {
         for kx in 0..g.kw {
-            let row =
-                ((ch * g.kh + ky) * g.kw + kx) * col_stride + b * g.c * g.kh * g.kw * col_stride;
-            for oy in 0..g.oh {
-                let iy = (oy * g.stride + ky) as isize - g.pad as isize;
-                if iy < 0 || iy >= g.h as isize {
-                    continue;
-                }
-                for ox in 0..g.ow {
-                    let ix = (ox * g.stride + kx) as isize - g.pad as isize;
-                    if ix < 0 || ix >= g.w as isize {
+            // One tap adds at most one term to each image element, so the
+            // order of a tap's adds cannot matter: each element still sums
+            // its taps in (ky, kx) order.
+            let tap = &taps[(ky * g.kw + kx) * col_stride..][..col_stride];
+            if g.ow < RUN_MIN_WIDTH {
+                for oy in 0..g.oh {
+                    let iy = (oy * g.stride + ky) as isize - g.pad as isize;
+                    if iy < 0 || iy >= g.h as isize {
                         continue;
                     }
-                    out_plane[iy as usize * g.w + ix as usize] += src[row + oy * g.ow + ox];
+                    for ox in 0..g.ow {
+                        let ix = (ox * g.stride + kx) as isize - g.pad as isize;
+                        if ix < 0 || ix >= g.w as isize {
+                            continue;
+                        }
+                        out_plane[iy as usize * g.w + ix as usize] += tap[oy * g.ow + ox];
+                    }
+                }
+                continue;
+            }
+            let cols = taps_in_bounds(g.ow, g.w, kx, g.stride, g.pad);
+            if cols.is_empty() {
+                continue;
+            }
+            let ix0 = cols.start * g.stride + kx - g.pad;
+            for oy in taps_in_bounds(g.oh, g.h, ky, g.stride, g.pad) {
+                let dst = &mut out_plane[(oy * g.stride + ky - g.pad) * g.w..][..g.w];
+                let run = &tap[oy * g.ow..][cols.clone()];
+                if g.stride == 1 {
+                    for (d, &v) in dst[ix0..][..run.len()].iter_mut().zip(run) {
+                        *d += v;
+                    }
+                } else {
+                    for (j, &v) in run.iter().enumerate() {
+                        dst[ix0 + j * g.stride] += v;
+                    }
                 }
             }
         }

@@ -1,12 +1,16 @@
-//! `broadcast_to`, `permute`, `transpose` and broadcasting `zip` against
-//! their former index-arithmetic bodies, bit for bit.
+//! `broadcast_to`, `permute`, `transpose` and broadcasting `zip`, and
+//! `im2col` and its adjoint `col2im`, against their former
+//! index-arithmetic bodies, bit for bit.
 //!
 //! The library moves data through one strided gather (an odometer with
 //! one add per step). The oracles below are the loops it replaced, kept
 //! verbatim: each output element's source index found with a div and a
 //! mod per axis. They exist only here. These ops only move values, and
 //! `zip` applies the same closure to the same `(self, other)` pairs, so
-//! every comparison is on `f32::to_bits`.
+//! every comparison is on `f32::to_bits`. `im2col` and `col2im` now copy
+//! and add whole in-bounds row runs; their oracles test each element's
+//! bounds, and `col2im` must still add each image element's taps in
+//! `(ky, kx)` order.
 //!
 //! Shapes are rank 0–5 with zero-size and size-1 axes. The `zip` closure
 //! is non-commutative (`a - 2b`), so reading the wrong operand in place
@@ -91,6 +95,65 @@ fn oracle_zip(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
 }
 
 /// Distinct values (a ramp plus noise), so a misplaced element shows.
+/// The former `im2col` body: `[n, c, h, w]` to `[n, c·kh·kw, oh·ow]`,
+/// each element's bounds tested.
+fn oracle_im2col(x: &Tensor, k: usize, stride: usize, pad: usize) -> Tensor {
+    let [n, c, h, w] = x.shape().try_into().unwrap();
+    let (oh, ow) = ((h + 2 * pad - k) / stride + 1, (w + 2 * pad - k) / stride + 1);
+    let mut out = vec![0.0; n * c * k * k * oh * ow];
+    for (bc, block) in out.chunks_mut(k * k * oh * ow).enumerate() {
+        for ky in 0..k {
+            for kx in 0..k {
+                let row = (ky * k + kx) * oh * ow;
+                for oy in 0..oh {
+                    let iy = (oy * stride + ky) as isize - pad as isize;
+                    if iy < 0 || iy >= h as isize {
+                        continue;
+                    }
+                    for ox in 0..ow {
+                        let ix = (ox * stride + kx) as isize - pad as isize;
+                        if ix < 0 || ix >= w as isize {
+                            continue;
+                        }
+                        block[row + oy * ow + ox] =
+                            x.as_slice()[(bc * h + iy as usize) * w + ix as usize];
+                    }
+                }
+            }
+        }
+    }
+    Tensor::from_vec(out, &[n, c * k * k, oh * ow])
+}
+
+/// The former `col2im` body: each plane scatter-adds its channel's taps
+/// in `(ky, kx, oy, ox)` order, each element's bounds tested.
+fn oracle_col2im(cols: &Tensor, shape: [usize; 4], k: usize, stride: usize, pad: usize) -> Tensor {
+    let [n, c, h, w] = shape;
+    let (oh, ow) = ((h + 2 * pad - k) / stride + 1, (w + 2 * pad - k) / stride + 1);
+    let mut out = vec![0.0f32; n * c * h * w];
+    for (bc, plane) in out.chunks_mut(h * w).enumerate() {
+        for ky in 0..k {
+            for kx in 0..k {
+                let row = (bc * k * k + ky * k + kx) * oh * ow;
+                for oy in 0..oh {
+                    let iy = (oy * stride + ky) as isize - pad as isize;
+                    if iy < 0 || iy >= h as isize {
+                        continue;
+                    }
+                    for ox in 0..ow {
+                        let ix = (ox * stride + kx) as isize - pad as isize;
+                        if ix < 0 || ix >= w as isize {
+                            continue;
+                        }
+                        plane[iy as usize * w + ix as usize] += cols.as_slice()[row + oy * ow + ox];
+                    }
+                }
+            }
+        }
+    }
+    Tensor::from_vec(out, &shape)
+}
+
 fn filled(shape: &[usize], rng: &mut StdRng) -> Tensor {
     let n: usize = shape.iter().product();
     let data = (0..n).map(|i| i as f32 + rng.gen_range(0.0f32..0.5)).collect();
@@ -175,6 +238,35 @@ proptest! {
         ] {
             assert_bitwise_eq(&a.zip(b, skew), &oracle_zip(a, b, skew), what);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Planes from 1×1, kernels up to 4×4 (wider than a small plane, so
+    /// some taps have no in-bounds run), strides 1–3 and padding 0–3.
+    #[test]
+    fn im2col_and_col2im_match_the_index_oracle(
+        n in 1usize..3,
+        c in 1usize..4,
+        h in 1usize..9,
+        w in 1usize..9,
+        k in 1usize..5,
+        stride in 1usize..4,
+        pad in 0usize..4,
+        seed in 0u64..10_000,
+    ) {
+        if h + 2 * pad < k || w + 2 * pad < k {
+            return Ok(()); // no window fits the padded input
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let x = filled(&[n, c, h, w], &mut rng);
+        let cols = x.im2col(k, k, stride, pad);
+        assert_bitwise_eq(&cols, &oracle_im2col(&x, k, stride, pad), "im2col");
+        let cols = filled(cols.shape(), &mut rng);
+        let back = cols.col2im(&[n, c, h, w], k, k, stride, pad);
+        assert_bitwise_eq(&back, &oracle_col2im(&cols, [n, c, h, w], k, stride, pad), "col2im");
     }
 }
 

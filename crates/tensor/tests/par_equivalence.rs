@@ -30,6 +30,10 @@
 //! and softmax tests are divisible by no width from 2 to 8, so every leg
 //! of the sweep splits unevenly, slabs start mid-tile, and in bmm and
 //! conv2d some slab straddles a batch boundary.
+//! The backward's kernels (`matmul_nt`, `matmul_tn`, `bmm_nt`, `bmm_tn`
+//! and `conv2d_backward`) are pinned the same way: random and tile-edge
+//! shapes, each also against the product of a transposed copy, and one
+//! shape of each above the fan-out floor.
 //! Tile-boundary adversaries (dims ±1 of the MR/NR register tile and
 //! the KC k-panel, k = 0, single rows/columns, K not a multiple of the
 //! q8 block) are pinned explicitly at the bottom.
@@ -37,7 +41,7 @@
 use aero_tensor::backend::{with_backend, BackendKind, KC, MR, NR};
 use aero_tensor::par_kernels::{planned_elementwise_threads, planned_threads};
 use aero_tensor::parallel::{with_assumed_cores, with_threads};
-use aero_tensor::{Q8Tensor, Tensor};
+use aero_tensor::{ConvGrads, Q8Tensor, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -71,6 +75,14 @@ fn oracle<R>(f: impl FnOnce() -> R) -> R {
 fn assert_fans_out_fully(work: usize, what: &str) {
     let width = run_under(BackendKind::Blocked, 8, || planned_threads(work));
     assert_eq!(width, 8, "{what}: work {work} fans out over {width} threads; resize the test");
+}
+
+/// dX, dW and db of a convolution, flattened into one tensor.
+fn conv2d_backward_flat(x: &Tensor, w: &Tensor, g: &Tensor, stride: usize, pad: usize) -> Tensor {
+    let all = ConvGrads { input: true, weight: true, bias: true };
+    let (dx, dw, db) = x.conv2d_backward(w, g, stride, pad, all);
+    let parts = [dx, dw, db].map(|t| t.expect("every gradient was asked for").flatten());
+    Tensor::concat(&parts.iter().collect::<Vec<_>>(), 0)
 }
 
 /// Sweeps `f` over both backends × threads 1–8 and asserts each result
@@ -127,6 +139,63 @@ proptest! {
         let b = Tensor::randn(&[k, n], &mut rng);
         let reference = oracle(|| a.matmul(&b));
         assert_all_backends_bitwise(&reference, "matmul tile adversary", || a.matmul(&b));
+    }
+
+    #[test]
+    fn transposed_matmuls_match_serial_under_both_backends(
+        mi in 0usize..7,
+        ki in 0usize..7,
+        ni in 0usize..7,
+        nb in 1usize..4,
+        seed in 0u64..1000,
+    ) {
+        // The backward's products read one operand transposed in place.
+        // Each must give the bits of the product of a transposed copy
+        // (the oracle's composition), at tile-edge sizes.
+        let dims = [1usize, MR - 1, MR + 1, NR - 1, NR + 1, KC - 1, KC + 1];
+        let (m, k, n) = (dims[mi], dims[ki], dims[ni]);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let a = Tensor::randn(&[m, k], &mut rng);
+        let b_nt = Tensor::randn(&[n, k], &mut rng);
+        let want = oracle(|| a.matmul(&b_nt.transpose()));
+        assert_all_backends_bitwise(&want, "matmul_nt", || a.matmul_nt(&b_nt));
+        let a_tn = Tensor::randn(&[k, m], &mut rng);
+        let b = Tensor::randn(&[k, n], &mut rng);
+        let want = oracle(|| a_tn.transpose().matmul(&b));
+        assert_all_backends_bitwise(&want, "matmul_tn", || a_tn.matmul_tn(&b));
+        // Batched forms over small matrices, so that slabs straddle
+        // batch boundaries.
+        let (m, k, n) = (m.min(9), k.min(40), n.min(40));
+        let a = Tensor::randn(&[nb, m, k], &mut rng);
+        let b_nt = Tensor::randn(&[nb, n, k], &mut rng);
+        let want = oracle(|| a.bmm(&b_nt.permute(&[0, 2, 1])));
+        assert_all_backends_bitwise(&want, "bmm_nt", || a.bmm_nt(&b_nt));
+        let a_tn = Tensor::randn(&[nb, k, m], &mut rng);
+        let b = Tensor::randn(&[nb, k, n], &mut rng);
+        let want = oracle(|| a_tn.permute(&[0, 2, 1]).bmm(&b));
+        assert_all_backends_bitwise(&want, "bmm_tn", || a_tn.bmm_tn(&b));
+    }
+
+    #[test]
+    fn conv2d_backward_matches_serial_over_random_strides_and_padding(
+        n in 1usize..3,
+        cin in 1usize..5,
+        cout in 1usize..7,
+        h in 3usize..13,
+        w in 3usize..13,
+        k in 1usize..4,
+        stride in 1usize..3,
+        pad in 0usize..3,
+        seed in 0u64..1000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let x = Tensor::randn(&[n, cin, h, w], &mut rng);
+        let wt = Tensor::randn(&[cout, cin, k, k], &mut rng);
+        let (oh, ow) = ((h + 2 * pad - k) / stride + 1, (w + 2 * pad - k) / stride + 1);
+        let g = Tensor::randn(&[n, cout, oh, ow], &mut rng);
+        let grads = || conv2d_backward_flat(&x, &wt, &g, stride, pad);
+        let what = format!("conv2d_backward {h}x{w} k{k} s{stride} p{pad}");
+        assert_all_backends_bitwise(&oracle(grads), &what, grads);
     }
 
     #[test]
@@ -403,6 +472,47 @@ fn large_conv_matches_serial(stride: usize, shape: [usize; 4], cout: usize, seed
     let b = Tensor::randn(&[cout], &mut rng);
     let reference = oracle(|| x.conv2d(&wt, Some(&b), stride, 1));
     assert_all_backends_bitwise(&reference, &what, || x.conv2d(&wt, Some(&b), stride, 1));
+}
+
+#[test]
+fn large_transposed_matmuls_above_fanout_threshold_match_serial() {
+    // 131 output rows (prime), as in the plain matmul above, for both
+    // layouts and for a batched form whose 143 rows straddle batches.
+    let (m, k, n) = (131, 704, 96);
+    assert_fans_out_fully(m * n * 2 * k, "large transposed matmul");
+    let mut rng = StdRng::seed_from_u64(18);
+    let a = Tensor::randn(&[m, k], &mut rng);
+    let b_nt = Tensor::randn(&[n, k], &mut rng);
+    assert_all_backends_bitwise(&oracle(|| a.matmul_nt(&b_nt)), "large matmul_nt", || {
+        a.matmul_nt(&b_nt)
+    });
+    let a_tn = Tensor::randn(&[k, m], &mut rng);
+    let b = Tensor::randn(&[k, n], &mut rng);
+    assert_all_backends_bitwise(&oracle(|| a_tn.matmul_tn(&b)), "large matmul_tn", || {
+        a_tn.matmul_tn(&b)
+    });
+    let (nb, m, k, n) = (11, 13, 480, 128);
+    assert_fans_out_fully(nb * m * n * 2 * k, "large batched transposed matmul");
+    let a = Tensor::randn(&[nb, m, k], &mut rng);
+    let b_nt = Tensor::randn(&[nb, n, k], &mut rng);
+    assert_all_backends_bitwise(&oracle(|| a.bmm_nt(&b_nt)), "large bmm_nt", || a.bmm_nt(&b_nt));
+    let a_tn = Tensor::randn(&[nb, k, m], &mut rng);
+    let b = Tensor::randn(&[nb, k, n], &mut rng);
+    assert_all_backends_bitwise(&oracle(|| a_tn.bmm_tn(&b)), "large bmm_tn", || a_tn.bmm_tn(&b));
+}
+
+#[test]
+fn large_conv2d_backward_above_fanout_threshold_matches_serial() {
+    // dX's and dW's products each carry 11·13·243·1024·2 ops; the 143
+    // dW rows and the 11·243 dX rows split unevenly at every width.
+    let (n, cin, h, w, cout) = (11, 27, 32, 32, 13);
+    assert_fans_out_fully(n * cout * (cin * 9) * (h * w) * 2, "large conv2d_backward");
+    let mut rng = StdRng::seed_from_u64(19);
+    let x = Tensor::randn(&[n, cin, h, w], &mut rng);
+    let wt = Tensor::randn(&[cout, cin, 3, 3], &mut rng);
+    let g = Tensor::randn(&[n, cout, h, w], &mut rng);
+    let grads = || conv2d_backward_flat(&x, &wt, &g, 1, 1);
+    assert_all_backends_bitwise(&oracle(grads), "large conv2d_backward", grads);
 }
 
 #[test]

@@ -60,7 +60,11 @@
 #                      and under AERO_BACKEND=blocked must be byte-identical
 #                      (the ComputeBackend oracle-equivalence contract, end
 #                      to end through the full pipeline; AD0112 keeps every
-#                      caller on the dispatched path)
+#                      caller on the dispatched path); and the same smoke
+#                      model trained under --backend reference --threads 1
+#                      and under the default backend at --threads 2 must
+#                      save byte-identical `model.amdl` files (the same
+#                      contract through every backward kernel)
 #   8. obs smokes    — the same sample rendered with and without --trace
 #                      must be byte-identical (observation never perturbs
 #                      results), and `profile` must print a span tree
@@ -380,6 +384,14 @@ cmp "$work/bref.ppm" "$work/bblk.ppm" \
   || { echo "backend smoke: reference and blocked samples differ"; exit 1; }
 cmp "$work/t1.ppm" "$work/bblk.ppm" \
   || { echo "backend smoke: blocked sample differs from the default-backend sample"; exit 1; }
+# Training runs every backward kernel: the serial Reference oracle at one
+# thread and the default backend at two threads must save the same model.
+cargo run --offline -q -p aerodiffusion-suite --bin aerodiffusion_cli -- \
+  train "$work/train_ref" --scale smoke --scenes 4 --seed 6 --backend reference --threads 1
+cargo run --offline -q -p aerodiffusion-suite --bin aerodiffusion_cli -- \
+  train "$work/train_t2" --scale smoke --scenes 4 --seed 6 --threads 2
+cmp "$work/train_ref/model.amdl" "$work/train_t2/model.amdl" \
+  || { echo "backend smoke: reference 1-thread and default 2-thread training differ"; exit 1; }
 
 echo "== thread smoke: bench_kernels liveness =="
 BENCH_KERNELS_SMOKE=1 cargo run --offline -q -p aero-bench --bin bench_kernels
